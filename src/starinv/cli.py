@@ -7,7 +7,8 @@ fixed key order so diffs stay meaningful.
 Exit status: 0 when the computation succeeds / the relation holds / all
 theorems pass; 1 for a negative mathematical outcome (no Moore-Penrose
 inverse, relation fails, theorem violated, precondition such as inner
-inverse not met); 2 for malformed input.
+inverse not met); 2 for malformed input; 3 when a self-check of the
+library fails, which is a bug and never a verdict.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from . import orders as od
 from .errors import (
     DimensionMismatch,
     DocumentError,
+    InternalCheckError,
     RingMismatch,
     StarInvError,
     UnknownRing,
@@ -35,6 +37,7 @@ from .theorems import theorem_ids, verify_all
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 # -- matrix documents -----------------------------------------------------------
@@ -168,6 +171,8 @@ def cmd_mp(args) -> int:
     report = {"command": "mp", "inputs": {"a": _input_payload(a)}}
     try:
         x = gi.dagger(a)
+    except InternalCheckError:
+        raise
     except StarInvError as exc:
         report["results"] = {"mp_inverse": None, "reason": str(exc)}
         report["status"] = "fail"
@@ -201,6 +206,8 @@ def _hybrid_command(args, kind: str) -> int:
             system = [x * a * x == x, x * a == a_dag * a]
     except (DimensionMismatch, RingMismatch) as exc:
         raise DocumentError(str(exc)) from None
+    except InternalCheckError:
+        raise
     except StarInvError as exc:
         report["results"] = {"inverse": None, "reason": str(exc)}
         report["status"] = "fail"
@@ -251,6 +258,8 @@ def cmd_order(args) -> int:
         verdict = _RELATIONS[args.relation](a, b)
     except (DimensionMismatch, RingMismatch) as exc:
         raise DocumentError(str(exc)) from None
+    except InternalCheckError:
+        raise
     except StarInvError as exc:
         report["results"] = {"holds": False, "reason": str(exc)}
         report["status"] = "fail"
@@ -359,6 +368,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except InternalCheckError as exc:
+        print(json.dumps({"status": "internal-error", "error": str(exc)}))
+        return EXIT_INTERNAL
     except (DocumentError, UnknownRing, UnknownTheorem) as exc:
         print(json.dumps({"status": "error", "error": str(exc)}))
         return EXIT_INPUT

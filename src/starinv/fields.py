@@ -13,14 +13,33 @@ from fractions import Fraction
 from .errors import DocumentError
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below
+# PRIME_CHECK_LIMIT (Sorenson & Webster, Math. Comp. 86, 2017).
+_WITNESS_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_CHECK_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    """Exact primality for n < PRIME_CHECK_LIMIT."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for base in _WITNESS_BASES:
+        if n % base == 0:
+            return n == base
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for base in _WITNESS_BASES:
+        x = pow(base, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -72,6 +91,10 @@ class PrimeField:
     """GF(p) for a prime p; scalars are canonical residues in [0, p)."""
 
     def __init__(self, p: int):
+        if p >= PRIME_CHECK_LIMIT:
+            raise ValueError(
+                f"modulus {p} is too large: primality is decided only below {PRIME_CHECK_LIMIT}"
+            )
         if not _is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p

@@ -331,10 +331,6 @@ class FiniteStarRing:
             self._corners[key] = frozenset(mul[mul[p, u], q] for u in self.elements)
         return self._corners[key]
 
-    def complement(self, e):
-        """1 - e."""
-        return self.sub(self.one, e)
-
     # -- annihilator-matching idempotent families ----------------------------
 
     def lp_members(self, a) -> tuple:

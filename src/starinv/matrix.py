@@ -237,6 +237,22 @@ def inverse(a: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(n, n, ents, a.field)
 
 
+def inner_inverse(a: ExactMatrix) -> ExactMatrix:
+    """One inner inverse g of a (a*g*a == a) from a single rref of [a | I].
+
+    The right block is an invertible E with E*a == rref(a); g carries row i
+    of E at row pivots[i] and zeros elsewhere.  Exists over any field.
+    """
+    m, n = a.shape
+    red, pivots = rref(hstack(a, ExactMatrix.identity(m, a.field)))
+    rows = [[a.field.zero] * m for _ in range(n)]
+    for i, c in enumerate(pivots):
+        if c >= n:
+            break
+        rows[c] = red.row_list(i)[n:]
+    return ExactMatrix(n, m, [v for row in rows for v in row], a.field)
+
+
 @dataclass(frozen=True)
 class RankFactorization:
     """a = F*G with F of full column rank r and G of full row rank r.

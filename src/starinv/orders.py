@@ -1,8 +1,12 @@
 """The five inverse-induced relations: 1MP, MP1, minus, diamond, plus.
 
 Decision routes differ by backend.  Matrices are decided structurally (rank
-arithmetic, exact linear solves, annihilator-matching projections); modular
+arithmetic, one inner inverse of b from a single row reduction,
+annihilator-matching projections); exact linear solves remain only in the
+plus-order ladder and in the independent routes of leq_1mp_routes.  Modular
 rings are decided by exhaustive witness scans through their FiniteStarRing.
+Annihilator containment is the one backend-specific test shared by several
+relations; it is decided in _left_ann_leq/_right_ann_leq and nowhere else.
 Every positive verdict carries a witness that has been re-verified against
 the defining equations of the relation, so a structural shortcut can never
 silently disagree with the definition.
@@ -31,6 +35,7 @@ from typing import NamedTuple, Optional
 
 from . import matrix as mx
 from .errors import (
+    ConditionFailure,
     CornerViolation,
     DimensionMismatch,
     InternalCheckError,
@@ -40,10 +45,10 @@ from .errors import (
     OrderViolation,
     RingMismatch,
 )
-from .finite import FiniteStarRing, ZnElement, capped_tuples, zn_ring
+from .finite import FiniteStarRing, TheoremReport, ZnElement, capped_tuples, zn_ring
 from .inverses import dagger, is_mp_one, is_one_mp
 from .matrix import ExactMatrix, column_space_leq, row_space_leq, solve_matrix_equations
-from .ring import in_corner
+from .ring import OppositeView, in_corner
 
 PLUS_CORNER_ENUM_CAP = 768
 
@@ -95,6 +100,20 @@ def lp(a):
     Raises:
         NotRickart: no such projection exists.
     """
+    return _left_projection(a, "left")
+
+
+def rp(a):
+    """The unique projection whose right annihilator matches that of a.
+
+    It is lp(star(a)): the right annihilator of a is the star of the left
+    annihilator of star(a), and projections are self-adjoint.
+    """
+    return _left_projection(a.star, "right")
+
+
+def _left_projection(a, side):
+    """lp(a); `side` names the annihilator of the caller's element in errors."""
     if isinstance(a, ExactMatrix):
         fact = mx.full_rank_factorize(a)
         if fact.r == 0:
@@ -104,66 +123,47 @@ def lp(a):
             gram_inv = mx.inverse(f.star * f)
         except ZeroDivisionError:
             raise NotRickart(
-                f"no projection matches the left annihilator over {a.field.name}"
+                f"no projection matches the {side} annihilator over {a.field.name}"
             ) from None
         e = f * gram_inv * f.star
-        if not (e * e == e and e.star == e and _col_space_equal(e, a)):
-            raise InternalCheckError("lp construction failed verification")
+        if not (e * e == e and e.star == e and _left_ann_equal(e, a)):
+            raise InternalCheckError(f"{side[0]}p construction failed verification")
         return e
     if isinstance(a, ZnElement):
         e = zn_ring(a.modulus).lp(a)
         if e is None:
-            raise NotRickart(f"no projection matches the left annihilator of {a!r}")
+            raise NotRickart(f"no projection matches the {side} annihilator of {a!r}")
         return e
-    raise TypeError(f"lp not supported for {type(a).__name__}")
+    raise TypeError(f"{side[0]}p not supported for {type(a).__name__}")
 
 
-def rp(a):
-    """The unique projection whose right annihilator matches that of a."""
-    if isinstance(a, ExactMatrix):
-        fact = mx.full_rank_factorize(a)
-        if fact.r == 0:
-            return ExactMatrix.zeros(a.cols, a.cols, a.field)
-        g = fact.g_matrix()
-        try:
-            gram_inv = mx.inverse(g * g.star)
-        except ZeroDivisionError:
-            raise NotRickart(
-                f"no projection matches the right annihilator over {a.field.name}"
-            ) from None
-        e = g.star * gram_inv * g
-        if not (e * e == e and e.star == e and _row_space_equal(e, a)):
-            raise InternalCheckError("rp construction failed verification")
-        return e
-    if isinstance(a, ZnElement):
-        e = zn_ring(a.modulus).rp(a)
-        if e is None:
-            raise NotRickart(f"no projection matches the right annihilator of {a!r}")
-        return e
-    raise TypeError(f"rp not supported for {type(a).__name__}")
+def _left_ann_leq(b, t) -> bool:
+    """Whether the left annihilator of b is contained in that of t."""
+    if isinstance(b, ExactMatrix):
+        return column_space_leq(t, b)
+    ring = zn_ring(b.modulus)
+    return ring.left_ann(b) <= ring.left_ann(t)
 
 
-def _col_space_equal(x, y) -> bool:
-    return column_space_leq(x, y) and column_space_leq(y, x)
-
-
-def _row_space_equal(x, y) -> bool:
-    return row_space_leq(x, y) and row_space_leq(y, x)
+def _right_ann_leq(b, t) -> bool:
+    """Whether the right annihilator of b is contained in that of t."""
+    if isinstance(b, ExactMatrix):
+        return row_space_leq(t, b)
+    ring = zn_ring(b.modulus)
+    return ring.right_ann(b) <= ring.right_ann(t)
 
 
 def _left_ann_equal(x, y) -> bool:
-    """Whether x and y have equal left annihilators."""
-    if isinstance(x, ExactMatrix):
-        return _col_space_equal(x, y)
-    ring = zn_ring(x.modulus)
-    return ring.left_ann(x) == ring.left_ann(y)
+    return _left_ann_leq(x, y) and _left_ann_leq(y, x)
 
 
 def _right_ann_equal(x, y) -> bool:
-    if isinstance(x, ExactMatrix):
-        return _row_space_equal(x, y)
-    ring = zn_ring(x.modulus)
-    return ring.right_ann(x) == ring.right_ann(y)
+    return _right_ann_leq(x, y) and _right_ann_leq(y, x)
+
+
+def _containments(a, b) -> bool:
+    """The annihilator containments of b inside those of a, on both sides."""
+    return _left_ann_leq(b, a) and _right_ann_leq(b, a)
 
 
 def lp_family_member(a, p1):
@@ -215,6 +215,15 @@ def _order_equations_hold(x, a, b) -> bool:
     return x * a == x * b and a * x == b * x
 
 
+def _first_identifying(ring, a, b, candidates):
+    """The first candidate x with x*a == x*b and a*x == b*x, or None."""
+    mul = ring.mul
+    for x in candidates:
+        if mul(x, a) == mul(x, b) and mul(a, x) == mul(b, x):
+            return x
+    return None
+
+
 def _canonical_first(candidates, canonical):
     """Deterministic witness scan order with the Moore-Penrose inverse first."""
     ordered = sorted(candidates, key=lambda e: e.value)
@@ -231,37 +240,27 @@ def leq_minus(a, b) -> OrderVerdict:
     """a <= b in the minus order: some inner inverse of a identifies a and b.
 
     Matrix route: the classical rank-subtractivity test
-    rank(b - a) == rank(b) - rank(a), followed by an exact linear solve for a
-    certifying inner inverse (which must succeed when the rank test passes).
+    rank(b - a) == rank(b) - rank(a).  When it passes, a*g*a == a and
+    a*g*b == a == b*g*a for every inner inverse g of b (Hartwig 1980), so
+    k = g*a*g built from one inner inverse of b is a witness; it is
+    re-verified.  When b is invertible the witness is unique; otherwise k is
+    one of several.
     """
     if isinstance(a, ExactMatrix):
         _require_square_pair(a, b)
         if mx.rank(b - a) != mx.rank(b) - mx.rank(a):
             return OrderVerdict(False, None, "rank", "rank(b - a) != rank(b) - rank(a)")
-        field = a.field
-        eye = ExactMatrix.identity(a.rows, field)
-        diff = a - b
-        k = solve_matrix_equations(
-            [
-                ([(a, a)], a),  # a*k*a == a
-                ([(eye, diff)], ExactMatrix.zeros(a.rows, a.rows, field)),  # k*(a-b) == 0
-                ([(diff, eye)], ExactMatrix.zeros(a.rows, a.rows, field)),  # (a-b)*k == 0
-            ],
-            (a.rows, a.rows),
-            field,
-        )
-        if k is None:
-            raise InternalCheckError("rank test passed but no minus witness solves")
-        return OrderVerdict(True, _minus_witness(a, b, k), "rank")
+        g = mx.inner_inverse(b)
+        return OrderVerdict(True, _minus_witness(a, b, g * a * g), "rank")
     if isinstance(a, ZnElement):
         ring = _zn_pair_ring(a, b)
         inners = ring.inner_inverses(a)
         if not inners:
             raise NotRegular(f"{a!r} has no inner inverse")
-        for k in inners:
-            if ring.mul(k, a) == ring.mul(k, b) and ring.mul(a, k) == ring.mul(b, k):
-                return OrderVerdict(True, _minus_witness(a, b, k), "exhaustive")
-        return OrderVerdict(False, None, "exhaustive", "no inner inverse identifies a and b")
+        k = _first_identifying(ring, a, b, inners)
+        if k is None:
+            return OrderVerdict(False, None, "exhaustive", "no inner inverse identifies a and b")
+        return OrderVerdict(True, _minus_witness(a, b, k), "exhaustive")
     raise TypeError(f"leq_minus not supported for {type(a).__name__}")
 
 
@@ -302,12 +301,10 @@ def leq_1mp(a, b) -> OrderVerdict:
         candidates = ring.one_mp_set(a)
         if not candidates:
             raise NotMPInvertible(f"{a!r} has no Moore-Penrose inverse")
-        for x in _canonical_first(candidates, ring.dagger_of(a)):
-            if ring.mul(x, a) == ring.mul(x, b) and ring.mul(a, x) == ring.mul(b, x):
-                return OrderVerdict(True, OneMPWitness(x), "exhaustive")
-        return OrderVerdict(False, None, "exhaustive", "no 1MP-inverse identifies a and b")
-    from .ring import OppositeView
-
+        x = _first_identifying(ring, a, b, _canonical_first(candidates, ring.dagger_of(a)))
+        if x is None:
+            return OrderVerdict(False, None, "exhaustive", "no 1MP-inverse identifies a and b")
+        return OrderVerdict(True, OneMPWitness(x), "exhaustive")
     if isinstance(a, OppositeView):
         v = leq_mp1(a.base, b.base)
         witness = OneMPWitness(OppositeView(v.witness.x)) if v.holds else None
@@ -388,12 +385,10 @@ def leq_mp1(a, b) -> OrderVerdict:
         candidates = ring.mp_one_set(a)
         if not candidates:
             raise NotMPInvertible(f"{a!r} has no Moore-Penrose inverse")
-        for x in _canonical_first(candidates, ring.dagger_of(a)):
-            if ring.mul(x, a) == ring.mul(x, b) and ring.mul(a, x) == ring.mul(b, x):
-                return OrderVerdict(True, MP1Witness(x), "exhaustive")
-        return OrderVerdict(False, None, "exhaustive", "no MP1-inverse identifies a and b")
-    from .ring import OppositeView
-
+        x = _first_identifying(ring, a, b, _canonical_first(candidates, ring.dagger_of(a)))
+        if x is None:
+            return OrderVerdict(False, None, "exhaustive", "no MP1-inverse identifies a and b")
+        return OrderVerdict(True, MP1Witness(x), "exhaustive")
     if isinstance(a, OppositeView):
         v = leq_1mp(a.base, b.base)
         witness = MP1Witness(OppositeView(v.witness.x)) if v.holds else None
@@ -412,15 +407,11 @@ def leq_diamond(a, b) -> OrderVerdict:
     """
     if isinstance(a, ExactMatrix):
         _require_square_pair(a, b)
-        containments = column_space_leq(a, b) and row_space_leq(a, b)
     elif isinstance(a, ZnElement):
-        ring = _zn_pair_ring(a, b)
-        containments = ring.left_ann(b) <= ring.left_ann(a) and ring.right_ann(
-            b
-        ) <= ring.right_ann(a)
+        _zn_pair_ring(a, b)
     else:
         raise TypeError(f"leq_diamond not supported for {type(a).__name__}")
-    if not containments:
+    if not _containments(a, b):
         return OrderVerdict(False, None, "equational", "annihilator containment fails")
     if a * b.star * a != a * a.star * a:
         return OrderVerdict(False, None, "equational", "a*star(b)*a != a*star(a)*a")
@@ -516,8 +507,7 @@ def leq_plus(a, b, witness_hint=None) -> OrderVerdict:
             and _left_ann_equal(qt, a)
             and _right_ann_equal(q, a)
             and qt * b * q == a
-            and _left_ann_leq(b, a)
-            and _right_ann_leq(b, a)
+            and _containments(a, b)
         ):
             return OrderVerdict(True, PlusWitness(qt, q), "hinted")
     if isinstance(a, ZnElement):
@@ -526,10 +516,7 @@ def leq_plus(a, b, witness_hint=None) -> OrderVerdict:
         rp_set = ring.rp_members(a)
         if not lp_set or not rp_set:
             raise NotRickart(f"{a!r} has empty LP or RP family")
-        if not (
-            ring.left_ann(b) <= ring.left_ann(a)
-            and ring.right_ann(b) <= ring.right_ann(a)
-        ):
+        if not _containments(a, b):
             return OrderVerdict(False, None, "containment", "annihilator containment fails")
         for qt in lp_set:
             for q in rp_set:
@@ -542,7 +529,7 @@ def leq_plus(a, b, witness_hint=None) -> OrderVerdict:
     _require_square_pair(a, b)
     la = lp(a)
     ra = rp(a)
-    if not (column_space_leq(a, b) and row_space_leq(a, b)):
+    if not _containments(a, b):
         return OrderVerdict(False, None, "containment", "annihilator containment fails")
     if la * b * ra == a:
         _verify_plus_witness(a, b, la, ra)
@@ -700,8 +687,6 @@ def plus_block_compose(a, data: PlusBlockData):
         CornerViolation: a data element escapes its corner.
         ConditionFailure: an annihilator side condition fails (.side tells which).
     """
-    from .errors import ConditionFailure
-
     la = lp(a)
     ra = rp(a)
     checks = (
@@ -727,32 +712,9 @@ def plus_block_compose(a, data: PlusBlockData):
     q_tilde = la - data.y
     q = ra - data.x
     _verify_plus_witness(a, b, q_tilde, q)
-    if isinstance(a, ExactMatrix):
-        if not (column_space_leq(a, b) and row_space_leq(a, b)):
-            raise InternalCheckError("composed element fails the containments")
-    else:
-        ring = zn_ring(a.modulus)
-        if not (
-            ring.left_ann(b) <= ring.left_ann(a)
-            and ring.right_ann(b) <= ring.right_ann(a)
-        ):
-            raise InternalCheckError("composed element fails the containments")
+    if not _containments(a, b):
+        raise InternalCheckError("composed element fails the containments")
     return b
-
-
-def _left_ann_leq(b, t) -> bool:
-    """Whether the left annihilator of b is contained in that of t."""
-    if isinstance(b, ExactMatrix):
-        return column_space_leq(t, b)
-    ring = zn_ring(b.modulus)
-    return ring.left_ann(b) <= ring.left_ann(t)
-
-
-def _right_ann_leq(b, t) -> bool:
-    if isinstance(b, ExactMatrix):
-        return row_space_leq(t, b)
-    ring = zn_ring(b.modulus)
-    return ring.right_ann(b) <= ring.right_ann(t)
 
 
 # -- exhaustive partial-order axiom suite -------------------------------------------
@@ -766,8 +728,6 @@ def order_axiom_suite(ring: FiniteStarRing, relation: str, label: str = ""):
     plus order is undefined for some element (empty LP or RP family) are
     skipped with an explanatory note.  Returns a TheoremReport.
     """
-    from .finite import TheoremReport
-
     start = time.perf_counter()
     label = label or f"order-axioms-{relation}"
     ring._build_structure()

@@ -14,11 +14,6 @@ from dataclasses import dataclass
 from .errors import CornerViolation, IdempotentViolation, RingMismatch
 
 
-def star(x):
-    """The involution of x."""
-    return x.star
-
-
 def is_idempotent(p) -> bool:
     return p * p == p
 

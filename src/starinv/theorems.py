@@ -271,6 +271,23 @@ def _one_mp_condition_equivalences(ring, label="one_mp_condition_equivalences"):
     return _finish(label, ring.name, checked, violations, start, notes)
 
 
+def _ideal_generators(ring, a):
+    """Projections p with p*R == a*R, and idempotents q with R*q == R*a."""
+    right_ideal_a = frozenset(ring.mul(a, u) for u in ring.elements)
+    left_ideal_a = frozenset(ring.mul(u, a) for u in ring.elements)
+    p_hits = [
+        p
+        for p in ring.projections
+        if frozenset(ring.mul(p, u) for u in ring.elements) == right_ideal_a
+    ]
+    q_hits = [
+        q
+        for q in ring.idempotents
+        if frozenset(ring.mul(u, q) for u in ring.elements) == left_ideal_a
+    ]
+    return p_hits, q_hits
+
+
 def _one_mp_existence_projections(ring, label="one_mp_existence_projections"):
     """1MP-inverses exist iff a projection/idempotent pair matches a's ideals.
 
@@ -285,25 +302,13 @@ def _one_mp_existence_projections(ring, label="one_mp_existence_projections"):
     violations = []
     checked = 0
     skipped = 0
-    projections = ring.projections
     for a in ring.elements:
         if not ring.inverse_class(a, {1, 4}):
             skipped += 1
             continue
         checked += 1
         nonempty = bool(ring.one_mp_set(a))
-        right_ideal_a = frozenset(ring.mul(a, u) for u in ring.elements)
-        left_ideal_a = frozenset(ring.mul(u, a) for u in ring.elements)
-        p_hits = [
-            p
-            for p in projections
-            if frozenset(ring.mul(p, u) for u in ring.elements) == right_ideal_a
-        ]
-        q_hits = [
-            q
-            for q in ring.idempotents
-            if frozenset(ring.mul(u, q) for u in ring.elements) == left_ideal_a
-        ]
+        p_hits, q_hits = _ideal_generators(ring, a)
         pair_exists = bool(p_hits) and bool(q_hits)
         if nonempty != pair_exists:
             violations.append(("existence mismatch", repr(a)))
@@ -525,23 +530,11 @@ def _order_1mp_projection_form(ring, label="order_1mp_projection_form"):
     violations = []
     checked = 0
     skipped = 0
-    projections = ring.projections
     for a in ring.elements:
         if not ring.inverse_class(a, {1, 4}):
             skipped += 1
             continue
-        right_ideal_a = frozenset(ring.mul(a, u) for u in ring.elements)
-        left_ideal_a = frozenset(ring.mul(u, a) for u in ring.elements)
-        p_hits = [
-            p
-            for p in projections
-            if frozenset(ring.mul(p, u) for u in ring.elements) == right_ideal_a
-        ]
-        q_hits = [
-            q
-            for q in ring.idempotents
-            if frozenset(ring.mul(u, q) for u in ring.elements) == left_ideal_a
-        ]
+        p_hits, q_hits = _ideal_generators(ring, a)
         mp_ok = ring.dagger_of(a) is not None
         for b in ring.elements:
             checked += 1

@@ -208,6 +208,31 @@ class TestPlumbing:
         assert code == 2 and rep["status"] == "error"
         assert "line 4" in rep["error"]
 
+    def test_modulus_beyond_exact_primality_exit_2(self, tmp_path, capsys):
+        from starinv.fields import PRIME_CHECK_LIMIT
+
+        path = tmp_path / "a.mat"
+        path.write_text(f"field gf:{PRIME_CHECK_LIMIT + 2}\nrows 1\ncols 1\n1\n")
+        code, rep = run_cli(capsys, "mp", str(path))
+        assert code == 2 and rep["status"] == "error"
+        assert "too large" in rep["error"]
+
+    def test_failed_self_check_exit_3(self, tmp_path, capsys, monkeypatch):
+        from starinv import InternalCheckError
+
+        def broken(*args):
+            raise InternalCheckError("minus witness fails its equations")
+
+        monkeypatch.setattr("starinv.orders._minus_witness", broken)
+        monkeypatch.setattr("starinv.inverses.dagger", broken)
+        a = write_doc(tmp_path, "a.mat", M([[1, 0], [0, 0]]))
+        b = write_doc(tmp_path, "b.mat", ExactMatrix.identity(2))
+        for argv in (("order", "minus", a, b), ("order", "1mp", a, b), ("mp", a), ("onemp", a, a)):
+            code, rep = run_cli(capsys, *argv)
+            assert code == 3, argv
+            assert list(rep) == ["status", "error"]
+            assert rep["status"] == "internal-error"
+
     def test_matrix_payload_round(self):
         a = M([["1/2", 3]])
         payload = matrix_payload(a)
@@ -219,14 +244,22 @@ class TestPlumbing:
         }
 
     def test_console_script_subprocess(self, tmp_path):
+        import os
         import subprocess
         import sys
 
+        import starinv
+
+        # the child imports the same starinv as this suite, installed or not
+        src = os.path.dirname(os.path.dirname(starinv.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         path = write_doc(tmp_path, "a.mat", M([[1, 1], [0, 0]]))
         proc = subprocess.run(
             [sys.executable, "-m", "starinv.cli", "mp", path],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         rep = json.loads(proc.stdout)

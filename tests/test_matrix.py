@@ -7,6 +7,7 @@ from starinv import (
     GF,
     QQ,
     DimensionMismatch,
+    DocumentError,
     ExactMatrix,
     NotMPInvertible,
     RingMismatch,
@@ -18,7 +19,15 @@ from starinv import (
     rank,
     row_space_leq,
 )
-from starinv.matrix import hstack, inverse, penrose_equations, rref, solve_matrix_equations
+from starinv.fields import PRIME_CHECK_LIMIT, field_by_name
+from starinv.matrix import (
+    hstack,
+    inner_inverse,
+    inverse,
+    penrose_equations,
+    rref,
+    solve_matrix_equations,
+)
 
 from conftest import M, random_rational_matrix
 
@@ -108,6 +117,61 @@ class TestElimination:
     def test_inverse_singular(self):
         with pytest.raises(ZeroDivisionError):
             inverse(M([[1, 1], [1, 1]]))
+
+
+class TestInnerInverse:
+    @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)], ids=lambda f: f.name)
+    def test_inner_inverse_equation(self, field):
+        rng = random.Random(29)
+        cases = [
+            ExactMatrix.zeros(3, 3, field),
+            ExactMatrix.zeros(2, 4, field),
+            M([[1, 2], [0, 1]], field),
+            M([[1, 1], [1, 1]], field),
+            M([[0, 1, 1], [0, 2, 2]], field),
+            M([[1, 0], [0, 1], [1, 1]], field),
+        ]
+        for _ in range(60):
+            rows, cols, r = rng.randint(1, 4), rng.randint(1, 4), rng.randint(0, 3)
+            left = [[rng.randint(-4, 4) for _ in range(r)] for _ in range(rows)]
+            right = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(r)]
+            if r:
+                cases.append(M(left, field) * M(right, field))
+        for a in cases:
+            g = inner_inverse(a)
+            assert g.shape == (a.cols, a.rows) and g.field == field
+            assert a * g * a == a
+
+    def test_invertible_gives_the_inverse(self):
+        a = M([[2, 1], [1, 1]])
+        assert inner_inverse(a) == inverse(a)
+        b = M([[1, 2], [2, 2]], GF(3))
+        assert inner_inverse(b) == inverse(b)
+
+    def test_zero_gives_zero(self):
+        assert inner_inverse(ExactMatrix.zeros(2, 3)) == ExactMatrix.zeros(3, 2)
+
+
+class TestPrimeFields:
+    def test_large_prime_accepted(self):
+        assert field_by_name("gf:10000000000037").p == 10000000000037
+
+    @pytest.mark.parametrize("n", [1, 561, 3215031751, 3825123056546413051])
+    def test_composites_and_strong_pseudoprimes_rejected(self, n):
+        with pytest.raises(DocumentError):
+            field_by_name(f"gf:{n}")
+
+    def test_modulus_beyond_exact_range_rejected(self):
+        with pytest.raises(DocumentError, match="too large"):
+            field_by_name(f"gf:{PRIME_CHECK_LIMIT}")
+
+    def test_small_primes_match_trial_division(self):
+        from starinv.fields import _is_prime
+
+        def trial(n):
+            return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+        assert all(_is_prime(n) == trial(n) for n in range(3000))
 
 
 class TestFactorization:

@@ -28,6 +28,7 @@ from starinv import (
     matrix_star_ring,
     order_axiom_suite,
     plus_block_compose,
+    rank,
     rp,
     rp_family_member,
     zn_ring,
@@ -138,6 +139,55 @@ class TestMinusOrder:
     def test_square_required(self):
         with pytest.raises(DimensionMismatch):
             leq_minus(M([[1, 0, 0], [0, 0, 0]]), M([[1, 0, 0], [0, 1, 0]]))
+
+    def test_matrix_route_matches_oracle_on_m2gf3(self):
+        ring = matrix_star_ring(3)
+        for a in ring.elements:
+            for b in ring.elements:
+                assert leq_minus(a, b).holds == ring.rel_minus(a, b)
+
+
+class TestWitnessesWithSingularB:
+    """Rational pairs with b singular, where the witness is one of many.
+
+    Adding z with z*b == 0 == b*z to a witness gives another, and such a z
+    is nonzero whenever b is singular; so each witness is checked against
+    its defining equations, not against a fixed matrix.
+    """
+
+    def test_minus(self):
+        rng = random.Random(67)
+        for _ in range(30):
+            n = rng.randint(2, 4)
+            r = rng.randint(1, n - 1)
+            s = rng.randint(0, n - 1 - r)
+            a = random_singular_matrix(rng, n, r)
+            b = a + (random_singular_matrix(rng, n, s) if s else ExactMatrix.zeros(n, n))
+            assert rank(b) < n
+            v = leq_minus(a, b)
+            assert v.holds and v.method == "rank"
+            k, p, q = v.witness
+            assert a * k * a == a and k * a == k * b and a * k == b * k
+            assert p == a * k and q == k * a and p * b == a and b * q == a
+
+    def test_1mp_and_mp1(self):
+        rng = random.Random(71)
+        eye = ExactMatrix.identity(3)
+        for _ in range(20):
+            a = random_singular_matrix(rng, 3, 1)
+            d = dagger(a)
+            p = a * d
+            q = d * a
+            low = random_singular_matrix(rng, 3, 1)
+            b4 = (eye - p) * low * (eye - q)
+            b = above_1mp(a, OneMPAboveForm(b4, (eye - q) * random_rational_matrix(rng, 3, 3) * p))
+            assert rank(b) < 3
+            x = leq_1mp(a, b).witness.x
+            assert is_member(a, x, {1, 2, 3}) and x * a == x * b and a * x == b * x
+            b = above_mp1(a, OneMPAboveForm(b4, q * random_rational_matrix(rng, 3, 3) * (eye - p)))
+            assert rank(b) < 3
+            x = leq_mp1(a, b).witness.x
+            assert is_member(a, x, {1, 2, 4}) and x * a == x * b and a * x == b * x
 
 
 class TestOneMPOrder:
