@@ -83,6 +83,10 @@ class RationalField:
     def to_str(self, a) -> str:
         return str(a)
 
+    def __reduce__(self):
+        # Unpickle to the module singleton QQ: fields compare by identity.
+        return "QQ"
+
     def __repr__(self):
         return "RationalField()"
 

@@ -422,6 +422,8 @@ def zn_ring(n: int) -> FiniteStarRing:
     """Z_n with the identity involution."""
     if n < 2:
         raise UnknownRing("modulus must be at least 2")
+    if n > CARRIER_GUARD:
+        raise CarrierTooLarge(f"carrier of z{n} has {n} elements")
     els = [ZnElement(v, n) for v in range(n)]
     return FiniteStarRing(f"z{n}", els, els[0], els[1])
 

@@ -154,6 +154,10 @@ class ExactMatrix:
             self._hash = hash((self.field.name, self.rows, self.cols, self.entries))
         return self._hash
 
+    def __reduce__(self):
+        # The cached hash follows the process's string hashing; leave it out.
+        return (ExactMatrix, (self.rows, self.cols, self.entries, self.field))
+
     def __repr__(self):
         rows = "; ".join(
             " ".join(self.field.to_str(self[i, j]) for j in range(self.cols))

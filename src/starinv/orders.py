@@ -2,29 +2,22 @@
 
 Decision routes differ by backend.  Matrices are decided structurally (rank
 arithmetic, one inner inverse of b from a single row reduction,
-annihilator-matching projections); exact linear solves remain only in the
-plus-order ladder and in the independent routes of leq_1mp_routes.  Modular
-rings are decided by exhaustive witness scans through their FiniteStarRing.
-Annihilator containment is the one backend-specific test shared by several
-relations; it is decided in _left_ann_leq/_right_ann_leq and nowhere else.
-Every positive verdict carries a witness that has been re-verified against
-the defining equations of the relation, so a structural shortcut can never
-silently disagree with the definition.
+annihilator-matching projections, and a rank criterion for the plus order);
+exact linear solves remain only in the independent routes of
+leq_1mp_routes.  Modular rings are decided by exhaustive witness scans
+through their FiniteStarRing.  Annihilator containment is the one
+backend-specific test shared by several relations; it is decided in
+_left_ann_leq/_right_ann_leq and nowhere else.  Every positive verdict
+carries a witness that has been re-verified against the defining equations
+of the relation, so a structural shortcut can never silently disagree with
+the definition.
 
 Verdict method tags:
     minus    "rank" | "exhaustive"
     1mp      "minus-dagger" | "exhaustive"
     mp1      "transpose-dual" | "exhaustive"
     diamond  "equational"
-    plus     "canonical" | "minus-shortcut" | "right-solve" | "left-solve" |
-             "corner-search" | "undecided-negative" | "containment" |
-             "exhaustive"
-
-"undecided-negative" is an honest verdict: over the rationals no complete
-decision procedure for the bilinear plus-order witness problem is
-implemented, and the structured search may fail to find a witness that
-exists.  Over small prime fields the corner search is exhaustive, hence
-definitive.
+    plus     "hinted" | "containment" | "canonical" | "rank" | "exhaustive"
 """
 
 from __future__ import annotations
@@ -49,8 +42,6 @@ from .finite import FiniteStarRing, TheoremReport, ZnElement, capped_tuples, zn_
 from .inverses import dagger, is_mp_one, is_one_mp
 from .matrix import ExactMatrix, column_space_leq, row_space_leq, solve_matrix_equations
 from .ring import OppositeView, in_corner
-
-PLUS_CORNER_ENUM_CAP = 768
 
 
 @dataclass(frozen=True)
@@ -286,16 +277,7 @@ def leq_1mp(a, b) -> OrderVerdict:
     """
     if isinstance(a, ExactMatrix):
         _require_square_pair(a, b)
-        a_dag = dagger(a)
-        minus = leq_minus(a, b)
-        if not minus.holds:
-            return OrderVerdict(False, None, "minus-dagger", minus.reason)
-        if a_dag * b != a_dag * a:
-            return OrderVerdict(False, None, "minus-dagger", "dagger(a)*b != dagger(a)*a")
-        x = minus.witness.inner * a * a_dag
-        if not (is_one_mp(a, x, a_dag) and _order_equations_hold(x, a, b)):
-            raise InternalCheckError("1MP witness fails its equations")
-        return OrderVerdict(True, OneMPWitness(x), "minus-dagger")
+        return _leq_1mp_matrix(a, b, dagger(a))
     if isinstance(a, ZnElement):
         ring = _zn_pair_ring(a, b)
         candidates = ring.one_mp_set(a)
@@ -310,6 +292,19 @@ def leq_1mp(a, b) -> OrderVerdict:
         witness = OneMPWitness(OppositeView(v.witness.x)) if v.holds else None
         return OrderVerdict(v.holds, witness, v.method, v.reason)
     raise TypeError(f"leq_1mp not supported for {type(a).__name__}")
+
+
+def _leq_1mp_matrix(a, b, a_dag) -> OrderVerdict:
+    """The matrix route of leq_1mp, given a_dag == dagger(a)."""
+    minus = leq_minus(a, b)
+    if not minus.holds:
+        return OrderVerdict(False, None, "minus-dagger", minus.reason)
+    if a_dag * b != a_dag * a:
+        return OrderVerdict(False, None, "minus-dagger", "dagger(a)*b != dagger(a)*a")
+    x = minus.witness.inner * a * a_dag
+    if not (is_one_mp(a, x, a_dag) and _order_equations_hold(x, a, b)):
+        raise InternalCheckError("1MP witness fails its equations")
+    return OrderVerdict(True, OneMPWitness(x), "minus-dagger")
 
 
 def leq_1mp_routes(a, b) -> dict:
@@ -372,11 +367,11 @@ def leq_mp1(a, b) -> OrderVerdict:
     """a <= b in the MP1 order; for matrices decided as the transpose dual."""
     if isinstance(a, ExactMatrix):
         _require_square_pair(a, b)
-        v = leq_1mp(a.star, b.star)
+        a_dag = dagger(a)
+        v = _leq_1mp_matrix(a.star, b.star, a_dag.star)
         if not v.holds:
             return OrderVerdict(False, None, "transpose-dual", v.reason)
         x = v.witness.x.star
-        a_dag = dagger(a)
         if not (is_mp_one(a, x, a_dag) and _order_equations_hold(x, a, b)):
             raise InternalCheckError("MP1 witness fails its equations")
         return OrderVerdict(True, MP1Witness(x), "transpose-dual")
@@ -426,51 +421,57 @@ def leq_diamond(a, b) -> OrderVerdict:
 # -- plus order ---------------------------------------------------------------------
 
 
-def _solve_plus_right(a, b, la, ra, q_tilde):
-    """Solve q_tilde*b*(ra + v) == a for v in the lower-left (ra, ra) corner."""
+def _columns(m, cols):
+    """The columns of m at the given indices, in that order."""
+    return ExactMatrix(m.rows, len(cols), [m[i, c] for i in range(m.rows) for c in cols], m.field)
+
+
+def _adds_rank(m, v):
+    """Whether column v lies outside the column space of m (independent columns)."""
+    return mx.rank(mx.hstack(m, v)) > m.cols
+
+
+def _plus_rank_witness(a, b):
+    """The idempotent pair of the rank criterion in leq_plus, or None.
+
+    Requires the containments and rank(a) > 0.  With a = F*G and
+    b = F_b*G_b, G_b the nonzero rref rows of b: S = L_b*F for a left
+    inverse L_b of F_b, T = G at b's pivot columns, D = I_r - T*S.  The
+    pair is (F*U*L_b, R_b*V*G), R_b the selector of b's pivot rows.
+    """
     field = a.field
-    n = a.rows
-    eye = ExactMatrix.identity(n, field)
-    zero = ExactMatrix.zeros(n, n, field)
-    lhs = q_tilde * b
-    v = solve_matrix_equations(
-        [
-            ([(lhs, eye)], a - lhs * ra),
-            ([(ra, eye)], zero),  # ra*v == 0
-            ([(eye, ra - eye)], zero),  # v*ra == v
-        ],
-        (n, n),
-        field,
-    )
-    return None if v is None else ra + v
-
-
-def _plus_corner_candidates(la, field, n):
-    """All elements of la*R*(1 - la) for a small prime field, else None."""
-    if field.name == "rational":
+    fa = mx.full_rank_factorize(a)
+    fb = mx.full_rank_factorize(b)
+    r, r_b = fa.r, fb.r
+    f, g = fa.f_matrix(), fa.g_matrix()
+    pivots = [next(j for j, v in enumerate(row) if v != field.zero) for row in fb.g_rows]
+    l_b = mx.inner_inverse(fb.f_matrix())
+    s = l_b * f
+    t = _columns(g, pivots)
+    d = ExactMatrix.identity(r, field) - t * s
+    rank_d = mx.rank(d)
+    if rank_d > r_b - r:
         return None
-    total = field.p ** (n * n)
-    if total > PLUS_CORNER_ENUM_CAP:
-        return None
-    eye = ExactMatrix.identity(n, field)
-    seen = set()
-    out = []
-    for ents in _all_entry_tuples(field.p, n * n):
-        m = ExactMatrix(n, n, ents, field)
-        u = la * m * (eye - la)
-        if u not in seen:
-            seen.add(u)
-            out.append(u)
-    return out
-
-
-def _all_entry_tuples(p, count):
-    if count == 0:
-        yield ()
-        return
-    for rest in _all_entry_tuples(p, count - 1):
-        for v in range(p):
-            yield (v,) + rest
+    # Extend S by rank_d columns V with [S V] independent and D*T*V of rank
+    # rank_d.  Each pick avoids two proper subspaces: a unit vector avoids
+    # each one, and when neither avoids both their sum does.
+    h = d * t
+    eye_b = ExactMatrix.identity(r_b, field)
+    units = [_columns(eye_b, [j]) for j in range(r_b)]
+    sv, hv = s, ExactMatrix(r, 0, [], field)
+    for _ in range(rank_d):
+        u = next(e for e in units if _adds_rank(sv, e))
+        w = next(e for e in units if _adds_rank(hv, h * e))
+        pick = next(c for c in (u, w, u + w) if _adds_rank(sv, c) and _adds_rank(hv, h * c))
+        sv, hv = mx.hstack(sv, pick), mx.hstack(hv, h * pick)
+    # L*S == I and L*V == 0, so U*S == I; with V = S + P*inner(T*P)*D,
+    # U*P == 0 gives U*V == I and col(T*P) == col(D) gives T*V == I.
+    l_sv = ExactMatrix(r, r_b, mx.inner_inverse(sv).entries[: r * r_b], field)
+    u = t + d * l_sv
+    p = eye_b - s * u
+    v = s + p * mx.inner_inverse(t * p) * d
+    r_b_sel = _columns(ExactMatrix.identity(a.rows, field), pivots)
+    return f * u * l_b, r_b_sel * v * g
 
 
 def _verify_plus_witness(a, b, q_tilde, q):
@@ -485,11 +486,20 @@ def _verify_plus_witness(a, b, q_tilde, q):
 def leq_plus(a, b, witness_hint=None) -> OrderVerdict:
     """a <= b in the plus order.
 
-    Decision ladder for matrices: annihilator containments, the canonical
-    witness (lp(a), rp(a)), the minus-order shortcut, one-sided exact linear
-    solves, and an exhaustive corner search over small prime fields.  When
-    every stage is inconclusive over the rationals the verdict is a negative
-    tagged "undecided-negative" rather than a proof of absence.
+    Matrices: the annihilator containments, then the canonical witness
+    (lp(a), rp(a)), then a rank criterion that decides every remaining pair
+    over any field.  Write a = F*G and b = F_b*G_b as full-rank
+    factorisations of ranks r and r_b; the containments give F = F_b*S and
+    G = T*G_b.  LP(a) = {F*X : X*F = I_r} and RP(a) = {Y*G : G*Y = I_r}, so
+    a = (F*X)*b*(Y*G) for such X, Y exactly when U = X*F_b and V = G_b*Y
+    satisfy U*S = T*V = U*V = I_r.  Such U, V exist iff
+    rank(I_r - T*S) <= r_b - r.  Necessity: I_r - T*S = T*(V - S) and the
+    columns of V - S lie in the kernel of U, of dimension r_b - r.
+    Sufficiency: _plus_rank_witness builds U and V.  Since
+    F*(I_r - T*S)*G = a - a*g*a for any inner inverse g of b, the criterion
+    reads rank(a - a*g*a) <= rank(b) - rank(a), and the minus order
+    (Hartwig 1980) is the case where the left side is 0.  Both verdicts of
+    this stage are definitive and tagged "rank".
 
     A caller who knows a candidate idempotent pair (for example from the
     block-form construction) can pass it as witness_hint=(q_tilde, q); the
@@ -534,49 +544,11 @@ def leq_plus(a, b, witness_hint=None) -> OrderVerdict:
     if la * b * ra == a:
         _verify_plus_witness(a, b, la, ra)
         return OrderVerdict(True, PlusWitness(la, ra), "canonical")
-    minus = leq_minus(a, b)
-    if minus.holds:
-        qt, q = minus.witness.p, minus.witness.q
-        _verify_plus_witness(a, b, qt, q)
-        return OrderVerdict(True, PlusWitness(qt, q), "minus-shortcut")
-    q = _solve_plus_right(a, b, la, ra, la)
-    if q is not None:
-        _verify_plus_witness(a, b, la, q)
-        return OrderVerdict(True, PlusWitness(la, q), "right-solve")
-    field = a.field
-    n = a.rows
-    eye = ExactMatrix.identity(n, field)
-    zero = ExactMatrix.zeros(n, n, field)
-    u = solve_matrix_equations(
-        [
-            ([(eye, b * ra)], a - la * b * ra),  # (la + u)*b*ra == a
-            ([(la - eye, eye)], zero),  # la*u == u
-            ([(eye, la)], zero),  # u*la == 0
-        ],
-        (n, n),
-        field,
-    )
-    if u is not None:
-        qt = la + u
-        _verify_plus_witness(a, b, qt, ra)
-        return OrderVerdict(True, PlusWitness(qt, ra), "left-solve")
-    candidates = _plus_corner_candidates(la, field, n)
-    if candidates is not None:
-        for u in candidates:
-            qt = la + u
-            q = _solve_plus_right(a, b, la, ra, qt)
-            if q is not None:
-                _verify_plus_witness(a, b, qt, q)
-                return OrderVerdict(True, PlusWitness(qt, q), "corner-search")
-        return OrderVerdict(
-            False, None, "corner-search", "no idempotent pair factors a through b"
-        )
-    return OrderVerdict(
-        False,
-        None,
-        "undecided-negative",
-        "structured search found no witness; absence not proven",
-    )
+    pair = _plus_rank_witness(a, b)
+    if pair is None:
+        return OrderVerdict(False, None, "rank", "no idempotent pair factors a through b")
+    _verify_plus_witness(a, b, *pair)
+    return OrderVerdict(True, PlusWitness(*pair), "rank")
 
 
 # -- block forms above an element -----------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from starinv import (
@@ -35,6 +37,16 @@ class TestRegistry:
     def test_carrier_guard(self):
         with pytest.raises(CarrierTooLarge):
             zn_ring(10_001)
+
+    def test_carrier_guard_fires_before_the_carrier_is_built(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CarrierTooLarge, match="carrier of z200000 has 200000 elements"):
+                zn_ring(200_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestEnumeration:

@@ -1,8 +1,13 @@
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import starinv
 from starinv import (
     GF,
     QQ,
@@ -78,6 +83,34 @@ class TestArithmetic:
         b = M([[1, 2], [3, 4]])
         assert a == b and hash(a) == hash(b)
         assert len({a, b}) == 1
+
+
+class TestPickling:
+    def test_round_trip(self):
+        for a in (M([[1, "1/2"], [-3, 4]]), M([[1, 2], [0, 1]], GF(3))):
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                b = pickle.loads(pickle.dumps(a, protocol))
+                assert b == a and a * b == a * a
+        assert pickle.loads(pickle.dumps(QQ)) is QQ
+
+    def test_hash_survives_another_process(self):
+        # the child hashes the matrix before pickling it under its own seed
+        src = os.path.dirname(os.path.dirname(starinv.__file__))
+        env = dict(os.environ, PYTHONHASHSEED="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import pickle, sys\n"
+            "from starinv import ExactMatrix\n"
+            "a = ExactMatrix.from_rows([[1, 2], [3, 4]])\n"
+            "hash(a)\n"
+            "sys.stdout.buffer.write(pickle.dumps(a))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, env=env, check=True
+        )
+        b = pickle.loads(proc.stdout)
+        a = M([[1, 2], [3, 4]])
+        assert b == a and hash(b) == hash(a) and b in {a}
 
 
 class TestInvolutionAxioms:
