@@ -31,7 +31,8 @@ from .errors import (
 from .fields import GF
 from .matrix import ExactMatrix
 
-CARRIER_GUARD = 10_000
+# FiniteStarRing builds |R|^2-entry operation tables: at most 250,000 each.
+CARRIER_GUARD = 500
 TUPLE_CAP = 1_000_000
 SAMPLE_SEED = 74207281
 

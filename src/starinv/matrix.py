@@ -3,6 +3,11 @@
 The involution is plain transpose, which is a legitimate *-ring involution
 over these fields and keeps every identity in the package exactly checkable.
 No floating point exists anywhere in this module.
+
+Products and row reduction are the field's kernels (`field.matmul`,
+`field.row_reduce` in `fields.py`); `ExactMatrix.__mul__` and `rref` only
+carry shapes.  Entries are canonical at this boundary: `Fraction` in lowest
+terms over the rationals, residues in [0, p) over GF(p).
 """
 
 from __future__ import annotations
@@ -113,21 +118,9 @@ class ExactMatrix:
         self._check_ring(other)
         if self.cols != other.rows:
             raise DimensionMismatch(f"mul {self.shape} * {other.shape}")
-        f = self.field
         n, k, m = self.rows, self.cols, other.cols
-        a, b = self.entries, other.entries
-        zero, add, mul = f.zero, f.add, f.mul
-        out = []
-        for i in range(n):
-            arow = a[i * k : (i + 1) * k]
-            for j in range(m):
-                s = zero
-                for t in range(k):
-                    av = arow[t]
-                    if av != zero:
-                        s = add(s, mul(av, b[t * m + j]))
-                out.append(s)
-        return ExactMatrix(n, m, out, f)
+        ents = self.field.matmul(self.entries, other.entries, n, k, m)
+        return ExactMatrix(n, m, ents, self.field)
 
     def scale(self, scalar):
         c = self.field.of(scalar)
@@ -196,30 +189,8 @@ def embed_square(a: ExactMatrix) -> ExactMatrix:
 
 def rref(a: ExactMatrix):
     """Reduced row-echelon form and pivot columns, exactly over the field."""
-    f = a.field
-    zero = f.zero
-    m = [a.row_list(i) for i in range(a.rows)]
-    nrows, ncols = a.rows, a.cols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        pr = next((i for i in range(r, nrows) if m[i][c] != zero), None)
-        if pr is None:
-            continue
-        if pr != r:
-            m[r], m[pr] = m[pr], m[r]
-        inv_p = f.inv(m[r][c])
-        m[r] = [f.mul(inv_p, v) for v in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != zero:
-                factor = m[i][c]
-                m[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    flat = [v for row in m for v in row]
-    return ExactMatrix(nrows, ncols, flat, f), pivots
+    rows, pivots = a.field.row_reduce([a.row_list(i) for i in range(a.rows)])
+    return ExactMatrix(a.rows, a.cols, [v for row in rows for v in row], a.field), pivots
 
 
 def rank(a: ExactMatrix) -> int:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -217,6 +218,25 @@ class TestPlumbing:
         assert code == 2 and rep["status"] == "error"
         assert "too large" in rep["error"]
 
+    def test_exponent_cell_exit_2_fast(self, tmp_path, capsys):
+        import time
+
+        path = tmp_path / "a.mat"
+        path.write_text("field rational\nrows 1\ncols 2\n1 1e10000000\n")
+        start = time.perf_counter()
+        code, rep = run_cli(capsys, "mp", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and rep["status"] == "error"
+        assert "exponents are not accepted" in rep["error"] and "line 4" in rep["error"]
+
+    def test_ring_beyond_carrier_guard_exit_2_fast(self, capsys):
+        import time
+
+        start = time.perf_counter()
+        code, rep = run_cli(capsys, "verify", "--ring", "z501")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and rep == {"status": "error", "error": "carrier of z501 has 501 elements"}
+
     def test_failed_self_check_exit_3(self, tmp_path, capsys, monkeypatch):
         from starinv import InternalCheckError
 
@@ -264,3 +284,35 @@ class TestPlumbing:
         assert proc.returncode == 0
         rep = json.loads(proc.stdout)
         assert rep["results"]["mp_inverse"]["entries"] == [["1/2", "0"], ["1/2", "0"]]
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestGoldenOutput:
+    """Exact stdout bytes of the CLI on fixed 3x3 rational documents.
+
+    `tests/golden/*.json` holds the reports as written when these documents
+    were first decided; a change to the arithmetic kernels must reproduce
+    them byte for byte (witnesses, digests, key order and formatting).
+    """
+
+    @pytest.mark.parametrize(
+        "argv, expected_code",
+        [
+            (("order", "1mp", "a", "b"), 0),
+            (("order", "plus", "a", "b"), 0),
+            (("order", "plus", "a", "c"), 1),
+            (("order", "plus", "r", "s"), 0),
+            (("mp", "a"), 0),
+            (("onemp", "a", "g"), 0),
+        ],
+    )
+    def test_stdout_bytes(self, capsys, argv, expected_code):
+        command = argv[: 2 if argv[0] == "order" else 1]
+        docs = argv[len(command) :]
+        code = main([*command, *(str(GOLDEN / f"{d}.mat") for d in docs)])
+        out = capsys.readouterr().out
+        expected = (GOLDEN / ("_".join(argv) + ".json")).read_text()
+        assert code == expected_code
+        assert out == expected

@@ -3,7 +3,9 @@ import pickle
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -152,6 +154,105 @@ class TestElimination:
             inverse(M([[1, 1], [1, 1]]))
 
 
+def _textbook_product(a, b):
+    """Entries of a*b by the triple loop over the field's scalar operations."""
+    f = a.field
+    out = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            s = f.zero
+            for t in range(a.cols):
+                s = f.add(s, f.mul(a[i, t], b[t, j]))
+            out.append(s)
+    return out
+
+
+def _textbook_rref(a):
+    """Gauss-Jordan over the field's scalar operations: (row-major entries, pivots)."""
+    f = a.field
+    m = a.to_rows()
+    pivots = []
+    for c in range(a.cols):
+        r = len(pivots)
+        pr = next((i for i in range(r, a.rows) if m[i][c] != f.zero), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = f.inv(m[r][c])
+        m[r] = [f.mul(inv, v) for v in m[r]]
+        for i in range(a.rows):
+            if i != r:
+                m[i] = [f.sub(x, f.mul(m[i][c], y)) for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return [v for row in m for v in row], pivots
+
+
+class TestKernels:
+    """The fields' matmul and row_reduce against textbook loops."""
+
+    # (rows, inner, cols); inner 0 is the empty product that _plus_rank_witness forms
+    SHAPES = [(1, 1, 1), (3, 5, 2), (2, 7, 1), (4, 4, 4), (5, 3, 6), (6, 6, 6), (3, 0, 4)]
+    FIELDS = [QQ, GF(2), GF(3), GF(101), GF(10000000000037)]
+
+    @staticmethod
+    def _scalar(rng, field):
+        if field is QQ:
+            kind = rng.randrange(4)
+            if kind == 0:
+                return Fraction(rng.randint(-50, 50))
+            if kind == 1:
+                return Fraction(rng.randint(-(10**12), 10**12), rng.randint(1, 10**15))
+            if kind == 2:
+                return Fraction(0)
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        return rng.randrange(field.p)
+
+    def _matrix(self, rng, field, rows, cols):
+        """Random entries, each row zeroed with probability 1/5."""
+        ents = []
+        for _ in range(rows):
+            zero_row = rng.random() < 0.2
+            ents += [field.zero if zero_row else self._scalar(rng, field) for _ in range(cols)]
+        return ExactMatrix(rows, cols, ents, field)
+
+    def _low_rank(self, rng, field, rows, cols):
+        r = rng.randint(1, min(rows, cols))
+        return self._matrix(rng, field, rows, r) * self._matrix(rng, field, r, cols)
+
+    @staticmethod
+    def _assert_canonical(a):
+        for e in a.entries:
+            if a.field is QQ:
+                assert type(e) is Fraction
+                assert e.denominator > 0 and gcd(e.numerator, e.denominator) == 1
+            else:
+                assert type(e) is int and 0 <= e < a.field.p
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+    def test_product_matches_triple_loop(self, field):
+        rng = random.Random(41)
+        for rows, k, cols in self.SHAPES * 4:
+            a = self._matrix(rng, field, rows, k)
+            b = self._matrix(rng, field, k, cols)
+            c = a * b
+            assert c.shape == (rows, cols)
+            assert list(c.entries) == _textbook_product(a, b)
+            self._assert_canonical(c)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+    def test_rref_matches_gauss_jordan(self, field):
+        rng = random.Random(43)
+        cases = [ExactMatrix.zeros(3, 4, field), ExactMatrix(2, 0, [], field)]
+        for rows, _, cols in self.SHAPES * 4:
+            cases.append(self._matrix(rng, field, rows, cols))
+            cases.append(self._low_rank(rng, field, rows, cols))
+        for a in cases:
+            red, pivots = rref(a)
+            assert (list(red.entries), pivots) == _textbook_rref(a)
+            assert red.shape == a.shape
+            self._assert_canonical(red)
+
+
 class TestInnerInverse:
     @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)], ids=lambda f: f.name)
     def test_inner_inverse_equation(self, field):
@@ -205,6 +306,20 @@ class TestPrimeFields:
             return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
 
         assert all(_is_prime(n) == trial(n) for n in range(3000))
+
+
+class TestRationalLiterals:
+    def test_exponent_literal_rejected_fast(self):
+        start = time.perf_counter()
+        for text in ("1e10000000", "2E-3", "1.5e2"):
+            with pytest.raises(DocumentError, match="exponent"):
+                QQ.of(text)
+        assert time.perf_counter() - start < 1.0
+
+    def test_integer_fraction_and_decimal_literals(self):
+        assert QQ.of("-7/2") == Fraction(-7, 2)
+        assert QQ.of("12") == 12
+        assert QQ.of("0.25") == Fraction(1, 4)
 
 
 class TestFactorization:
