@@ -282,6 +282,8 @@ def cmd_verify(args) -> int:
         ids = None
     else:
         ids = [t.strip() for t in args.theorems.split(",") if t.strip()]
+        if not ids:
+            raise UnknownTheorem("no theorem ids given")
         known = set(theorem_ids())
         for tid in ids:
             if tid not in known:

@@ -142,6 +142,7 @@ class FiniteStarRing:
         self._inner = {}
         self._corners = {}
         self._lazily_built = False
+        self._opposite = None
         self._verify_axioms()
 
     # -- table-backed operations -------------------------------------------
@@ -163,6 +164,24 @@ class FiniteStarRing:
 
     def mul3(self, a, b, c):
         return self._mul[self._mul[a, b], c]
+
+    def opposite(self) -> FiniteStarRing:
+        """The same ring with multiplication reversed, built once from these tables.
+
+        Addition, negation, involution and carrier are shared; the reversed
+        table meets the axioms exactly when this one does, so they are not
+        checked again.  Every derived cache starts empty.
+        """
+        if self._opposite is None:
+            opp = FiniteStarRing.__new__(FiniteStarRing)
+            opp.name, opp.elements, opp.zero, opp.one = self.name, self.elements, self.zero, self.one
+            opp._add, opp._neg, opp._star = self._add, self._neg, self._star
+            opp._mul = {(b, a): x for (a, b), x in self._mul.items()}
+            opp._left_ann, opp._right_ann, opp._inner, opp._corners = {}, {}, {}, {}
+            opp._lazily_built = False
+            opp._opposite = self
+            self._opposite = opp
+        return self._opposite
 
     # -- construction-time axiom verification --------------------------------
 

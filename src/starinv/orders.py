@@ -288,6 +288,8 @@ def leq_1mp(a, b) -> OrderVerdict:
             return OrderVerdict(False, None, "exhaustive", "no 1MP-inverse identifies a and b")
         return OrderVerdict(True, OneMPWitness(x), "exhaustive")
     if isinstance(a, OppositeView):
+        if not isinstance(b, OppositeView):
+            raise RingMismatch("operands must live in the same ring")
         v = leq_mp1(a.base, b.base)
         witness = OneMPWitness(OppositeView(v.witness.x)) if v.holds else None
         return OrderVerdict(v.holds, witness, v.method, v.reason)
@@ -385,6 +387,8 @@ def leq_mp1(a, b) -> OrderVerdict:
             return OrderVerdict(False, None, "exhaustive", "no MP1-inverse identifies a and b")
         return OrderVerdict(True, MP1Witness(x), "exhaustive")
     if isinstance(a, OppositeView):
+        if not isinstance(b, OppositeView):
+            raise RingMismatch("operands must live in the same ring")
         v = leq_1mp(a.base, b.base)
         witness = MP1Witness(OppositeView(v.witness.x)) if v.holds else None
         return OrderVerdict(v.holds, witness, v.method, v.reason)

@@ -6,8 +6,9 @@ the formula layers in inverses.py and orders.py.  A report lists how many
 instances were checked and every counterexample found (expected: none).
 
 MP1-side statements are verified by running the corresponding 1MP sweep
-against a reversed-multiplication adapter of the ring; that the adapter is
-itself faithful is checked separately by `order_mp1_duality`.
+on `ring.opposite()`, the same carrier with a reversed multiplication table.
+`order_mp1_duality` checks that transport by comparing independent scans of
+the opposite ring and the base ring.
 """
 
 from __future__ import annotations
@@ -37,92 +38,6 @@ def _regularity_note(ring) -> list:
         more = "..." if len(missing) > 6 else ""
         return [f"{len(missing)} non-regular element(s) excluded from regular-only sweeps: {shown}{more}"]
     return []
-
-
-class _ReversedRing:
-    """The opposite ring of a finite *-ring, exposed through the same surface.
-
-    Multiplication is reversed; annihilator sides, corner orientation, and
-    Penrose equations (3) and (4) swap accordingly.  1MP data of this adapter
-    is MP1 data of the base ring.
-    """
-
-    def __init__(self, ring: FiniteStarRing):
-        self.base = ring
-        self.name = ring.name
-        self.elements = ring.elements
-        self.zero = ring.zero
-        self.one = ring.one
-
-    def _build_structure(self):
-        self.base._build_structure()
-
-    @property
-    def mp_invertible(self):
-        self.base._build_structure()
-        return self.base.mp_invertible
-
-    @property
-    def regular(self):
-        self.base._build_structure()
-        return self.base.regular
-
-    @property
-    def idempotents(self):
-        self.base._build_structure()
-        return self.base.idempotents
-
-    @property
-    def projections(self):
-        self.base._build_structure()
-        return self.base.projections
-
-    def mul(self, a, b):
-        return self.base.mul(b, a)
-
-    def mul3(self, a, b, c):
-        return self.base.mul3(c, b, a)
-
-    def add(self, a, b):
-        return self.base.add(a, b)
-
-    def sub(self, a, b):
-        return self.base.sub(a, b)
-
-    def star(self, a):
-        return self.base.star(a)
-
-    def left_ann(self, a):
-        return self.base.right_ann(a)
-
-    def right_ann(self, a):
-        return self.base.left_ann(a)
-
-    def corner(self, p, q):
-        return self.base.corner(q, p)
-
-    def dagger_of(self, a):
-        return self.base.dagger_of(a)
-
-    def inner_inverses(self, a):
-        return self.base.inner_inverses(a)
-
-    def one_mp_set(self, a):
-        return self.base.mp_one_set(a)
-
-    def mp_one_set(self, a):
-        return self.base.one_mp_set(a)
-
-    def penrose_flags(self, a, x):
-        f1, f2, f3, f4 = self.base.penrose_flags(a, x)
-        return (f1, f2, f4, f3)
-
-    def inverse_class(self, a, classes):
-        swapped = frozenset({1: 1, 2: 2, 3: 4, 4: 3}[c] for c in classes)
-        return self.base.inverse_class(a, swapped)
-
-    def rel_1mp(self, a, b):
-        return self.base.rel_mp1(a, b)
 
 
 # -- inverse-class theorems ----------------------------------------------------
@@ -594,51 +509,51 @@ def _order_1mp_minus_link(ring, label="order_1mp_minus_link"):
     return _finish(label, ring.name, checked, violations, start)
 
 
-# -- MP1 side (via the reversed adapter) ------------------------------------------
+# -- MP1 side (via the opposite ring) ---------------------------------------------
 
 
 def _order_mp1_duality(ring, label="order_mp1_duality"):
-    """The reversed-ring transport is faithful: classes, products, and orders."""
+    """MP1 data of the ring is 1MP data of its opposite: classes, products, and orders."""
     start = time.perf_counter()
     ring._build_structure()
-    rev = _ReversedRing(ring)
+    opp = ring.opposite()
     violations = []
     checked = 0
     for a in ring.elements:
         checked += 1
-        if rev.inverse_class(a, {1, 2, 3}) != ring.inverse_class(a, {1, 2, 4}):
+        if opp.inverse_class(a, {1, 2, 3}) != ring.inverse_class(a, {1, 2, 4}):
             violations.append(("class transport", repr(a)))
     for a in ring.mp_invertible:
         d = ring.dagger_of(a)
         for am in ring.inner_inverses(a):
             checked += 1
-            # a_minus *_L a *_L dagger(a) computed in the reversed ring
-            transported = rev.mul3(am, a, d)
+            # a_minus * a * dagger(a) computed in the opposite ring
+            transported = opp.mul3(am, a, d)
             if transported != ring.mul3(d, a, am):
                 violations.append(("product transport", repr(a), repr(am)))
-        if ring.one_mp_set(a) != rev.mp_one_set(a):
+        if ring.mp_one_set(a) != opp.one_mp_set(a):
             violations.append(("family transport", repr(a)))
         for b in ring.elements:
             checked += 1
-            if ring.rel_mp1(a, b) != rev.rel_1mp(a, b):
+            if ring.rel_mp1(a, b) != opp.rel_1mp(a, b):
                 violations.append(("order transport", repr(a), repr(b)))
     return _finish(label, ring.name, checked, violations, start)
 
 
 def _mp_one_characterization(ring):
-    return _one_mp_characterization(_ReversedRing(ring), "mp_one_characterization")
+    return _one_mp_characterization(ring.opposite(), "mp_one_characterization")
 
 
 def _mp_one_family_completeness(ring):
-    return _one_mp_family_completeness(_ReversedRing(ring), "mp_one_family_completeness")
+    return _one_mp_family_completeness(ring.opposite(), "mp_one_family_completeness")
 
 
 def _order_mp1_above_form(ring):
-    return _order_1mp_above_form(_ReversedRing(ring), "order_mp1_above_form")
+    return _order_1mp_above_form(ring.opposite(), "order_mp1_above_form")
 
 
 def _order_mp1_upper_inverses(ring):
-    return _order_1mp_upper_inverses(_ReversedRing(ring), "order_mp1_upper_inverses")
+    return _order_1mp_upper_inverses(ring.opposite(), "order_mp1_upper_inverses")
 
 
 # -- minus / diamond / plus -------------------------------------------------------
@@ -892,4 +807,6 @@ def verify_theorem(ring: FiniteStarRing, theorem_id: str) -> TheoremReport:
 
 def verify_all(ring: FiniteStarRing, ids=None) -> list:
     """Run a list of theorem ids (default: the full registry) on one ring."""
-    return [verify_theorem(ring, tid) for tid in (ids or theorem_ids())]
+    if ids is None:
+        ids = theorem_ids()
+    return [verify_theorem(ring, tid) for tid in ids]

@@ -185,6 +185,11 @@ class TestCmdVerify:
         code, rep = run_cli(capsys, "verify", "--ring", "z6", "--theorems", "zorn")
         assert code == 2 and rep["status"] == "error"
 
+    @pytest.mark.parametrize("theorems", [",", ""])
+    def test_empty_theorem_list(self, capsys, theorems):
+        code, rep = run_cli(capsys, "verify", "--ring", "z6", "--theorems", theorems)
+        assert code == 2 and rep["status"] == "error"
+
 
 class TestPlumbing:
     def test_output_file(self, tmp_path, capsys):
@@ -295,6 +300,8 @@ class TestGoldenOutput:
     `tests/golden/*.json` holds the reports as written when these documents
     were first decided; a change to the arithmetic kernels must reproduce
     them byte for byte (witnesses, digests, key order and formatting).
+    `verify_<ring>.json` pins the theorem reports of z12 and m2gf2 the
+    same way, with the timings dropped.
     """
 
     @pytest.mark.parametrize(
@@ -316,3 +323,11 @@ class TestGoldenOutput:
         expected = (GOLDEN / ("_".join(argv) + ".json")).read_text()
         assert code == expected_code
         assert out == expected
+
+    @pytest.mark.parametrize("ring", ["z12", "m2gf2"])
+    def test_verify_report(self, capsys, ring):
+        code, rep = run_cli(capsys, "verify", "--ring", ring)
+        for r in rep["reports"]:
+            del r["elapsed_seconds"]
+        assert code == 0
+        assert json.dumps(rep, indent=2) + "\n" == (GOLDEN / f"verify_{ring}.json").read_text()

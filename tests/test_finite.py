@@ -4,6 +4,7 @@ import pytest
 
 from starinv import (
     CarrierTooLarge,
+    FiniteStarRing,
     UnknownRing,
     ZnElement,
     enumerate_class,
@@ -134,6 +135,48 @@ class TestStructure:
         one = ring.one
         assert ring.corner(one - z(4), one - z(4)) == frozenset({z(0), z(3)})
         assert ring.corner(one - z(4), z(4)) == frozenset({z(0)})
+
+
+def _fresh(ring):
+    """An uncached copy of a registered ring, so no earlier test built its opposite."""
+    return FiniteStarRing(ring.name, ring.elements, ring.zero, ring.one)
+
+
+class TestOpposite:
+    def test_m2gf2_opposite_after_warm_caches(self):
+        ring = _fresh(matrix_star_ring(2))
+        els = ring.elements
+        for a in els:
+            ring.left_ann(a)
+            ring.right_ann(a)
+            ring.inner_inverses(a)
+        for p in ring.projections:
+            for q in ring.idempotents:
+                ring.corner(p, q)
+        opp = ring.opposite()
+        assert ring.opposite() is opp and opp.opposite() is ring
+        assert any(ring.left_ann(a) != ring.right_ann(a) for a in els)
+        for a in els:
+            assert opp.left_ann(a) == ring.right_ann(a)
+            assert opp.right_ann(a) == ring.left_ann(a)
+            assert opp.one_mp_set(a) == ring.mp_one_set(a)
+            assert opp.mp_one_set(a) == ring.one_mp_set(a)
+            assert opp.dagger_of(a) == ring.dagger_of(a)
+            for b in els:
+                assert opp.mul(a, b) == ring.mul(b, a)
+        for p in ring.idempotents:
+            for q in ring.idempotents:
+                assert opp.corner(p, q) == ring.corner(q, p)
+        for attr in ("idempotents", "projections", "mp_invertible", "regular"):
+            assert getattr(opp, attr) == getattr(ring, attr)
+
+    def test_z6_opposite_has_the_same_tables(self):
+        ring = _fresh(zn_ring(6))
+        opp = ring.opposite()
+        els = ring.elements
+        assert all(opp.mul(a, b) == ring.mul(a, b) for a in els for b in els)
+        assert all(opp.left_ann(a) == ring.left_ann(a) for a in els)
+        assert opp.projections == ring.projections
 
 
 class TestCappedTuples:

@@ -717,6 +717,15 @@ class TestOppositeViewDispatch:
             assert v.witness.x.base == leq_mp1(a, b).witness.x
             assert leq_mp1(va, vb).holds == leq_1mp(a, b).holds
 
+    @pytest.mark.parametrize("relation", [leq_1mp, leq_mp1])
+    def test_mixed_view_pair_is_a_ring_mismatch(self, relation):
+        from starinv import RingMismatch, opposite_view
+
+        a = M([[1, 0], [0, 0]])
+        for other in (a, z(1)):
+            with pytest.raises(RingMismatch, match="same ring"):
+                relation(opposite_view(a), other)
+
 
 class TestInheritance:
     def test_upper_inverses_shrink_to_lower_family_sampled(self):

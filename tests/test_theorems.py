@@ -1,6 +1,7 @@
 import pytest
 
 from starinv import (
+    FiniteStarRing,
     UnknownTheorem,
     matrix_star_ring,
     ring_by_name,
@@ -64,6 +65,17 @@ def test_verify_all_subset():
     reports = verify_all(zn_ring(6), ["one_mp_closure", "order_minus_axioms"])
     assert [r.theorem for r in reports] == ["one_mp_closure", "order_minus_axioms"]
     assert all(r.passed for r in reports)
+
+
+def test_verify_all_empty_list_runs_nothing():
+    assert verify_all(zn_ring(6), []) == []
+
+
+def test_duality_fails_when_the_opposite_is_the_ring_itself(monkeypatch):
+    monkeypatch.setattr(FiniteStarRing, "opposite", lambda self: self)
+    rep = verify_theorem(matrix_star_ring(2), "order_mp1_duality")
+    assert not rep.passed
+    assert {v[0] for v in rep.violations} >= {"class transport", "order transport"}
 
 
 def test_z4_small_ring_runs():
