@@ -1,21 +1,23 @@
 """The five inverse-induced relations: 1MP, MP1, minus, diamond, plus.
 
-Decision routes differ by backend.  Matrices are decided structurally (rank
-arithmetic, one inner inverse of b from a single row reduction,
-annihilator-matching projections, and a rank criterion for the plus order);
-exact linear solves remain only in the independent routes of
-leq_1mp_routes.  Modular rings are decided by exhaustive witness scans
-through their FiniteStarRing.  Annihilator containment is the one
-backend-specific test shared by several relations; it is decided in
-_left_ann_leq/_right_ann_leq and nowhere else.  Every positive verdict
-carries a witness that has been re-verified against the defining equations
-of the relation, so a structural shortcut can never silently disagree with
+Operand types are inspected once, in _ring_of, which returns the
+FiniteStarRing of a modular element or None for a matrix.  The 1MP order
+takes one route in every ring (a <= b in the minus order and
+dagger(a)*b == dagger(a)*a), the MP1 order is its star dual, and
+opposite-ring views are decided by the dual relation on their bases.
+Minus, lp/rp, the annihilator tests and plus keep a matrix branch (rank
+arithmetic, one inner inverse of b, annihilator-matching projections, a
+rank criterion for plus) and a finite-ring branch (exhaustive scans); exact
+linear solves remain only in leq_1mp_routes.  Annihilator containment is
+decided in _left_ann_leq/_right_ann_leq and nowhere else.  Every positive
+verdict carries a witness re-verified against the defining equations of
+the relation, so a structural shortcut can never silently disagree with
 the definition.
 
 Verdict method tags:
     minus    "rank" | "exhaustive"
-    1mp      "minus-dagger" | "exhaustive"
-    mp1      "transpose-dual" | "exhaustive"
+    1mp      "minus-dagger"
+    mp1      "transpose-dual"
     diamond  "equational"
     plus     "hinted" | "containment" | "canonical" | "rank" | "exhaustive"
 """
@@ -32,7 +34,6 @@ from .errors import (
     CornerViolation,
     DimensionMismatch,
     InternalCheckError,
-    NotMPInvertible,
     NotRegular,
     NotRickart,
     OrderViolation,
@@ -91,7 +92,7 @@ def lp(a):
     Raises:
         NotRickart: no such projection exists.
     """
-    return _left_projection(a, "left")
+    return _left_projection(_ring_of(a), a, "left")
 
 
 def rp(a):
@@ -100,47 +101,45 @@ def rp(a):
     It is lp(star(a)): the right annihilator of a is the star of the left
     annihilator of star(a), and projections are self-adjoint.
     """
-    return _left_projection(a.star, "right")
+    return _left_projection(_ring_of(a), a.star, "right")
 
 
-def _left_projection(a, side):
-    """lp(a); `side` names the annihilator of the caller's element in errors."""
-    if isinstance(a, ExactMatrix):
-        fact = mx.full_rank_factorize(a)
-        if fact.r == 0:
-            return ExactMatrix.zeros(a.rows, a.rows, a.field)
-        f = fact.f_matrix()
-        try:
-            gram_inv = mx.inverse(f.star * f)
-        except ZeroDivisionError:
-            raise NotRickart(
-                f"no projection matches the {side} annihilator over {a.field.name}"
-            ) from None
-        e = f * gram_inv * f.star
-        if not (e * e == e and e.star == e and _left_ann_equal(e, a)):
-            raise InternalCheckError(f"{side[0]}p construction failed verification")
-        return e
-    if isinstance(a, ZnElement):
-        e = zn_ring(a.modulus).lp(a)
+def _left_projection(ring, a, side):
+    """lp(a) in `ring` (None for matrices); `side` names the caller's annihilator in errors."""
+    if ring is not None:
+        e = ring.lp(a)
         if e is None:
             raise NotRickart(f"no projection matches the {side} annihilator of {a!r}")
         return e
-    raise TypeError(f"{side[0]}p not supported for {type(a).__name__}")
+    fact = mx.full_rank_factorize(a)
+    if fact.r == 0:
+        return ExactMatrix.zeros(a.rows, a.rows, a.field)
+    f = fact.f_matrix()
+    try:
+        gram_inv = mx.inverse(f.star * f)
+    except ZeroDivisionError:
+        raise NotRickart(
+            f"no projection matches the {side} annihilator over {a.field.name}"
+        ) from None
+    e = f * gram_inv * f.star
+    if not (e * e == e and e.star == e and _left_ann_equal(e, a)):
+        raise InternalCheckError(f"{side[0]}p construction failed verification")
+    return e
 
 
 def _left_ann_leq(b, t) -> bool:
     """Whether the left annihilator of b is contained in that of t."""
-    if isinstance(b, ExactMatrix):
+    ring = _ring_of(b)
+    if ring is None:
         return column_space_leq(t, b)
-    ring = zn_ring(b.modulus)
     return ring.left_ann(b) <= ring.left_ann(t)
 
 
 def _right_ann_leq(b, t) -> bool:
     """Whether the right annihilator of b is contained in that of t."""
-    if isinstance(b, ExactMatrix):
+    ring = _ring_of(b)
+    if ring is None:
         return row_space_leq(t, b)
-    ring = zn_ring(b.modulus)
     return ring.right_ann(b) <= ring.right_ann(t)
 
 
@@ -182,24 +181,32 @@ def rp_family_member(a, q1):
 # -- shared helpers -------------------------------------------------------------
 
 
-def _require_square_pair(a, b):
-    if not isinstance(b, ExactMatrix):
-        raise RingMismatch("operands must live in the same ring")
-    if a.field != b.field:
-        raise RingMismatch(f"field mismatch: {a.field.name} vs {b.field.name}")
-    if not (a.is_square and a.shape == b.shape):
-        raise DimensionMismatch(
-            "order relations need square matrices of equal size; "
-            "zero-pad rectangular inputs first"
-        )
+def _ring_of(a, b=None) -> Optional[FiniteStarRing]:
+    """The FiniteStarRing of a modular element a, or None for a matrix a.
 
-
-def _zn_pair_ring(a, b) -> FiniteStarRing:
-    if not isinstance(b, ZnElement):
-        raise RingMismatch("operands must live in the same ring")
-    if a.modulus != b.modulus:
-        raise RingMismatch(f"modulus mismatch: {a.modulus} vs {b.modulus}")
-    return zn_ring(a.modulus)
+    With b given, b must live in the same ring, and matrices must be square
+    of equal size.
+    """
+    if isinstance(a, ZnElement):
+        if b is not None:
+            if not isinstance(b, ZnElement):
+                raise RingMismatch("operands must live in the same ring")
+            if a.modulus != b.modulus:
+                raise RingMismatch(f"modulus mismatch: {a.modulus} vs {b.modulus}")
+        return zn_ring(a.modulus)
+    if not isinstance(a, ExactMatrix):
+        raise TypeError(f"operands of type {type(a).__name__} are not supported")
+    if b is not None:
+        if not isinstance(b, ExactMatrix):
+            raise RingMismatch("operands must live in the same ring")
+        if a.field != b.field:
+            raise RingMismatch(f"field mismatch: {a.field.name} vs {b.field.name}")
+        if not (a.is_square and a.shape == b.shape):
+            raise DimensionMismatch(
+                "order relations need square matrices of equal size; "
+                "zero-pad rectangular inputs first"
+            )
+    return None
 
 
 def _order_equations_hold(x, a, b) -> bool:
@@ -215,13 +222,13 @@ def _first_identifying(ring, a, b, candidates):
     return None
 
 
-def _canonical_first(candidates, canonical):
-    """Deterministic witness scan order with the Moore-Penrose inverse first."""
-    ordered = sorted(candidates, key=lambda e: e.value)
-    if canonical in candidates:
-        ordered.remove(canonical)
-        ordered.insert(0, canonical)
-    return ordered
+def _via_opposite(dual, a, b, witness_cls) -> OrderVerdict:
+    """Decide on opposite-ring views a, b by the dual relation on their bases."""
+    if not isinstance(b, OppositeView):
+        raise RingMismatch("operands must live in the same ring")
+    v = dual(a.base, b.base)
+    witness = witness_cls(OppositeView(v.witness.x)) if v.holds else None
+    return OrderVerdict(v.holds, witness, v.method, v.reason)
 
 
 # -- minus order ----------------------------------------------------------------
@@ -237,22 +244,19 @@ def leq_minus(a, b) -> OrderVerdict:
     re-verified.  When b is invertible the witness is unique; otherwise k is
     one of several.
     """
-    if isinstance(a, ExactMatrix):
-        _require_square_pair(a, b)
+    ring = _ring_of(a, b)
+    if ring is None:
         if mx.rank(b - a) != mx.rank(b) - mx.rank(a):
             return OrderVerdict(False, None, "rank", "rank(b - a) != rank(b) - rank(a)")
         g = mx.inner_inverse(b)
         return OrderVerdict(True, _minus_witness(a, b, g * a * g), "rank")
-    if isinstance(a, ZnElement):
-        ring = _zn_pair_ring(a, b)
-        inners = ring.inner_inverses(a)
-        if not inners:
-            raise NotRegular(f"{a!r} has no inner inverse")
-        k = _first_identifying(ring, a, b, inners)
-        if k is None:
-            return OrderVerdict(False, None, "exhaustive", "no inner inverse identifies a and b")
-        return OrderVerdict(True, _minus_witness(a, b, k), "exhaustive")
-    raise TypeError(f"leq_minus not supported for {type(a).__name__}")
+    inners = ring.inner_inverses(a)
+    if not inners:
+        raise NotRegular(f"{a!r} has no inner inverse")
+    k = _first_identifying(ring, a, b, inners)
+    if k is None:
+        return OrderVerdict(False, None, "exhaustive", "no inner inverse identifies a and b")
+    return OrderVerdict(True, _minus_witness(a, b, k), "exhaustive")
 
 
 def _minus_witness(a, b, k) -> MinusWitness:
@@ -271,33 +275,19 @@ def _minus_witness(a, b, k) -> MinusWitness:
 def leq_1mp(a, b) -> OrderVerdict:
     """a <= b in the 1MP order: some 1MP-inverse of a identifies a and b.
 
-    Matrix route: a <= b in the minus order together with
+    In every ring: a <= b in the minus order together with
     dagger(a)*b == dagger(a)*a; the witness k*a*dagger(a) built from the
-    minus witness is re-verified against the defining equations.
+    minus witness is re-verified against the defining equations.  On
+    opposite-ring views it is the MP1 order of the base elements.
     """
-    if isinstance(a, ExactMatrix):
-        _require_square_pair(a, b)
-        return _leq_1mp_matrix(a, b, dagger(a))
-    if isinstance(a, ZnElement):
-        ring = _zn_pair_ring(a, b)
-        candidates = ring.one_mp_set(a)
-        if not candidates:
-            raise NotMPInvertible(f"{a!r} has no Moore-Penrose inverse")
-        x = _first_identifying(ring, a, b, _canonical_first(candidates, ring.dagger_of(a)))
-        if x is None:
-            return OrderVerdict(False, None, "exhaustive", "no 1MP-inverse identifies a and b")
-        return OrderVerdict(True, OneMPWitness(x), "exhaustive")
     if isinstance(a, OppositeView):
-        if not isinstance(b, OppositeView):
-            raise RingMismatch("operands must live in the same ring")
-        v = leq_mp1(a.base, b.base)
-        witness = OneMPWitness(OppositeView(v.witness.x)) if v.holds else None
-        return OrderVerdict(v.holds, witness, v.method, v.reason)
-    raise TypeError(f"leq_1mp not supported for {type(a).__name__}")
+        return _via_opposite(leq_mp1, a, b, OneMPWitness)
+    _ring_of(a, b)
+    return _leq_1mp(a, b, dagger(a))
 
 
-def _leq_1mp_matrix(a, b, a_dag) -> OrderVerdict:
-    """The matrix route of leq_1mp, given a_dag == dagger(a)."""
+def _leq_1mp(a, b, a_dag) -> OrderVerdict:
+    """The route of leq_1mp, given a_dag == dagger(a)."""
     minus = leq_minus(a, b)
     if not minus.holds:
         return OrderVerdict(False, None, "minus-dagger", minus.reason)
@@ -318,7 +308,8 @@ def leq_1mp_routes(a, b) -> dict:
     "shared-inner": a*dagger(a)*b == a and an exact linear solve for an inner
     inverse k with b*k*a == a.
     """
-    _require_square_pair(a, b)
+    if _ring_of(a, b) is not None:
+        raise TypeError("leq_1mp_routes decides matrices only")
     field = a.field
     n = a.rows
     eye = ExactMatrix.identity(n, field)
@@ -344,8 +335,7 @@ def leq_1mp_routes(a, b) -> dict:
         if not route_definition:
             raise InternalCheckError("definition-route solution fails verification")
 
-    minus = leq_minus(a, b)
-    route_minus_dagger = minus.holds and a_dag * b == a_dag * a
+    route_minus_dagger = _leq_1mp(a, b, a_dag).holds
 
     route_shared_inner = False
     if a * a_dag * b == a:
@@ -366,33 +356,22 @@ def leq_1mp_routes(a, b) -> dict:
 
 
 def leq_mp1(a, b) -> OrderVerdict:
-    """a <= b in the MP1 order; for matrices decided as the transpose dual."""
-    if isinstance(a, ExactMatrix):
-        _require_square_pair(a, b)
-        a_dag = dagger(a)
-        v = _leq_1mp_matrix(a.star, b.star, a_dag.star)
-        if not v.holds:
-            return OrderVerdict(False, None, "transpose-dual", v.reason)
-        x = v.witness.x.star
-        if not (is_mp_one(a, x, a_dag) and _order_equations_hold(x, a, b)):
-            raise InternalCheckError("MP1 witness fails its equations")
-        return OrderVerdict(True, MP1Witness(x), "transpose-dual")
-    if isinstance(a, ZnElement):
-        ring = _zn_pair_ring(a, b)
-        candidates = ring.mp_one_set(a)
-        if not candidates:
-            raise NotMPInvertible(f"{a!r} has no Moore-Penrose inverse")
-        x = _first_identifying(ring, a, b, _canonical_first(candidates, ring.dagger_of(a)))
-        if x is None:
-            return OrderVerdict(False, None, "exhaustive", "no MP1-inverse identifies a and b")
-        return OrderVerdict(True, MP1Witness(x), "exhaustive")
+    """a <= b in the MP1 order iff star(a) <= star(b) in the 1MP order.
+
+    The transported witness is re-verified.  On opposite-ring views it is
+    the 1MP order of the base elements.
+    """
     if isinstance(a, OppositeView):
-        if not isinstance(b, OppositeView):
-            raise RingMismatch("operands must live in the same ring")
-        v = leq_1mp(a.base, b.base)
-        witness = MP1Witness(OppositeView(v.witness.x)) if v.holds else None
-        return OrderVerdict(v.holds, witness, v.method, v.reason)
-    raise TypeError(f"leq_mp1 not supported for {type(a).__name__}")
+        return _via_opposite(leq_1mp, a, b, MP1Witness)
+    _ring_of(a, b)
+    a_dag = dagger(a)
+    v = _leq_1mp(a.star, b.star, a_dag.star)
+    if not v.holds:
+        return OrderVerdict(False, None, "transpose-dual", v.reason)
+    x = v.witness.x.star
+    if not (is_mp_one(a, x, a_dag) and _order_equations_hold(x, a, b)):
+        raise InternalCheckError("MP1 witness fails its equations")
+    return OrderVerdict(True, MP1Witness(x), "transpose-dual")
 
 
 # -- diamond order -----------------------------------------------------------------
@@ -404,12 +383,7 @@ def leq_diamond(a, b) -> OrderVerdict:
     Purely equational; the witness pair (lp(a), rp(a)) is attached when those
     projections exist.
     """
-    if isinstance(a, ExactMatrix):
-        _require_square_pair(a, b)
-    elif isinstance(a, ZnElement):
-        _zn_pair_ring(a, b)
-    else:
-        raise TypeError(f"leq_diamond not supported for {type(a).__name__}")
+    _ring_of(a, b)
     if not _containments(a, b):
         return OrderVerdict(False, None, "equational", "annihilator containment fails")
     if a * b.star * a != a * a.star * a:
@@ -513,6 +487,7 @@ def leq_plus(a, b, witness_hint=None) -> OrderVerdict:
     Raises:
         NotRickart: the canonical projections for a do not exist.
     """
+    ring = _ring_of(a, b)
     if witness_hint is not None:
         qt, q = witness_hint
         if (
@@ -524,8 +499,7 @@ def leq_plus(a, b, witness_hint=None) -> OrderVerdict:
             and _containments(a, b)
         ):
             return OrderVerdict(True, PlusWitness(qt, q), "hinted")
-    if isinstance(a, ZnElement):
-        ring = _zn_pair_ring(a, b)
+    if ring is not None:
         lp_set = ring.lp_members(a)
         rp_set = ring.rp_members(a)
         if not lp_set or not rp_set:
@@ -538,9 +512,6 @@ def leq_plus(a, b, witness_hint=None) -> OrderVerdict:
                     _verify_plus_witness(a, b, qt, q)
                     return OrderVerdict(True, PlusWitness(qt, q), "exhaustive")
         return OrderVerdict(False, None, "exhaustive", "no idempotent pair factors a through b")
-    if not isinstance(a, ExactMatrix):
-        raise TypeError(f"leq_plus not supported for {type(a).__name__}")
-    _require_square_pair(a, b)
     la = lp(a)
     ra = rp(a)
     if not _containments(a, b):

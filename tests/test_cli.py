@@ -313,6 +313,11 @@ class TestGoldenOutput:
             (("order", "plus", "r", "s"), 0),
             (("mp", "a"), 0),
             (("onemp", "a", "g"), 0),
+            (("order", "minus", "a", "b"), 0),
+            (("order", "mp1", "a", "b"), 0),
+            (("order", "mp1", "a", "c"), 1),
+            (("order", "diamond", "a", "b"), 0),
+            (("mpone", "a", "g"), 0),
         ],
     )
     def test_stdout_bytes(self, capsys, argv, expected_code):

@@ -10,10 +10,13 @@ from starinv import (
     DimensionMismatch,
     ExactMatrix,
     MP1Witness,
+    NotMPInvertible,
+    NotRegular,
     NotRickart,
     OneMPAboveForm,
     OrderViolation,
     PlusBlockData,
+    RingMismatch,
     above_1mp,
     above_mp1,
     b_1mp_inverse_check,
@@ -28,6 +31,7 @@ from starinv import (
     lp,
     lp_family_member,
     matrix_star_ring,
+    opposite_view,
     order_axiom_suite,
     plus_block_compose,
     rank,
@@ -121,15 +125,19 @@ class TestMinusOrder:
     def test_fails(self):
         assert not leq_minus(EYE2, DIAG10).holds
 
-    def test_zn_exhaustive_against_oracle(self):
-        ring = zn_ring(6)
+    @pytest.mark.parametrize("n", [6, 4, 8, 12])
+    def test_zn_exhaustive_against_oracle(self, n):
+        # unlike z6, z4, z8 and z12 have elements without an inner inverse
+        ring = zn_ring(n)
         for a in ring.elements:
             for b in ring.elements:
-                assert leq_minus(a, b).holds == ring.rel_minus(a, b)
+                if not ring.inner_inverses(a):
+                    with pytest.raises(NotRegular):
+                        leq_minus(a, b)
+                else:
+                    assert leq_minus(a, b).holds == ring.rel_minus(a, b)
 
     def test_not_regular_raises(self):
-        from starinv import NotRegular
-
         with pytest.raises(NotRegular):
             leq_minus(z(2, 8), z(1, 8))
 
@@ -213,13 +221,22 @@ class TestOneMPOrder:
         above = {b.value for b in zn_ring(6).elements if leq_1mp(z(2), b).holds}
         assert above == {2, 5}
 
-    def test_zn_matches_oracle(self):
-        ring = zn_ring(6)
+    @pytest.mark.parametrize("n", [6, 4, 8, 12])
+    def test_zn_matches_oracle(self, n):
+        # the one route of every ring; the witness is unique in a commutative ring
+        ring = zn_ring(n)
         for a in ring.elements:
-            if ring.dagger_of(a) is None:
-                continue
+            a_dag = ring.dagger_of(a)
             for b in ring.elements:
-                assert leq_1mp(a, b).holds == ring.rel_1mp(a, b)
+                if a_dag is None:
+                    with pytest.raises(NotMPInvertible):
+                        leq_1mp(a, b)
+                    continue
+                v = leq_1mp(a, b)
+                assert v.holds == ring.rel_1mp(a, b)
+                assert v.method == "minus-dagger"
+                if v.holds:
+                    assert v.witness.x == a_dag
 
     def test_matrix_route_matches_oracle_on_m2gf2(self):
         ring = matrix_star_ring(2)
@@ -265,13 +282,22 @@ class TestMP1Order:
         assert is_member(DIAG10, x, {1, 2, 4})
         assert x * DIAG10 == x * EYE2 and DIAG10 * x == EYE2 * x
 
-    def test_zn_matches_oracle(self):
-        ring = zn_ring(6)
+    @pytest.mark.parametrize("n", [6, 4, 8, 12])
+    def test_zn_matches_oracle(self, n):
+        # the one route of every ring; the witness is unique in a commutative ring
+        ring = zn_ring(n)
         for a in ring.elements:
-            if ring.dagger_of(a) is None:
-                continue
+            a_dag = ring.dagger_of(a)
             for b in ring.elements:
-                assert leq_mp1(a, b).holds == ring.rel_mp1(a, b)
+                if a_dag is None:
+                    with pytest.raises(NotMPInvertible):
+                        leq_mp1(a, b)
+                    continue
+                v = leq_mp1(a, b)
+                assert v.holds == ring.rel_mp1(a, b)
+                assert v.method == "transpose-dual"
+                if v.holds:
+                    assert v.witness.x == a_dag
 
     def test_matrix_route_matches_oracle_on_m2gf2(self):
         ring = matrix_star_ring(2)
@@ -444,6 +470,14 @@ class TestPlusOrder:
         for a in ring.elements:
             for b in ring.elements:
                 assert leq_plus(a, b).holds == ring.rel_plus(a, b)
+
+    def test_valid_hint_does_not_skip_the_operand_checks(self):
+        a = M([[1, 0, 0], [0, 0, 0]])
+        b = M([[1, 0, 0], [0, 1, 0]])
+        with pytest.raises(DimensionMismatch):
+            leq_plus(a, b, witness_hint=(lp(a), rp(a)))
+        with pytest.raises(RingMismatch, match="same ring"):
+            leq_plus(DIAG10, z(1), witness_hint=(DIAG10, DIAG10))
 
     def test_zero_below_everything(self):
         rng = random.Random(29)
@@ -717,14 +751,30 @@ class TestOppositeViewDispatch:
             assert v.witness.x.base == leq_mp1(a, b).witness.x
             assert leq_mp1(va, vb).holds == leq_1mp(a, b).holds
 
-    @pytest.mark.parametrize("relation", [leq_1mp, leq_mp1])
+    @pytest.mark.parametrize("relation", [leq_1mp, leq_mp1, leq_minus, leq_diamond, leq_plus])
     def test_mixed_view_pair_is_a_ring_mismatch(self, relation):
-        from starinv import RingMismatch, opposite_view
-
         a = M([[1, 0], [0, 0]])
-        for other in (a, z(1)):
-            with pytest.raises(RingMismatch, match="same ring"):
-                relation(opposite_view(a), other)
+        pairs = [
+            (a, z(1), "same ring"),
+            (z(1), a, "same ring"),
+            (a, opposite_view(a), "same ring"),
+            (z(1), z(1, 8), "modulus mismatch"),
+            (a, M([[1, 0], [0, 0]], GF(3)), "field mismatch"),
+        ]
+        if relation in (leq_1mp, leq_mp1):
+            pairs += [(opposite_view(a), a, "same ring"), (opposite_view(a), z(1), "same ring")]
+        for x, y, message in pairs:
+            with pytest.raises(RingMismatch, match=message):
+                relation(x, y)
+
+    @pytest.mark.parametrize(
+        "call",
+        [leq_1mp, leq_mp1, leq_minus, leq_diamond, leq_plus, lambda a, b: lp(a), lambda a, b: rp(a)],
+        ids=["leq_1mp", "leq_mp1", "leq_minus", "leq_diamond", "leq_plus", "lp", "rp"],
+    )
+    def test_unsupported_operand_is_a_type_error(self, call):
+        with pytest.raises(TypeError, match="int"):
+            call(1, 1)
 
 
 class TestInheritance:
