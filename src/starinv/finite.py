@@ -1,10 +1,20 @@
 """Enumerable finite *-rings used as brute-force oracles.
 
-Two families are registered: Z_n with the identity involution (valid because
-those rings are commutative) and the ring of 2x2 matrices over GF(p) with
-transpose, p in {2, 3}.  Construction verifies the full ring and involution
-axiom set over the carrier; all products are table-backed so exhaustive
-sweeps stay fast.
+Three families are registered: Z_n with the identity involution (valid because
+those rings are commutative), the 2x2 matrices over GF(p) with transpose for
+p in {2, 3}, and the 3x3 matrices over GF(2) with transpose (m3gf2, 512
+elements).  Construction verifies the full ring and involution axiom set over
+the carrier.
+
+A ring is stored by index: `elements[i]` is the i-th element and `index` maps
+an element back to i.  Sum and product are flat int tables
+(`mul_table[i * n + j]` is the index of elements[i] * elements[j]); negation
+and involution are int lists; annihilators are int bitsets with bit x set when
+elements[x] lies in them, so a containment is `a & ~b == 0`.  Everything
+derived (the dagger, inner inverses, the 1MP/MP1 families, LP/RP members,
+corners) is computed on first use and cached per index.  Each scan is written
+once on indices (the `*_i` methods); the element-facing methods are thin
+wrappers over them.
 
 Everything in this module decides membership questions by raw enumeration
 against the defining equations.  It deliberately shares no code paths with
@@ -16,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,10 +42,13 @@ from .errors import (
 from .fields import GF
 from .matrix import ExactMatrix
 
-# FiniteStarRing builds |R|^2-entry operation tables: at most 250,000 each.
+# A ring keeps two |R|^2-entry int tables: at most 250,000 entries each for a
+# carrier of 500.  Registered rings above that size are admitted by name.
 CARRIER_GUARD = 500
+ADMITTED_BY_NAME = {"m3gf2": 512}
 TUPLE_CAP = 1_000_000
 SAMPLE_SEED = 74207281
+MATRIX_RINGS = {(2, 2), (2, 3), (3, 2)}  # (size, p) of the registered m<size>gf<p>
 
 
 @dataclass(frozen=True)
@@ -119,66 +133,113 @@ def _(x: ZnElement):
     return d
 
 
+# Index data a ring shares with its opposite, where both answer alike;
+# dagger[a] is the index of the Moore-Penrose inverse of a, or -1.
+Structure = namedtuple("Structure", "idempotents projections dagger mp_invertible regular")
+
+
+def _bitset(values, target) -> int:
+    """The int with bit x set where values[x] == target."""
+    bits = 0
+    for x, v in enumerate(values):
+        if v == target:
+            bits |= 1 << x
+    return bits
+
+
 class FiniteStarRing:
-    """A finite *-ring with cached operation tables and annihilator data."""
+    """A finite *-ring on flat int operation tables with lazily cached derived data."""
 
     def __init__(self, name, elements, zero, one):
-        if len(elements) > CARRIER_GUARD:
+        if len(elements) > ADMITTED_BY_NAME.get(name, CARRIER_GUARD):
             raise CarrierTooLarge(f"carrier of {name} has {len(elements)} elements")
         self.name = name
-        self.elements = tuple(elements)
+        self.elements = els = tuple(elements)
+        self.n = len(els)
+        self.index = index = {e: i for i, e in enumerate(els)}
+        if len(index) != self.n:
+            raise InternalCheckError(f"{name}: carrier lists an element twice")
         self.zero = zero
         self.one = one
-        self._mul = {}
-        self._add = {}
-        for a in self.elements:
-            for b in self.elements:
-                self._mul[a, b] = a * b
-                self._add[a, b] = a + b
-        self._neg = {a: -a for a in self.elements}
-        self._star = {a: a.star for a in self.elements}
-        self._left_ann = {}
-        self._right_ann = {}
-        self._inner = {}
-        self._corners = {}
-        self._lazily_built = False
+        try:
+            self.zero_i = index[zero]
+            self.one_i = index[one]
+            self.mul_table = [index[a * b] for a in els for b in els]
+            self.add_table = [index[a + b] for a in els for b in els]
+            self.neg_table = [index[-a] for a in els]
+            self.star_table = [index[a.star] for a in els]
+        except KeyError:
+            raise InternalCheckError(
+                f"{name}: carrier not closed under the ring operations"
+            ) from None
+        n = self.n
+        # Per-index caches, filled on first use; `opposite()` shares them.  The
+        # structure sits in a one-slot list so a scan run by either ring serves both.
+        self._structure = [None]
+        self._inner = [None] * n
+        self._left_bits = [None] * n
+        self._right_bits = [None] * n
+        self._one_mp = [None] * n
+        self._mp_one = [None] * n
+        self._lp_members = [None] * n
+        self._rp_members = [None] * n
+        self._lp = [None] * n
+        self._rp = [None] * n
+        self._corners = {}  # p*n + q -> corner (p, q), in the unflipped ring's orientation
+        self._flipped = False
         self._opposite = None
         self._verify_axioms()
 
-    # -- table-backed operations -------------------------------------------
+    # -- table-backed operations on elements --------------------------------
 
     def mul(self, a, b):
-        return self._mul[a, b]
+        i = self.index
+        return self.elements[self.mul_table[i[a] * self.n + i[b]]]
 
     def add(self, a, b):
-        return self._add[a, b]
+        i = self.index
+        return self.elements[self.add_table[i[a] * self.n + i[b]]]
 
     def sub(self, a, b):
-        return self._add[a, self._neg[b]]
+        i = self.index
+        return self.elements[self.add_table[i[a] * self.n + self.neg_table[i[b]]]]
 
     def neg(self, a):
-        return self._neg[a]
+        return self.elements[self.neg_table[self.index[a]]]
 
     def star(self, a):
-        return self._star[a]
+        return self.elements[self.star_table[self.index[a]]]
 
     def mul3(self, a, b, c):
-        return self._mul[self._mul[a, b], c]
+        i, m, n = self.index, self.mul_table, self.n
+        return self.elements[m[m[i[a] * n + i[b]] * n + i[c]]]
+
+    def tables(self):
+        """(n, mul_table, add_table, neg_table, star_table), for index loops."""
+        return self.n, self.mul_table, self.add_table, self.neg_table, self.star_table
 
     def opposite(self) -> FiniteStarRing:
-        """The same ring with multiplication reversed, built once from these tables.
+        """The same ring with multiplication reversed: a transpose of the product table.
 
         Addition, negation, involution and carrier are shared; the reversed
         table meets the axioms exactly when this one does, so they are not
-        checked again.  Every derived cache starts empty.
+        checked again.  Derived data that reversal leaves alone (idempotents,
+        projections, the dagger, regularity, inner inverses) is shared, and
+        the side-dependent caches are shared with their sides swapped: a left
+        annihilator of the opposite is a right annihilator here, its 1MP
+        family is the MP1 family here, its LP(a) is RP(a) here, and its
+        corner (p, q) is the corner (q, p) here.
         """
         if self._opposite is None:
+            n, m = self.n, self.mul_table
             opp = FiniteStarRing.__new__(FiniteStarRing)
-            opp.name, opp.elements, opp.zero, opp.one = self.name, self.elements, self.zero, self.one
-            opp._add, opp._neg, opp._star = self._add, self._neg, self._star
-            opp._mul = {(b, a): x for (a, b), x in self._mul.items()}
-            opp._left_ann, opp._right_ann, opp._inner, opp._corners = {}, {}, {}, {}
-            opp._lazily_built = False
+            opp.__dict__.update(self.__dict__)
+            opp.mul_table = [x for i in range(n) for x in m[i::n]]  # row i = column i
+            opp._left_bits, opp._right_bits = self._right_bits, self._left_bits
+            opp._one_mp, opp._mp_one = self._mp_one, self._one_mp
+            opp._lp_members, opp._rp_members = self._rp_members, self._lp_members
+            opp._lp, opp._rp = self._rp, self._lp
+            opp._flipped = not self._flipped
             opp._opposite = self
             self._opposite = opp
         return self._opposite
@@ -186,255 +247,374 @@ class FiniteStarRing:
     # -- construction-time axiom verification --------------------------------
 
     def _verify_axioms(self):
-        els = self.elements
-        mul, add, neg, star = self._mul, self._add, self._neg, self._star
-        zero, one = self.zero, self.one
-        for a in els:
-            if add[a, zero] != a or mul[a, one] != a or mul[one, a] != a:
-                raise InternalCheckError(f"{self.name}: identity axioms fail at {a!r}")
-            if add[a, neg[a]] != zero:
-                raise InternalCheckError(f"{self.name}: negation fails at {a!r}")
+        n, mul, add, neg, star = self.tables()
+        zero, one = self.zero_i, self.one_i
+        fail = f"{self.name}: "
+        for a in range(n):
+            an = a * n
+            if add[an + zero] != a or mul[an + one] != a or mul[one * n + a] != a:
+                raise InternalCheckError(fail + f"identity axioms fail at {self.elements[a]!r}")
+            if add[an + neg[a]] != zero:
+                raise InternalCheckError(fail + f"negation fails at {self.elements[a]!r}")
             if star[star[a]] != a:
-                raise InternalCheckError(f"{self.name}: involution not involutive at {a!r}")
+                raise InternalCheckError(
+                    fail + f"involution not involutive at {self.elements[a]!r}"
+                )
         if star[one] != one:
-            raise InternalCheckError(f"{self.name}: star(1) != 1")
-        for a in els:
-            for b in els:
-                if add[a, b] != add[b, a]:
-                    raise InternalCheckError(f"{self.name}: addition not commutative")
-                if star[add[a, b]] != add[star[a], star[b]]:
-                    raise InternalCheckError(f"{self.name}: star not additive")
-                if star[mul[a, b]] != mul[star[b], star[a]]:
-                    raise InternalCheckError(f"{self.name}: star not antimultiplicative")
-        # Triple-quantified axioms run on int-indexed tables for speed.
-        n = len(els)
-        idx = {e: i for i, e in enumerate(els)}
-        mul_i = [[idx[mul[a, b]] for b in els] for a in els]
-        add_i = [[idx[add[a, b]] for b in els] for a in els]
+            raise InternalCheckError(fail + "star(1) != 1")
+        for a in range(n):
+            an, sa = a * n, star[a]
+            add_row = add[an : an + n]
+            if add_row != add[a::n]:
+                raise InternalCheckError(fail + "addition not commutative")
+            add_sa = add[sa * n : sa * n + n]
+            if [star[x] for x in add_row] != [add_sa[sb] for sb in star]:
+                raise InternalCheckError(fail + "star not additive")
+            mul_col_sa = mul[sa::n]
+            if [star[x] for x in mul[an : an + n]] != [mul_col_sa[sb] for sb in star]:
+                raise InternalCheckError(fail + "star not antimultiplicative")
+        # Associativity and distributivity over triples (i, j, k): every k for
+        # each pair (i, j), all pairs when |R|^3 fits TUPLE_CAP, else a seeded
+        # sample of TUPLE_CAP // |R| pairs.
         if n ** 3 <= TUPLE_CAP:
-            triples = (
-                (i, j, k) for i in range(n) for j in range(n) for k in range(n)
-            )
+            pairs = itertools.product(range(n), repeat=2)
         else:
             rng = random.Random(SAMPLE_SEED)
-            triples = (
-                (rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                for _ in range(TUPLE_CAP)
+            pairs = ((rng.randrange(n), rng.randrange(n)) for _ in range(TUPLE_CAP // n))
+        for i, j in pairs:
+            i_n, j_n = i * n, j * n
+            mij, aij = mul[i_n + j] * n, add[i_n + j] * n
+            mul_i, add_i = mul[i_n : i_n + n], add[i_n : i_n + n]
+            mul_ij, add_ij = mul[mij : mij + n], add[mij : mij + n]
+            rows = zip(
+                mul[j_n : j_n + n], add[j_n : j_n + n], mul_i, mul_ij,
+                add[aij : aij + n], mul[aij : aij + n],
             )
-        for i, j, k in triples:
-            mi, ai = mul_i[i], add_i[i]
-            mij, aij = mi[j], ai[j]
-            if mul_i[mij][k] != mi[mul_i[j][k]]:
-                raise InternalCheckError(f"{self.name}: multiplication not associative")
-            if add_i[aij][k] != ai[add_i[j][k]]:
-                raise InternalCheckError(f"{self.name}: addition not associative")
-            if mi[add_i[j][k]] != add_i[mij][mi[k]]:
-                raise InternalCheckError(f"{self.name}: left distributivity fails")
-            if mul_i[aij][k] != add_i[mi[k]][mul_i[j][k]]:
-                raise InternalCheckError(f"{self.name}: right distributivity fails")
+            for mjk, ajk, mik, mij_k, aij_k, maij_k in rows:
+                if mij_k != mul_i[mjk]:
+                    raise InternalCheckError(fail + "multiplication not associative")
+                if aij_k != add_i[ajk]:
+                    raise InternalCheckError(fail + "addition not associative")
+                if mul_i[ajk] != add_ij[mik]:
+                    raise InternalCheckError(fail + "left distributivity fails")
+                if maij_k != add[mik * n + mjk]:
+                    raise InternalCheckError(fail + "right distributivity fails")
 
-    # -- annihilators and structure sets -------------------------------------
+    # -- index-level scans ----------------------------------------------------
 
-    def left_ann(self, a) -> frozenset:
-        """{x : x*a == 0}"""
-        if a not in self._left_ann:
-            mul, zero = self._mul, self.zero
-            self._left_ann[a] = frozenset(x for x in self.elements if mul[x, a] == zero)
-        return self._left_ann[a]
+    def left_bits(self, a) -> int:
+        """Bitset of {x : x*a == 0}."""
+        bits = self._left_bits[a]
+        if bits is None:
+            bits = self._left_bits[a] = _bitset(self.mul_table[a :: self.n], self.zero_i)
+        return bits
 
-    def right_ann(self, a) -> frozenset:
-        """{x : a*x == 0}"""
-        if a not in self._right_ann:
-            mul, zero = self._mul, self.zero
-            self._right_ann[a] = frozenset(x for x in self.elements if mul[a, x] == zero)
-        return self._right_ann[a]
+    def right_bits(self, a) -> int:
+        """Bitset of {x : a*x == 0}."""
+        bits = self._right_bits[a]
+        if bits is None:
+            n = self.n
+            bits = self._right_bits[a] = _bitset(self.mul_table[a * n : a * n + n], self.zero_i)
+        return bits
 
-    def _build_structure(self):
-        if self._lazily_built:
-            return
-        mul, star = self._mul, self._star
-        els = self.elements
-        self._idempotents = tuple(e for e in els if mul[e, e] == e)
-        self._projections = tuple(e for e in self._idempotents if star[e] == e)
-        dag = {}
-        for a in els:
-            found = [
-                x
-                for x in els
-                if self.penrose_flags(a, x) == (True, True, True, True)
-            ]
+    def inner_i(self, a) -> tuple:
+        """a{1} by full scan, in carrier order."""
+        found = self._inner[a]
+        if found is None:
+            n, mul = self.n, self.mul_table
+            row = a * n
+            found = tuple(x for x in range(n) if mul[mul[row + x] * n + a] == a)
+            self._inner[a] = found
+        return found
+
+    def structure(self) -> Structure:
+        """Idempotents, projections, dagger, MP-invertible and regular indices.
+
+        Built on first use by one Penrose scan, shared with the opposite ring.
+        """
+        s = self._structure[0]
+        if s is None:
+            s = self._structure[0] = self._scan_structure()
+        return s
+
+    def _scan_structure(self) -> Structure:
+        n, mul, _, _, star = self.tables()
+        idempotents = tuple(e for e in range(n) if mul[e * n + e] == e)
+        projections = tuple(e for e in idempotents if star[e] == e)
+        dagger = [-1] * n
+        for a in range(n):
+            found = [x for x in self.inner_i(a) if self.penrose_i(a, x) == (True, True, True, True)]
             if len(found) > 1:
-                raise UniquenessViolation(f"{self.name}: {a!r} has two Moore-Penrose inverses")
-            dag[a] = found[0] if found else None
-        self._dagger = dag
-        self._mp_invertible = tuple(a for a in els if dag[a] is not None)
-        self._regular = tuple(
-            a for a in els if any(self.mul3(a, x, a) == a for x in els)
+                raise UniquenessViolation(
+                    f"{self.name}: {self.elements[a]!r} has two Moore-Penrose inverses"
+                )
+            if found:
+                dagger[a] = found[0]
+        return Structure(
+            idempotents,
+            projections,
+            dagger,
+            tuple(a for a in range(n) if dagger[a] >= 0),
+            tuple(a for a in range(n) if self.inner_i(a)),
         )
-        self._lazily_built = True
 
-    @property
-    def idempotents(self) -> tuple:
-        self._build_structure()
-        return self._idempotents
-
-    @property
-    def projections(self) -> tuple:
-        self._build_structure()
-        return self._projections
-
-    @property
-    def mp_invertible(self) -> tuple:
-        """All elements possessing a Moore-Penrose inverse."""
-        self._build_structure()
-        return self._mp_invertible
-
-    @property
-    def regular(self) -> tuple:
-        """All elements possessing an inner inverse."""
-        self._build_structure()
-        return self._regular
-
-    def penrose_flags(self, a, x):
-        mul, star = self._mul, self._star
-        ax = mul[a, x]
-        xa = mul[x, a]
+    def penrose_i(self, a, x) -> tuple:
+        n, mul, star = self.n, self.mul_table, self.star_table
+        ax = mul[a * n + x]
+        xa = mul[x * n + a]
         return (
-            mul[ax, a] == a,
-            mul[xa, x] == x,
+            mul[ax * n + a] == a,
+            mul[xa * n + x] == x,
             star[ax] == ax,
             star[xa] == xa,
         )
 
-    def dagger_of(self, a):
-        self._build_structure()
-        return self._dagger[a]
-
-    def inner_inverses(self, a) -> tuple:
-        """a{1} by full scan."""
-        if a not in self._inner:
-            self._inner[a] = tuple(
-                x for x in self.elements if self.mul3(a, x, a) == a
-            )
-        return self._inner[a]
-
-    def inverse_class(self, a, classes) -> frozenset:
-        """The set of all {classes}-inverses of a by full scan."""
-        cs = frozenset(classes)
+    def inverse_class_i(self, a, classes) -> frozenset:
+        """The {classes}-inverses of a by full scan of the Penrose equations."""
+        cs = [c - 1 for c in frozenset(classes)]
         out = []
-        for x in self.elements:
-            flags = self.penrose_flags(a, x)
-            if all(flags[c - 1] for c in cs):
+        for x in range(self.n):
+            flags = self.penrose_i(a, x)
+            if all(flags[c] for c in cs):
                 out.append(x)
         return frozenset(out)
 
+    def one_mp_i(self, a) -> frozenset:
+        """{a_minus * a * dagger(a)} over all inner inverses; empty if no dagger."""
+        family = self._one_mp[a]
+        if family is None:
+            d = self.structure().dagger[a]
+            if d < 0:
+                family = frozenset()
+            else:
+                n, mul = self.n, self.mul_table
+                ad = mul[a * n + d]
+                family = frozenset(mul[x * n + ad] for x in self.inner_i(a))
+            self._one_mp[a] = family
+        return family
+
+    def mp_one_i(self, a) -> frozenset:
+        """{dagger(a) * a * a_minus} over all inner inverses; empty if no dagger."""
+        family = self._mp_one[a]
+        if family is None:
+            d = self.structure().dagger[a]
+            if d < 0:
+                family = frozenset()
+            else:
+                n, mul = self.n, self.mul_table
+                da = mul[d * n + a] * n
+                family = frozenset(mul[da + x] for x in self.inner_i(a))
+            self._mp_one[a] = family
+        return family
+
+    def corner_i(self, p, q) -> frozenset:
+        """The corner space {p*u*q : u in R}."""
+        n = self.n
+        key = q * n + p if self._flipped else p * n + q
+        found = self._corners.get(key)
+        if found is None:
+            mul = self.mul_table
+            row = p * n
+            found = self._corners[key] = frozenset(mul[mul[row + u] * n + q] for u in range(n))
+        return found
+
+    def lp_members_i(self, a) -> tuple:
+        """LP(a): idempotents whose left annihilator equals that of a."""
+        found = self._lp_members[a]
+        if found is None:
+            idempotents = self.structure().idempotents
+            found = self._lp_members[a] = self._matching(self.left_bits, a, idempotents)
+        return found
+
+    def rp_members_i(self, a) -> tuple:
+        """RP(a): idempotents whose right annihilator equals that of a."""
+        found = self._rp_members[a]
+        if found is None:
+            idempotents = self.structure().idempotents
+            found = self._rp_members[a] = self._matching(self.right_bits, a, idempotents)
+        return found
+
+    def lp_i(self, a) -> int:
+        """The unique projection in LP(a), or -1 when none exists."""
+        found = self._lp[a]
+        if found is None:
+            found = self._lp[a] = self._unique_projection(self.left_bits, a, "left")
+        return found
+
+    def rp_i(self, a) -> int:
+        """The unique projection in RP(a), or -1 when none exists."""
+        found = self._rp[a]
+        if found is None:
+            found = self._rp[a] = self._unique_projection(self.right_bits, a, "right")
+        return found
+
+    @staticmethod
+    def _matching(bits, a, candidates) -> tuple:
+        """The candidates e with bits(e) == bits(a)."""
+        target = bits(a)
+        return tuple(e for e in candidates if bits(e) == target)
+
+    def _unique_projection(self, bits, a, side):
+        hits = self._matching(bits, a, self.structure().projections)
+        if len(hits) > 1:
+            raise UniquenessViolation(f"{self.name}: two projections share a {side} annihilator")
+        return hits[0] if hits else -1
+
+    def contained_i(self, b, a) -> bool:
+        """Both annihilators of b lie inside those of a."""
+        return not (self.left_bits(b) & ~self.left_bits(a)) and not (
+            self.right_bits(b) & ~self.right_bits(a)
+        )
+
+    def _identified_by(self, a, b, candidates) -> bool:
+        """Whether some candidate x has x*a == x*b and a*x == b*x."""
+        n, mul = self.n, self.mul_table
+        an, bn = a * n, b * n
+        for x in candidates:
+            xn = x * n
+            if mul[xn + a] == mul[xn + b] and mul[an + x] == mul[bn + x]:
+                return True
+        return False
+
+    # -- oracle order relations on indices ------------------------------------
+
+    def rel_minus_i(self, a, b) -> bool:
+        """Minus order by scanning all inner inverses of a."""
+        return self._identified_by(a, b, self.inner_i(a))
+
+    def rel_1mp_i(self, a, b) -> bool:
+        """1MP order by scanning the full 1MP family of a."""
+        return self._identified_by(a, b, self.one_mp_i(a))
+
+    def rel_mp1_i(self, a, b) -> bool:
+        return self._identified_by(a, b, self.mp_one_i(a))
+
+    def rel_diamond_i(self, a, b) -> bool:
+        """Diamond order: annihilator containments plus a*star(b)*a == a*star(a)*a."""
+        if not self.contained_i(b, a):
+            return False
+        n, mul, star = self.n, self.mul_table, self.star_table
+        an = a * n
+        return mul[mul[an + star[b]] * n + a] == mul[mul[an + star[a]] * n + a]
+
+    def rel_plus_i(self, a, b) -> bool:
+        """Plus order with idempotent witnesses; False when LP or RP is empty."""
+        if not self.contained_i(b, a):
+            return False
+        n, mul = self.n, self.mul_table
+        rp_set = self.rp_members_i(a)
+        for qt in self.lp_members_i(a):
+            row = mul[qt * n + b] * n
+            for q in rp_set:
+                if mul[row + q] == a:
+                    return True
+        return False
+
+    # -- element-facing wrappers ----------------------------------------------
+
+    def _set_of(self, ids) -> frozenset:
+        els = self.elements
+        return frozenset(els[i] for i in ids)
+
+    def _tuple_of(self, ids) -> tuple:
+        els = self.elements
+        return tuple(els[i] for i in ids)
+
+    def _bits_to_set(self, bits) -> frozenset:
+        return self._set_of(x for x in range(self.n) if bits >> x & 1)
+
+    def _element_or_none(self, i):
+        return None if i < 0 else self.elements[i]
+
+    def left_ann(self, a) -> frozenset:
+        """{x : x*a == 0}"""
+        return self._bits_to_set(self.left_bits(self.index[a]))
+
+    def right_ann(self, a) -> frozenset:
+        """{x : a*x == 0}"""
+        return self._bits_to_set(self.right_bits(self.index[a]))
+
+    @property
+    def idempotents(self) -> tuple:
+        return self._tuple_of(self.structure().idempotents)
+
+    @property
+    def projections(self) -> tuple:
+        return self._tuple_of(self.structure().projections)
+
+    @property
+    def mp_invertible(self) -> tuple:
+        """All elements possessing a Moore-Penrose inverse."""
+        return self._tuple_of(self.structure().mp_invertible)
+
+    @property
+    def regular(self) -> tuple:
+        """All elements possessing an inner inverse."""
+        return self._tuple_of(self.structure().regular)
+
+    def dagger_of(self, a):
+        return self._element_or_none(self.structure().dagger[self.index[a]])
+
+    def inner_inverses(self, a) -> tuple:
+        """a{1} by full scan."""
+        return self._tuple_of(self.inner_i(self.index[a]))
+
+    def inverse_class(self, a, classes) -> frozenset:
+        """The set of all {classes}-inverses of a by full scan."""
+        return self._set_of(self.inverse_class_i(self.index[a], classes))
+
     def one_mp_set(self, a) -> frozenset:
         """{a_minus * a * dagger(a)} over all inner inverses; empty if no dagger."""
-        d = self.dagger_of(a)
-        if d is None:
-            return frozenset()
-        ad = self._mul[a, d]
-        return frozenset(self._mul[x, ad] for x in self.inner_inverses(a))
+        return self._set_of(self.one_mp_i(self.index[a]))
 
     def mp_one_set(self, a) -> frozenset:
-        d = self.dagger_of(a)
-        if d is None:
-            return frozenset()
-        da = self._mul[d, a]
-        return frozenset(self._mul[da, x] for x in self.inner_inverses(a))
+        return self._set_of(self.mp_one_i(self.index[a]))
 
     def corner(self, p, q) -> frozenset:
         """The corner space {p*u*q : u in R}."""
-        key = (p, q)
-        if key not in self._corners:
-            mul = self._mul
-            self._corners[key] = frozenset(mul[mul[p, u], q] for u in self.elements)
-        return self._corners[key]
-
-    # -- annihilator-matching idempotent families ----------------------------
+        return self._set_of(self.corner_i(self.index[p], self.index[q]))
 
     def lp_members(self, a) -> tuple:
         """LP(a): idempotents whose left annihilator equals that of a."""
-        self._build_structure()
-        target = self.left_ann(a)
-        return tuple(e for e in self.idempotents if self.left_ann(e) == target)
+        return self._tuple_of(self.lp_members_i(self.index[a]))
 
     def rp_members(self, a) -> tuple:
         """RP(a): idempotents whose right annihilator equals that of a."""
-        self._build_structure()
-        target = self.right_ann(a)
-        return tuple(e for e in self.idempotents if self.right_ann(e) == target)
+        return self._tuple_of(self.rp_members_i(self.index[a]))
 
     def lp(self, a):
         """The unique projection in LP(a), or None when none exists."""
-        self._build_structure()
-        target = self.left_ann(a)
-        hits = [e for e in self.projections if self.left_ann(e) == target]
-        if len(hits) > 1:
-            raise UniquenessViolation(f"{self.name}: two projections share a left annihilator")
-        return hits[0] if hits else None
+        return self._element_or_none(self.lp_i(self.index[a]))
 
     def rp(self, a):
-        self._build_structure()
-        target = self.right_ann(a)
-        hits = [e for e in self.projections if self.right_ann(e) == target]
-        if len(hits) > 1:
-            raise UniquenessViolation(f"{self.name}: two projections share a right annihilator")
-        return hits[0] if hits else None
-
-    # -- oracle order relations (pure table scans) ---------------------------
+        return self._element_or_none(self.rp_i(self.index[a]))
 
     def rel_minus(self, a, b) -> bool:
-        """Minus order by scanning all inner inverses of a."""
-        mul = self._mul
-        return any(
-            mul[x, a] == mul[x, b] and mul[a, x] == mul[b, x]
-            for x in self.inner_inverses(a)
-        )
+        return self.rel_minus_i(self.index[a], self.index[b])
 
     def rel_1mp(self, a, b) -> bool:
-        """1MP order by scanning the full 1MP family of a."""
-        mul = self._mul
-        return any(
-            mul[x, a] == mul[x, b] and mul[a, x] == mul[b, x]
-            for x in self.one_mp_set(a)
-        )
+        return self.rel_1mp_i(self.index[a], self.index[b])
 
     def rel_mp1(self, a, b) -> bool:
-        mul = self._mul
-        return any(
-            mul[x, a] == mul[x, b] and mul[a, x] == mul[b, x]
-            for x in self.mp_one_set(a)
-        )
+        return self.rel_mp1_i(self.index[a], self.index[b])
 
     def rel_diamond(self, a, b) -> bool:
-        """Diamond order: annihilator containments plus a*star(b)*a == a*star(a)*a."""
-        if not (self.left_ann(b) <= self.left_ann(a) and self.right_ann(b) <= self.right_ann(a)):
-            return False
-        return self.mul3(a, self._star[b], a) == self.mul3(a, self._star[a], a)
+        return self.rel_diamond_i(self.index[a], self.index[b])
 
     def rel_plus(self, a, b) -> bool:
-        """Plus order with idempotent witnesses; False when LP or RP is empty."""
-        if not (self.left_ann(b) <= self.left_ann(a) and self.right_ann(b) <= self.right_ann(a)):
-            return False
-        rp_set = self.rp_members(a)
-        return any(
-            self.mul3(qt, b, q) == a for qt in self.lp_members(a) for q in rp_set
-        )
+        return self.rel_plus_i(self.index[a], self.index[b])
 
     @property
     def is_vn_regular(self) -> bool:
-        self._build_structure()
-        return len(self.regular) == len(self.elements)
+        return len(self.structure().regular) == self.n
 
     @property
     def is_rickart_star(self) -> bool:
         """Every left annihilator generated by a projection (scan both sides)."""
-        self._build_structure()
-        return all(self.lp(a) is not None and self.rp(a) is not None for a in self.elements)
+        return all(self.lp_i(a) >= 0 and self.rp_i(a) >= 0 for a in range(self.n))
 
     def __repr__(self):
-        return f"FiniteStarRing({self.name}, |R|={len(self.elements)})"
+        return f"FiniteStarRing({self.name}, |R|={self.n})"
 
 
 @lru_cache(maxsize=None)
@@ -449,37 +629,38 @@ def zn_ring(n: int) -> FiniteStarRing:
 
 
 @lru_cache(maxsize=None)
-def matrix_star_ring(p: int) -> FiniteStarRing:
-    """All 2x2 matrices over GF(p) with transpose involution, p in {2, 3}."""
-    if p not in (2, 3):
-        raise UnknownRing(f"m2gf{p} is not a registered backend (p must be 2 or 3)")
+def matrix_star_ring(p: int, size: int = 2) -> FiniteStarRing:
+    """All size x size matrices over GF(p) with transpose involution: m2gf2, m2gf3, m3gf2."""
+    if (size, p) not in MATRIX_RINGS:
+        raise UnknownRing(
+            f"m{size}gf{p} is not a registered backend (m2gf2, m2gf3 and m3gf2 are)"
+        )
     field = GF(p)
     els = [
-        ExactMatrix(2, 2, [a, b, c, d], field)
-        for a in range(p)
-        for b in range(p)
-        for c in range(p)
-        for d in range(p)
+        ExactMatrix(size, size, entries, field)
+        for entries in itertools.product(range(p), repeat=size * size)
     ]
-    zero = ExactMatrix.zeros(2, 2, field)
-    one = ExactMatrix.identity(2, field)
-    return FiniteStarRing(f"m2gf{p}", els, zero, one)
+    zero = ExactMatrix.zeros(size, size, field)
+    one = ExactMatrix.identity(size, field)
+    return FiniteStarRing(f"m{size}gf{p}", els, zero, one)
 
 
 def ring_by_name(name: str) -> FiniteStarRing:
-    """Resolve a ring id: z<n> or m2gf<p>."""
+    """Resolve a ring id: z<n>, m2gf<p> or m3gf2."""
     if name.startswith("z"):
         try:
             n = int(name[1:])
         except ValueError:
             raise UnknownRing(f"bad ring id {name!r}") from None
         return zn_ring(n)
-    if name.startswith("m2gf"):
+    if name[:1] == "m" and name[2:4] == "gf" and name[1:2].isdigit():
         try:
             p = int(name[4:])
         except ValueError:
             raise UnknownRing(f"bad ring id {name!r}") from None
-        return matrix_star_ring(p)
+        size = int(name[1])
+        # the default size is left implicit, so m2gf<p> shares matrix_star_ring(p)'s cache entry
+        return matrix_star_ring(p) if size == 2 else matrix_star_ring(p, size)
     raise UnknownRing(f"unknown ring id {name!r}")
 
 
@@ -488,14 +669,13 @@ def ring_by_name(name: str) -> FiniteStarRing:
 
 def enumerate_regular(ring: FiniteStarRing) -> frozenset:
     """All regular elements (those with an inner inverse)."""
-    ring._build_structure()
     return frozenset(ring.regular)
 
 
 def enumerate_dagger(ring: FiniteStarRing) -> dict:
     """Map each element to its Moore-Penrose inverse or None."""
-    ring._build_structure()
-    return dict(ring._dagger)
+    dagger = ring.structure().dagger
+    return {a: ring._element_or_none(dagger[i]) for i, a in enumerate(ring.elements)}
 
 
 def enumerate_class(ring: FiniteStarRing, a, classes) -> frozenset:

@@ -5,10 +5,15 @@ nothing but the ring's operation tables, so the checks are independent of
 the formula layers in inverses.py and orders.py.  A report lists how many
 instances were checked and every counterexample found (expected: none).
 
+Sweeps run on element indices over the ring's flat int tables
+(`FiniteStarRing.tables()`), and name elements by `repr` only in violations
+and notes.
+
 MP1-side statements are verified by running the corresponding 1MP sweep
 on `ring.opposite()`, the same carrier with a reversed multiplication table.
-`order_mp1_duality` checks that transport by comparing independent scans of
-the opposite ring and the base ring.
+`order_mp1_duality` checks that transport: it scans the inverse classes and
+the 1MP family of the opposite ring from its own table and compares them,
+its products and its order with those of the base ring.
 """
 
 from __future__ import annotations
@@ -30,11 +35,24 @@ def _finish(theorem, ring_name, checked, violations, start, notes=(), sampled=Fa
     return TheoremReport(theorem, ring_name, checked, vs, time.perf_counter() - start, notes, sampled)
 
 
+def _namer(ring):
+    """The repr of the element at an index: reports name elements, not indices."""
+    els = ring.elements
+    return lambda i: repr(els[i])
+
+
+def _complement(ring):
+    """p |-> 1 - p on indices."""
+    n, _, add, neg, _ = ring.tables()
+    one = ring.one_i * n
+    return lambda p: add[one + neg[p]]
+
+
 def _regularity_note(ring) -> list:
-    ring._build_structure()
-    missing = [a for a in ring.elements if a not in set(ring.regular)]
+    regular = set(ring.structure().regular)
+    missing = [a for a in range(ring.n) if a not in regular]
     if missing:
-        shown = ", ".join(repr(a) for a in missing[:6])
+        shown = ", ".join(repr(ring.elements[a]) for a in missing[:6])
         more = "..." if len(missing) > 6 else ""
         return [f"{len(missing)} non-regular element(s) excluded from regular-only sweeps: {shown}{more}"]
     return []
@@ -46,92 +64,81 @@ def _regularity_note(ring) -> list:
 def _one_mp_characterization(ring, label="one_mp_characterization"):
     """Membership in the 1MP family == solving its system == {1,2,3}-inverse."""
     start = time.perf_counter()
-    ring._build_structure()
+    s = ring.structure()
+    n, mul, _, _, _ = ring.tables()
+    name = _namer(ring)
     violations = []
     checked = 0
     notes = _regularity_note(ring)
-    for a in ring.mp_invertible:
-        d = ring.dagger_of(a)
-        ad = ring.mul(a, d)
-        family = ring.one_mp_set(a)
-        klass = ring.inverse_class(a, {1, 2, 3})
-        for z in ring.elements:
+    for a in s.mp_invertible:
+        ad = mul[a * n + s.dagger[a]]
+        family = ring.one_mp_i(a)
+        klass = ring.inverse_class_i(a, {1, 2, 3})
+        for z in range(n):
             checked += 1
             in_family = z in family
-            solves = ring.mul3(z, a, z) == z and ring.mul(a, z) == ad
+            solves = mul[mul[z * n + a] * n + z] == z and mul[a * n + z] == ad
             in_class = z in klass
             if not (in_family == solves == in_class):
-                violations.append((repr(a), repr(z), in_family, solves, in_class))
+                violations.append((name(a), name(z), in_family, solves, in_class))
     return _finish(label, ring.name, checked, violations, start, notes)
 
 
 def _one_mp_products(ring, label="one_mp_products"):
     """Products a_minus*a*dagger(a) land in {1,2,3} with the fixed marginals."""
     start = time.perf_counter()
-    ring._build_structure()
+    s = ring.structure()
+    n, mul, _, _, _ = ring.tables()
+    name = _namer(ring)
     violations = []
     checked = 0
-    for a in ring.mp_invertible:
-        d = ring.dagger_of(a)
-        ad = ring.mul(a, d)
-        klass = ring.inverse_class(a, {1, 2, 3})
-        for am in ring.inner_inverses(a):
+    for a in s.mp_invertible:
+        d = s.dagger[a]
+        ad = mul[a * n + d]
+        klass = ring.inverse_class_i(a, {1, 2, 3})
+        for am in ring.inner_i(a):
             checked += 1
-            x = ring.mul3(am, a, d)
+            ama = mul[am * n + a]
+            x = mul[ama * n + d]
+            ax = mul[a * n + x]
+            xa = mul[x * n + a]
             ok = (
                 x in klass
-                and ring.mul(x, a) == ring.mul(am, a)
-                and ring.mul(a, x) == ad
-                and ring.left_ann(ring.mul(a, x)) == ring.left_ann(a)
-                and ring.right_ann(ring.mul(x, a)) == ring.right_ann(a)
+                and xa == ama
+                and ax == ad
+                and ring.left_bits(ax) == ring.left_bits(a)
+                and ring.right_bits(xa) == ring.right_bits(a)
             )
             if not ok:
-                violations.append((repr(a), repr(am)))
+                violations.append((name(a), name(am)))
     return _finish(label, ring.name, checked, violations, start)
 
 
 def _one_mp_family_completeness(ring, label="one_mp_family_completeness"):
     """Sweeping the free parameter from any base member fills the whole family."""
     start = time.perf_counter()
-    ring._build_structure()
+    s = ring.structure()
+    n, mul, add, neg, _ = ring.tables()
+    name = _namer(ring)
     violations = []
     checked = 0
-    for a in ring.mp_invertible:
-        family = ring.one_mp_set(a)
-        klass = ring.inverse_class(a, {1, 2, 3})
-        if family != klass:
-            violations.append((repr(a), "family != class"))
+    for a in s.mp_invertible:
+        family = ring.one_mp_i(a)
+        if family != ring.inverse_class_i(a, {1, 2, 3}):
+            violations.append((name(a), "family != class"))
             continue
         for base in family:
-            ba = ring.mul(base, a)
-            ab = ring.mul(a, base)
+            ba = mul[base * n + a] * n
+            ab = mul[a * n + base]
+            bn = base * n
             image = set()
-            for w in ring.elements:
+            for w in range(n):
                 checked += 1
-                t = ring.mul(w, ab)
-                image.add(ring.add(base, ring.sub(t, ring.mul(ba, t))))
-            if image != set(family):
-                violations.append((repr(a), repr(base)))
+                t = mul[w * n + ab]
+                image.add(add[bn + add[t * n + neg[mul[ba + t]]]])
+            if image != family:
+                violations.append((name(a), name(base)))
     return _finish(label, ring.name, checked, violations, start)
-
-
-def _seven_condition_flags(ring, a, am, x, d):
-    """The seven equational conditions with the fixed inner inverse am."""
-    mul, mul3, star = ring.mul, ring.mul3, ring.star
-    ax = mul(a, x)
-    xa = mul(x, a)
-    ad = mul(a, d)
-    ama = mul(am, a)
-    astar = star(a)
-    asax = mul(astar, ax)
-    c1 = x == mul3(am, a, d)
-    c2 = ax == ad and x == mul(am, ax)
-    c3 = asax == astar and x == mul(am, ax)
-    c4 = xa == ama and x == mul(xa, d)
-    c5 = mul(xa, am) == mul(ama, am) and x == mul(xa, d)
-    c6 = mul(ax, a) == a and mul3(am, mul(ax, a), d) == x
-    c7 = mul(xa, x) == x and asax == astar
-    return (c1, c2, c3, c4, c5, c6, c7)
 
 
 def _one_mp_condition_equivalences(ring, label="one_mp_condition_equivalences"):
@@ -144,36 +151,50 @@ def _one_mp_condition_equivalences(ring, label="one_mp_condition_equivalences"):
     fails, which happens exactly when the 1MP-inverse is not unique.
     """
     start = time.perf_counter()
-    ring._build_structure()
+    s = ring.structure()
+    n, mul, _, _, star = ring.tables()
+    name = _namer(ring)
     violations = []
     checked = 0
     literal_gap = 0
     gap_example = None
-    for a in ring.mp_invertible:
-        d = ring.dagger_of(a)
-        family = ring.one_mp_set(a)
-        inners = ring.inner_inverses(a)
-        for x in ring.elements:
-            exists = [False] * 6
-            c7 = None
-            for am in inners:
+    for a in s.mp_invertible:
+        d = s.dagger[a]
+        an = a * n
+        ad = mul[an + d]
+        astar = star[a]
+        family = ring.one_mp_i(a)
+        inners = [(am, am * n, mul[am * n + a]) for am in ring.inner_i(a)]
+        for x in range(n):
+            ax = mul[an + x]
+            xa = mul[x * n + a]
+            axa = mul[ax * n + a]
+            xad = mul[xa * n + d]
+            asax_ok = mul[astar * n + ax] == astar
+            # (7): x*a*x == x and star(a)*a*x == star(a), whatever a_minus is
+            c7 = mul[xa * n + x] == x and asax_ok
+            rows = []
+            for am, amn, ama in inners:
                 checked += 1
-                flags = _seven_condition_flags(ring, a, am, x, d)
-                c7 = flags[6]
-                if len(set(flags[:6])) != 1:
-                    violations.append(("fixed (1)-(6) disagree", repr(a), repr(am), repr(x)))
-                if flags[0] and not flags[6]:
-                    violations.append(("(1) without (7)", repr(a), repr(am), repr(x)))
-                if flags[6] and not flags[0]:
+                x_from_ax = mul[amn + ax] == x
+                c1 = x == mul[ama * n + d]
+                c2 = ax == ad and x_from_ax
+                c3 = asax_ok and x_from_ax
+                c4 = xa == ama and x == xad
+                c5 = mul[xa * n + am] == mul[ama * n + am] and x == xad
+                c6 = axa == a and mul[mul[amn + axa] * n + d] == x
+                if not (c1 == c2 == c3 == c4 == c5 == c6):
+                    violations.append(("fixed (1)-(6) disagree", name(a), name(am), name(x)))
+                if c1 and not c7:
+                    violations.append(("(1) without (7)", name(a), name(am), name(x)))
+                if c7 and not c1:
                     literal_gap += 1
                     if gap_example is None:
-                        gap_example = (repr(a), repr(am), repr(x))
-                for i in range(6):
-                    exists[i] = exists[i] or flags[i]
-            membership = x in family
-            quantified = set(exists) | {c7, membership}
-            if len(quantified) != 1:
-                violations.append(("quantified readings disagree", repr(a), repr(x)))
+                        gap_example = (name(a), name(am), name(x))
+                rows.append((c1, c2, c3, c4, c5, c6))
+            exists = {any(column) for column in zip(*rows)}
+            if len(exists | {c7, x in family}) != 1:
+                violations.append(("quantified readings disagree", name(a), name(x)))
     notes = []
     if literal_gap:
         notes.append(
@@ -186,21 +207,28 @@ def _one_mp_condition_equivalences(ring, label="one_mp_condition_equivalences"):
     return _finish(label, ring.name, checked, violations, start, notes)
 
 
-def _ideal_generators(ring, a):
-    """Projections p with p*R == a*R, and idempotents q with R*q == R*a."""
-    right_ideal_a = frozenset(ring.mul(a, u) for u in ring.elements)
-    left_ideal_a = frozenset(ring.mul(u, a) for u in ring.elements)
-    p_hits = [
-        p
-        for p in ring.projections
-        if frozenset(ring.mul(p, u) for u in ring.elements) == right_ideal_a
-    ]
-    q_hits = [
-        q
-        for q in ring.idempotents
-        if frozenset(ring.mul(u, q) for u in ring.elements) == left_ideal_a
-    ]
-    return p_hits, q_hits
+def _ideal_generators(ring):
+    """a |-> (projections p with p*R == a*R, idempotents q with R*q == R*a)."""
+    s = ring.structure()
+    n, mul = ring.n, ring.mul_table
+
+    def right_ideal(a):
+        return frozenset(mul[a * n : (a + 1) * n])
+
+    def left_ideal(a):
+        return frozenset(mul[a::n])
+
+    p_ideals = [(p, right_ideal(p)) for p in s.projections]
+    q_ideals = [(q, left_ideal(q)) for q in s.idempotents]
+
+    def generators(a):
+        right, left = right_ideal(a), left_ideal(a)
+        return (
+            [p for p, ideal in p_ideals if ideal == right],
+            [q for q, ideal in q_ideals if ideal == left],
+        )
+
+    return generators
 
 
 def _one_mp_existence_projections(ring, label="one_mp_existence_projections"):
@@ -213,30 +241,31 @@ def _one_mp_existence_projections(ring, label="one_mp_existence_projections"):
     what the hypothesis must supply.
     """
     start = time.perf_counter()
-    ring._build_structure()
+    n, mul, _, _, _ = ring.tables()
+    name = _namer(ring)
+    generators = _ideal_generators(ring)
     violations = []
     checked = 0
     skipped = 0
-    for a in ring.elements:
-        if not ring.inverse_class(a, {1, 4}):
+    for a in range(n):
+        if not ring.inverse_class_i(a, {1, 4}):
             skipped += 1
             continue
         checked += 1
-        nonempty = bool(ring.one_mp_set(a))
-        p_hits, q_hits = _ideal_generators(ring, a)
-        pair_exists = bool(p_hits) and bool(q_hits)
-        if nonempty != pair_exists:
-            violations.append(("existence mismatch", repr(a)))
+        family = ring.one_mp_i(a)
+        p_hits, q_hits = generators(a)
+        if bool(family) != (bool(p_hits) and bool(q_hits)):
+            violations.append(("existence mismatch", name(a)))
             continue
-        if not nonempty:
+        if not family:
             continue
-        family = ring.one_mp_set(a)
         for p in p_hits:
             for q in q_hits:
-                for am in ring.inner_inverses(a):
+                qn = q * n
+                for am in ring.inner_i(a):
                     checked += 1
-                    if ring.mul3(q, am, p) not in family:
-                        violations.append((repr(a), repr(p), repr(q), repr(am)))
+                    if mul[mul[qn + am] * n + p] not in family:
+                        violations.append((name(a), name(p), name(q), name(am)))
     notes = [f"{skipped} element(s) without a {{1,4}}-inverse excluded by hypothesis"] if skipped else []
     return _finish(label, ring.name, checked, violations, start, notes)
 
@@ -244,47 +273,49 @@ def _one_mp_existence_projections(ring, label="one_mp_existence_projections"):
 def _one_mp_closure(ring, label="one_mp_closure"):
     """x*a*y stays inside the 1MP family."""
     start = time.perf_counter()
-    ring._build_structure()
+    s = ring.structure()
+    n, mul, _, _, _ = ring.tables()
+    name = _namer(ring)
     violations = []
     checked = 0
-    for a in ring.mp_invertible:
-        family = ring.one_mp_set(a)
+    for a in s.mp_invertible:
+        family = ring.one_mp_i(a)
         for x in family:
-            xa = ring.mul(x, a)
+            xa = mul[x * n + a] * n
             for y in family:
                 checked += 1
-                if ring.mul(xa, y) not in family:
-                    violations.append((repr(a), repr(x), repr(y)))
+                if mul[xa + y] not in family:
+                    violations.append((name(a), name(x), name(y)))
     return _finish(label, ring.name, checked, violations, start)
 
 
 def _partial_isometry_solutions(ring, label="partial_isometry_solutions"):
     """For star(a) == dagger(a): the solution set of (xax == x, ax == a*star(a))."""
     start = time.perf_counter()
-    ring._build_structure()
+    s = ring.structure()
+    n, mul, add, neg, star = ring.tables()
+    name = _namer(ring)
     violations = []
     checked = 0
     isometries = 0
-    for a in ring.mp_invertible:
-        if ring.dagger_of(a) != ring.star(a):
+    for a in s.mp_invertible:
+        if s.dagger[a] != star[a]:
             continue
         isometries += 1
-        aas = ring.mul(a, ring.star(a))
+        aas = mul[a * n + star[a]]
         solutions = frozenset(
-            c
-            for c in ring.elements
-            if ring.mul3(c, a, c) == c and ring.mul(a, c) == aas
+            c for c in range(n) if mul[mul[c * n + a] * n + c] == c and mul[a * n + c] == aas
         )
         image = set()
-        for am in ring.inner_inverses(a):
-            ama = ring.mul(am, a)
-            base = ring.mul(ama, ring.star(a))
-            for w in ring.elements:
+        for am in ring.inner_i(a):
+            ama = mul[am * n + a]
+            base = mul[ama * n + star[a]] * n
+            for w in range(n):
                 checked += 1
-                t = ring.mul(w, aas)
-                image.add(ring.add(base, ring.sub(t, ring.mul(ama, t))))
+                t = mul[w * n + aas]
+                image.add(add[base + add[t * n + neg[mul[ama * n + t]]]])
         if image != solutions:
-            violations.append((repr(a),))
+            violations.append((name(a),))
     return _finish(
         label, ring.name, checked, violations, start,
         [f"{isometries} partial isometr(ies) in the carrier"],
@@ -294,50 +325,53 @@ def _partial_isometry_solutions(ring, label="partial_isometry_solutions"):
 def _inner_inverse_block_form(ring, label="inner_inverse_block_form"):
     """a{1} is exactly h*a*h plus the three free corners relative to (ha, ah)."""
     start = time.perf_counter()
-    ring._build_structure()
+    s = ring.structure()
+    n, mul, add, _, _ = ring.tables()
+    name = _namer(ring)
+    co = _complement(ring)
     violations = []
     checked = 0
-    one = ring.one
-    for a in ring.regular:
-        inners = frozenset(ring.inner_inverses(a))
+    for a in s.regular:
+        inners = frozenset(ring.inner_i(a))
         for h in inners:
-            p = ring.mul(a, h)
-            q = ring.mul(h, a)
-            hah = ring.mul3(h, a, h)
-            c12 = ring.corner(q, ring.sub(one, p))
-            c21 = ring.corner(ring.sub(one, q), p)
-            c22 = ring.corner(ring.sub(one, q), ring.sub(one, p))
+            p = mul[a * n + h]
+            q = mul[h * n + a]
+            hah = mul[q * n + h] * n
+            c12 = ring.corner_i(q, co(p))
+            c21 = ring.corner_i(co(q), p)
+            c22 = ring.corner_i(co(q), co(p))
             image = set()
             for k12 in c12:
+                k12n = k12 * n
                 for k21 in c21:
-                    base = ring.add(hah, ring.add(k12, k21))
-                    for k22 in c22:
-                        checked += 1
-                        image.add(ring.add(base, k22))
+                    base = add[hah + add[k12n + k21]] * n
+                    checked += len(c22)
+                    image.update(add[base + k22] for k22 in c22)
             if image != inners:
-                violations.append((repr(a), repr(h)))
+                violations.append((name(a), name(h)))
     return _finish(label, ring.name, checked, violations, start)
 
 
 def _inverse_class_intersection(ring, label="inverse_class_intersection"):
     """{1,2,3} meets {1,2,4} in exactly the Moore-Penrose inverse."""
     start = time.perf_counter()
-    ring._build_structure()
+    s = ring.structure()
+    name = _namer(ring)
     violations = []
     checked = 0
     full_carrier_reading_fails = 0
-    mp_set = frozenset(ring.mp_invertible)
-    for a in ring.mp_invertible:
+    mp_set = frozenset(s.mp_invertible)
+    for a in s.mp_invertible:
         checked += 1
-        meet = ring.inverse_class(a, {1, 2, 3}) & ring.inverse_class(a, {1, 2, 4})
-        if meet != frozenset([ring.dagger_of(a)]):
-            violations.append((repr(a), "intersection is not {dagger(a)}"))
+        meet = ring.inverse_class_i(a, {1, 2, 3}) & ring.inverse_class_i(a, {1, 2, 4})
+        if meet != frozenset([s.dagger[a]]):
+            violations.append((name(a), "intersection is not {dagger(a)}"))
         if meet != mp_set:
             full_carrier_reading_fails += 1
     notes = [
         "verified reading: a{1,2,3} & a{1,2,4} == {dagger(a)} for every MP-invertible a",
         f"alternative reading '== all MP-invertible elements' fails for "
-        f"{full_carrier_reading_fails} of {len(ring.mp_invertible)} element(s)"
+        f"{full_carrier_reading_fails} of {len(s.mp_invertible)} element(s)"
         if full_carrier_reading_fails
         else "alternative reading '== all MP-invertible elements' coincides here",
     ]
@@ -350,64 +384,68 @@ def _inverse_class_intersection(ring, label="inverse_class_intersection"):
 def _order_1mp_above_form(ring, label="order_1mp_above_form"):
     """{b : a below b} equals the image of (b4, d) |-> a - b4*d*a + b4."""
     start = time.perf_counter()
-    ring._build_structure()
+    s = ring.structure()
+    n, mul, add, neg, _ = ring.tables()
+    name = _namer(ring)
+    co = _complement(ring)
     violations = []
     checked = 0
-    one = ring.one
-    for a in ring.mp_invertible:
-        d = ring.dagger_of(a)
-        p = ring.mul(a, d)
-        q = ring.mul(d, a)
-        above = frozenset(b for b in ring.elements if ring.rel_1mp(a, b))
+    for a in s.mp_invertible:
+        d = s.dagger[a]
+        p = mul[a * n + d]
+        q = mul[d * n + a]
+        above = frozenset(b for b in range(n) if ring.rel_1mp_i(a, b))
         image = set()
-        for b4 in ring.corner(ring.sub(one, p), ring.sub(one, q)):
-            for dd in ring.corner(ring.sub(one, q), p):
+        for b4 in ring.corner_i(co(p), co(q)):
+            for dd in ring.corner_i(co(q), p):
                 checked += 1
-                b = ring.add(ring.sub(a, ring.mul3(b4, dd, a)), b4)
-                image.add(b)
+                image.add(add[add[a * n + neg[mul[mul[b4 * n + dd] * n + a]]] * n + b4])
         if image != above:
-            violations.append((repr(a), "block image differs from the order"))
+            violations.append((name(a), "block image differs from the order"))
     return _finish(label, ring.name, checked, violations, start)
 
 
 def _order_1mp_upper_inverses(ring, label="order_1mp_upper_inverses"):
     """The 1MP family of every b above a, in block coordinates."""
     start = time.perf_counter()
-    ring._build_structure()
+    s = ring.structure()
+    n, mul, add, neg, star = ring.tables()
+    name = _namer(ring)
+    co = _complement(ring)
     violations = []
     checked = 0
     skipped = 0
-    one = ring.one
-    for a in ring.mp_invertible:
-        d = ring.dagger_of(a)
-        p = ring.mul(a, d)
-        q = ring.mul(d, a)
-        c21 = ring.corner(ring.sub(one, q), p)
-        c22b = ring.corner(ring.sub(one, p), ring.sub(one, q))
+    for a in s.mp_invertible:
+        d = s.dagger[a]
+        p = mul[a * n + d]
+        q = mul[d * n + a]
+        c21 = ring.corner_i(co(q), p)
+        c22b = ring.corner_i(co(p), co(q))
+        c22 = ring.corner_i(co(q), co(p))
         for b4 in c22b:
+            b4n = b4 * n
             for dd in c21:
-                b = ring.add(ring.sub(a, ring.mul3(b4, dd, a)), b4)
-                if ring.dagger_of(b) is None:
+                b4d = mul[b4n + dd]
+                b = add[add[a * n + neg[mul[b4d * n + a]]] * n + b4]
+                if s.dagger[b] < 0:
                     skipped += 1
                     continue
-                family_b = ring.one_mp_set(b)
-                b4d = ring.mul(b4, dd)
                 image = set()
                 for x3 in c21:
-                    if ring.mul(b4, x3) != b4d:
+                    if mul[b4n + x3] != b4d:
                         continue
-                    for x4 in ring.corner(ring.sub(one, q), ring.sub(one, p)):
-                        b4x4 = ring.mul(b4, x4)
+                    for x4 in c22:
+                        b4x4 = mul[b4n + x4]
                         if not (
-                            ring.mul(b4x4, b4) == b4
-                            and ring.mul(x4, b4x4) == x4
-                            and ring.star(b4x4) == b4x4
+                            mul[b4x4 * n + b4] == b4
+                            and mul[x4 * n + b4x4] == x4
+                            and star[b4x4] == b4x4
                         ):
                             continue
-                        image.add(ring.add(d, ring.add(x3, x4)))
+                        image.add(add[d * n + add[x3 * n + x4]])
                 checked += 1
-                if image != family_b:
-                    violations.append((repr(a), repr(b)))
+                if image != ring.one_mp_i(b):
+                    violations.append((name(a), name(b)))
     notes = [f"{skipped} composed element(s) above a were not MP-invertible and were skipped"] if skipped else []
     return _finish(label, ring.name, checked, violations, start, notes)
 
@@ -415,23 +453,26 @@ def _order_1mp_upper_inverses(ring, label="order_1mp_upper_inverses"):
 def _order_1mp_equivalences(ring, label="order_1mp_equivalences"):
     """Order membership == split witnesses == the shared-inner-inverse identity."""
     start = time.perf_counter()
-    ring._build_structure()
+    s = ring.structure()
+    n, mul, _, _, _ = ring.tables()
+    name = _namer(ring)
     violations = []
     checked = 0
-    for a in ring.mp_invertible:
-        d = ring.dagger_of(a)
-        ad = ring.mul(a, d)
-        family = ring.one_mp_set(a)
-        inners = ring.inner_inverses(a)
-        for b in ring.elements:
+    for a in s.mp_invertible:
+        an = a * n
+        adn = mul[an + s.dagger[a]] * n
+        family = ring.one_mp_i(a)
+        inners = ring.inner_i(a)
+        for b in range(n):
             checked += 1
-            r1 = ring.rel_1mp(a, b)
-            r2 = any(ring.mul(x, a) == ring.mul(x, b) for x in family) and any(
-                ring.mul(a, y) == ring.mul(b, y) for y in family
+            bn = b * n
+            r1 = ring.rel_1mp_i(a, b)
+            r2 = any(mul[x * n + a] == mul[x * n + b] for x in family) and any(
+                mul[an + y] == mul[bn + y] for y in family
             )
-            r3 = ring.mul(ad, b) == a and any(ring.mul3(b, am, a) == a for am in inners)
+            r3 = mul[adn + b] == a and any(mul[mul[bn + am] * n + a] == a for am in inners)
             if not (r1 == r2 == r3):
-                violations.append((repr(a), repr(b), r1, r2, r3))
+                violations.append((name(a), name(b), r1, r2, r3))
     return _finish(label, ring.name, checked, violations, start)
 
 
@@ -441,26 +482,28 @@ def _order_1mp_projection_form(ring, label="order_1mp_projection_form"):
     Hypothesis taken as a{1,4} nonempty, as in the existence theorem.
     """
     start = time.perf_counter()
-    ring._build_structure()
+    s = ring.structure()
+    n, mul, _, _, _ = ring.tables()
+    name = _namer(ring)
+    generators = _ideal_generators(ring)
     violations = []
     checked = 0
     skipped = 0
-    for a in ring.elements:
-        if not ring.inverse_class(a, {1, 4}):
+    for a in range(n):
+        if not ring.inverse_class_i(a, {1, 4}):
             skipped += 1
             continue
-        p_hits, q_hits = _ideal_generators(ring, a)
-        mp_ok = ring.dagger_of(a) is not None
-        for b in ring.elements:
+        p_hits, q_hits = generators(a)
+        mp_ok = s.dagger[a] >= 0
+        for b in range(n):
             checked += 1
-            lhs = mp_ok and ring.rel_1mp(a, b)
+            bn = b * n
+            lhs = mp_ok and ring.rel_1mp_i(a, b)
             rhs = any(
-                ring.mul(p, b) == a and ring.mul(b, q) == a
-                for p in p_hits
-                for q in q_hits
+                mul[p * n + b] == a and mul[bn + q] == a for p in p_hits for q in q_hits
             )
             if lhs != rhs:
-                violations.append((repr(a), repr(b), lhs, rhs))
+                violations.append((name(a), name(b), lhs, rhs))
     notes = [f"{skipped} element(s) without a {{1,4}}-inverse excluded by hypothesis"] if skipped else []
     return _finish(label, ring.name, checked, violations, start, notes)
 
@@ -468,44 +511,51 @@ def _order_1mp_projection_form(ring, label="order_1mp_projection_form"):
 def _order_1mp_inverse_inheritance(ring, label="order_1mp_inverse_inheritance"):
     """If a is below b then z*a*y lies in a's family for all y, z above."""
     start = time.perf_counter()
-    ring._build_structure()
+    s = ring.structure()
+    n, mul, _, _, _ = ring.tables()
+    name = _namer(ring)
     violations = []
     checked = 0
-    for a in ring.mp_invertible:
-        family_a = ring.one_mp_set(a)
-        for b in ring.mp_invertible:
-            if not ring.rel_1mp(a, b):
+    for a in s.mp_invertible:
+        family_a = ring.one_mp_i(a)
+        for b in s.mp_invertible:
+            if not ring.rel_1mp_i(a, b):
                 continue
-            family_b = ring.one_mp_set(b)
+            family_b = ring.one_mp_i(b)
             for z in family_b:
-                za = ring.mul(z, a)
+                za = mul[z * n + a] * n
                 for y in family_b:
                     checked += 1
-                    if ring.mul(za, y) not in family_a:
-                        violations.append((repr(a), repr(b), repr(z), repr(y)))
+                    if mul[za + y] not in family_a:
+                        violations.append((name(a), name(b), name(z), name(y)))
     return _finish(label, ring.name, checked, violations, start)
 
 
 def _order_1mp_minus_link(ring, label="order_1mp_minus_link"):
     """1MP order == minus order plus the dagger(a)*b == dagger(a)*a condition."""
     start = time.perf_counter()
-    ring._build_structure()
+    s = ring.structure()
+    n, mul, _, _, _ = ring.tables()
+    name = _namer(ring)
     violations = []
     checked = 0
-    for a in ring.mp_invertible:
-        d = ring.dagger_of(a)
-        da = ring.mul(d, a)
-        inners = ring.inner_inverses(a)
-        for b in ring.elements:
+    for a in s.mp_invertible:
+        an = a * n
+        dn = s.dagger[a] * n
+        da = mul[dn + a]
+        inners = ring.inner_i(a)
+        for b in range(n):
             checked += 1
-            cond = ring.mul(d, b) == da
-            r1 = ring.rel_1mp(a, b)
-            r2 = ring.rel_minus(a, b) and cond
-            r3 = cond and any(ring.mul(a, am) == ring.mul(b, am) for am in inners)
+            bn = b * n
+            cond = mul[dn + b] == da
+            r1 = ring.rel_1mp_i(a, b)
+            minus = ring.rel_minus_i(a, b)
+            r2 = minus and cond
+            r3 = cond and any(mul[an + am] == mul[bn + am] for am in inners)
             if not (r1 == r2 == r3):
-                violations.append((repr(a), repr(b), r1, r2, r3))
-            if r1 and not ring.rel_minus(a, b):
-                violations.append(("1mp without minus", repr(a), repr(b)))
+                violations.append((name(a), name(b), r1, r2, r3))
+            if r1 and not minus:
+                violations.append(("1mp without minus", name(a), name(b)))
     return _finish(label, ring.name, checked, violations, start)
 
 
@@ -515,28 +565,33 @@ def _order_1mp_minus_link(ring, label="order_1mp_minus_link"):
 def _order_mp1_duality(ring, label="order_mp1_duality"):
     """MP1 data of the ring is 1MP data of its opposite: classes, products, and orders."""
     start = time.perf_counter()
-    ring._build_structure()
+    s = ring.structure()
     opp = ring.opposite()
+    n, opp_mul, els = ring.n, opp.mul_table, ring.elements
+    name = _namer(ring)
     violations = []
     checked = 0
-    for a in ring.elements:
+    for a in range(n):
         checked += 1
-        if opp.inverse_class(a, {1, 2, 3}) != ring.inverse_class(a, {1, 2, 4}):
-            violations.append(("class transport", repr(a)))
-    for a in ring.mp_invertible:
-        d = ring.dagger_of(a)
-        for am in ring.inner_inverses(a):
+        if opp.inverse_class_i(a, {1, 2, 3}) != ring.inverse_class_i(a, {1, 2, 4}):
+            violations.append(("class transport", name(a)))
+    for a in s.mp_invertible:
+        d = s.dagger[a]
+        inners = ring.inner_i(a)
+        for am in inners:
             checked += 1
             # a_minus * a * dagger(a) computed in the opposite ring
-            transported = opp.mul3(am, a, d)
-            if transported != ring.mul3(d, a, am):
-                violations.append(("product transport", repr(a), repr(am)))
-        if ring.mp_one_set(a) != opp.one_mp_set(a):
-            violations.append(("family transport", repr(a)))
-        for b in ring.elements:
+            transported = opp.mul3(els[am], els[a], els[d])
+            if transported != ring.mul3(els[d], els[a], els[am]):
+                violations.append(("product transport", name(a), name(am)))
+        # the opposite's 1MP family, scanned from its own table
+        ad = opp_mul[a * n + d]
+        if ring.mp_one_i(a) != frozenset(opp_mul[x * n + ad] for x in inners):
+            violations.append(("family transport", name(a)))
+        for b in range(n):
             checked += 1
-            if ring.rel_mp1(a, b) != opp.rel_1mp(a, b):
-                violations.append(("order transport", repr(a), repr(b)))
+            if ring.rel_mp1_i(a, b) != opp.rel_1mp_i(a, b):
+                violations.append(("order transport", name(a), name(b)))
     return _finish(label, ring.name, checked, violations, start)
 
 
@@ -562,49 +617,55 @@ def _order_mp1_upper_inverses(ring):
 def _minus_idempotent_form(ring, label="minus_idempotent_form"):
     """Witness form of the minus order: a == p*b and a == b*q for idempotents."""
     start = time.perf_counter()
-    ring._build_structure()
+    s = ring.structure()
+    n, mul, _, _, _ = ring.tables()
+    name = _namer(ring)
     violations = []
     checked = 0
     notes = _regularity_note(ring)
-    for a in ring.regular:
-        for b in ring.elements:
+    idempotents = s.idempotents
+    for a in s.regular:
+        for b in range(n):
             checked += 1
-            direct = ring.rel_minus(a, b)
-            via_idempotents = any(ring.mul(p, b) == a for p in ring.idempotents) and any(
-                ring.mul(b, q) == a for q in ring.idempotents
+            bn = b * n
+            direct = ring.rel_minus_i(a, b)
+            via_idempotents = any(mul[p * n + b] == a for p in idempotents) and any(
+                mul[bn + q] == a for q in idempotents
             )
             if direct != via_idempotents:
-                violations.append((repr(a), repr(b), direct, via_idempotents))
+                violations.append((name(a), name(b), direct, via_idempotents))
     return _finish(label, ring.name, checked, violations, start, notes)
 
 
 def _diamond_factorization(ring, label="diamond_factorization"):
     """a*star(b)*a == a*star(a)*a iff a == lp(a)*b*rp(a), where lp/rp exist."""
     start = time.perf_counter()
-    ring._build_structure()
+    n, mul, _, _, star = ring.tables()
+    name = _namer(ring)
     violations = []
     checked = 0
     skipped = 0
     mismatches = 0
     example = None
     rickart = ring.is_rickart_star
-    for a in ring.elements:
-        la = ring.lp(a)
-        ra = ring.rp(a)
-        if la is None or ra is None:
+    for a in range(n):
+        la = ring.lp_i(a)
+        ra = ring.rp_i(a)
+        if la < 0 or ra < 0:
             skipped += 1
             continue
-        asa = ring.mul3(a, ring.star(a), a)
-        for b in ring.elements:
+        an, lan = a * n, la * n
+        asa = mul[mul[an + star[a]] * n + a]
+        for b in range(n):
             checked += 1
-            lhs = ring.mul3(a, ring.star(b), a) == asa
-            rhs = ring.mul3(la, b, ra) == a
+            lhs = mul[mul[an + star[b]] * n + a] == asa
+            rhs = mul[mul[lan + b] * n + ra] == a
             if lhs != rhs:
                 mismatches += 1
                 if example is None:
-                    example = (repr(a), repr(b))
+                    example = (name(a), name(b))
                 if rickart:
-                    violations.append((repr(a), repr(b), lhs, rhs))
+                    violations.append((name(a), name(b), lhs, rhs))
     notes = []
     if skipped:
         notes.append(f"{skipped} element(s) without canonical projections skipped")
@@ -620,35 +681,38 @@ def _diamond_factorization(ring, label="diamond_factorization"):
 def _order_inclusions(ring, label="order_inclusions"):
     """1MP implies minus; minus implies plus; diamond implies plus (Rickart)."""
     start = time.perf_counter()
-    ring._build_structure()
+    s = ring.structure()
+    n = ring.n
+    name = _namer(ring)
     violations = []
     checked = 0
     notes = []
     rickart = ring.is_rickart_star
     diamond_gap = 0
     diamond_example = None
-    regular = set(ring.regular)
-    mp_set = set(ring.mp_invertible)
-    for a in ring.elements:
-        lp_ok = bool(ring.lp_members(a)) and bool(ring.rp_members(a))
-        for b in ring.elements:
-            if a in mp_set:
+    regular = set(s.regular)
+    mp_set = set(s.mp_invertible)
+    for a in range(n):
+        lp_ok = bool(ring.lp_members_i(a)) and bool(ring.rp_members_i(a))
+        a_mp, a_regular = a in mp_set, a in regular
+        for b in range(n):
+            if a_mp:
                 checked += 1
-                if ring.rel_1mp(a, b) and not ring.rel_minus(a, b):
-                    violations.append(("1mp->minus", repr(a), repr(b)))
-            if a in regular:
+                if ring.rel_1mp_i(a, b) and not ring.rel_minus_i(a, b):
+                    violations.append(("1mp->minus", name(a), name(b)))
+            if a_regular:
                 checked += 1
-                if ring.rel_minus(a, b) and not ring.rel_plus(a, b):
-                    violations.append(("minus->plus", repr(a), repr(b)))
+                if ring.rel_minus_i(a, b) and not ring.rel_plus_i(a, b):
+                    violations.append(("minus->plus", name(a), name(b)))
             if lp_ok:
                 checked += 1
-                if ring.rel_diamond(a, b) and not ring.rel_plus(a, b):
+                if ring.rel_diamond_i(a, b) and not ring.rel_plus_i(a, b):
                     if rickart:
-                        violations.append(("diamond->plus", repr(a), repr(b)))
+                        violations.append(("diamond->plus", name(a), name(b)))
                     else:
                         diamond_gap += 1
                         if diamond_example is None:
-                            diamond_example = (repr(a), repr(b))
+                            diamond_example = (name(a), name(b))
     if diamond_gap:
         notes.append(
             f"non-Rickart backend: diamond->plus fails for {diamond_gap} pair(s) outside "
@@ -660,27 +724,28 @@ def _order_inclusions(ring, label="order_inclusions"):
 def _projection_family_form(ring, label="projection_family_form"):
     """LP(a) == {p + corner} and RP(a) == {q + corner} for any base members."""
     start = time.perf_counter()
-    ring._build_structure()
+    n, _, add, _, _ = ring.tables()
+    name = _namer(ring)
+    co = _complement(ring)
     violations = []
     checked = 0
     skipped = 0
-    one = ring.one
-    for a in ring.elements:
-        lp_set = frozenset(ring.lp_members(a))
-        rp_set = frozenset(ring.rp_members(a))
+    for a in range(n):
+        lp_set = frozenset(ring.lp_members_i(a))
+        rp_set = frozenset(ring.rp_members_i(a))
         if not lp_set or not rp_set:
             skipped += 1
             continue
         for p in lp_set:
             checked += 1
-            image = frozenset(ring.add(p, p1) for p1 in ring.corner(p, ring.sub(one, p)))
+            image = frozenset(add[p * n + p1] for p1 in ring.corner_i(p, co(p)))
             if image != lp_set:
-                violations.append(("LP", repr(a), repr(p)))
+                violations.append(("LP", name(a), name(p)))
         for q in rp_set:
             checked += 1
-            image = frozenset(ring.add(q, q1) for q1 in ring.corner(ring.sub(one, q), q))
+            image = frozenset(add[q * n + q1] for q1 in ring.corner_i(co(q), q))
             if image != rp_set:
-                violations.append(("RP", repr(a), repr(q)))
+                violations.append(("RP", name(a), name(q)))
     notes = [f"{skipped} element(s) with empty LP or RP skipped"] if skipped else []
     return _finish(label, ring.name, checked, violations, start, notes)
 
@@ -688,56 +753,65 @@ def _projection_family_form(ring, label="projection_family_form"):
 def _order_plus_block_form(ring, label="order_plus_block_form"):
     """{b : a below b in the plus order} == the block-compose image."""
     start = time.perf_counter()
-    ring._build_structure()
+    n, mul, add, neg, _ = ring.tables()
+    name = _namer(ring)
+    co = _complement(ring)
+    left, right = ring.left_bits, ring.right_bits
+    reprs = [repr(e) for e in ring.elements]
     violations = []
     checked = 0
     skipped = 0
     sampled_any = False
-    one = ring.one
     notes = []
-    for a in ring.elements:
-        la = ring.lp(a)
-        ra = ring.rp(a)
-        if la is None or ra is None:
+
+    def pool(p, q):
+        # ordered by repr, so a sampled sweep draws the same elements in any build
+        return sorted(ring.corner_i(p, q), key=reprs.__getitem__)
+
+    for a in range(n):
+        la = ring.lp_i(a)
+        ra = ring.rp_i(a)
+        if la < 0 or ra < 0:
             skipped += 1
             continue
-        above = frozenset(b for b in ring.elements if ring.rel_plus(a, b))
-        nla = ring.sub(one, la)
-        nra = ring.sub(one, ra)
+        above = frozenset(b for b in range(n) if ring.rel_plus_i(a, b))
+        nla = co(la)
+        nra = co(ra)
         pools = [
-            sorted(ring.corner(nla, nra), key=repr),  # b22
-            sorted(ring.corner(la, nla), key=repr),  # y
-            sorted(ring.corner(nra, ra), key=repr),  # x
-            sorted(ring.corner(nla, ra), key=repr),  # w
-            sorted(ring.corner(la, nra), key=repr),  # z
+            pool(nla, nra),  # b22
+            pool(la, nla),  # y
+            pool(nra, ra),  # x
+            pool(nla, ra),  # w
+            pool(la, nra),  # z
         ]
         tuples, sampled, _ = capped_tuples(pools)
         sampled_any = sampled_any or sampled
         image = set()
         for b22, y, x, w, z in tuples:
             checked += 1
-            b21 = ring.add(ring.mul(b22, x), w)
-            b12 = ring.add(ring.mul(y, b22), z)
-            b11 = ring.add(a, ring.add(ring.mul(y, b21), ring.mul(z, x)))
-            b = ring.add(ring.add(b11, b12), ring.add(b21, b22))
-            t_left = ring.add(ring.mul(y, w), w)
-            t_right = ring.add(ring.mul(z, x), z)
-            if not ring.left_ann(b) <= ring.left_ann(t_left):
+            yn, zn = y * n, z * n
+            b21 = add[mul[b22 * n + x] * n + w]
+            b12 = add[mul[yn + b22] * n + z]
+            b11 = add[a * n + add[mul[yn + b21] * n + mul[zn + x]]]
+            b = add[add[b11 * n + b12] * n + add[b21 * n + b22]]
+            t_left = add[mul[yn + w] * n + w]
+            t_right = add[mul[zn + x] * n + z]
+            if left(b) & ~left(t_left):
                 continue
-            if not ring.right_ann(b) <= ring.right_ann(t_right):
+            if right(b) & ~right(t_right):
                 continue
-            qt = ring.sub(la, y)
-            q = ring.sub(ra, x)
-            if ring.mul3(qt, b, q) != a:
-                violations.append(("witness identity", repr(a), repr(b)))
+            qt = add[la * n + neg[y]]
+            q = add[ra * n + neg[x]]
+            if mul[mul[qt * n + b] * n + q] != a:
+                violations.append(("witness identity", name(a), name(b)))
             image.add(b)
         if not sampled and image != above:
-            for b in above - image:
-                violations.append(("missing from image", repr(a), repr(b)))
-            for b in image - above:
-                violations.append(("extra in image", repr(a), repr(b)))
+            for b in sorted(above - image):
+                violations.append(("missing from image", name(a), name(b)))
+            for b in sorted(image - above):
+                violations.append(("extra in image", name(a), name(b)))
         elif sampled and not image <= above:
-            violations.append(("sampled image escapes the order", repr(a)))
+            violations.append(("sampled image escapes the order", name(a)))
     if skipped:
         notes.append(f"{skipped} element(s) without canonical projections skipped")
     if sampled_any:

@@ -300,8 +300,8 @@ class TestGoldenOutput:
     `tests/golden/*.json` holds the reports as written when these documents
     were first decided; a change to the arithmetic kernels must reproduce
     them byte for byte (witnesses, digests, key order and formatting).
-    `verify_<ring>.json` pins the theorem reports of z12 and m2gf2 the
-    same way, with the timings dropped.
+    `verify_<ring>.json` pins the theorem reports of z12, m2gf2 and m2gf3
+    the same way, with the timings dropped.
     """
 
     @pytest.mark.parametrize(
@@ -329,7 +329,7 @@ class TestGoldenOutput:
         assert code == expected_code
         assert out == expected
 
-    @pytest.mark.parametrize("ring", ["z12", "m2gf2"])
+    @pytest.mark.parametrize("ring", ["z12", "m2gf2", "m2gf3"])
     def test_verify_report(self, capsys, ring):
         code, rep = run_cli(capsys, "verify", "--ring", ring)
         for r in rep["reports"]:

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import pytest
@@ -5,11 +6,18 @@ import pytest
 from starinv import (
     CarrierTooLarge,
     FiniteStarRing,
+    InternalCheckError,
+    NotRickart,
     UnknownRing,
     ZnElement,
     enumerate_class,
     enumerate_dagger,
     enumerate_regular,
+    leq_1mp,
+    leq_diamond,
+    leq_minus,
+    leq_mp1,
+    leq_plus,
     matrix_star_ring,
     ring_by_name,
     zn_ring,
@@ -30,6 +38,8 @@ class TestRegistry:
             ring_by_name("q7")
         with pytest.raises(UnknownRing):
             ring_by_name("m2gf5")
+        with pytest.raises(UnknownRing):
+            ring_by_name("m3gf3")
         with pytest.raises(UnknownRing):
             ring_by_name("zxx")
         with pytest.raises(UnknownRing):
@@ -170,6 +180,30 @@ class TestOpposite:
         for attr in ("idempotents", "projections", "mp_invertible", "regular"):
             assert getattr(opp, attr) == getattr(ring, attr)
 
+    def test_opposite_runs_no_penrose_scan(self, monkeypatch):
+        scans = []
+        scan = FiniteStarRing._scan_structure
+
+        def counting_scan(self):
+            scans.append(self)
+            return scan(self)
+
+        monkeypatch.setattr(FiniteStarRing, "_scan_structure", counting_scan)
+        ring = _fresh(matrix_star_ring(2))
+        ring.mp_invertible
+        opp = ring.opposite()
+        for attr in ("idempotents", "projections", "mp_invertible", "regular"):
+            assert getattr(opp, attr) == getattr(ring, attr)
+        for a in ring.elements:
+            assert opp.dagger_of(a) == ring.dagger_of(a)
+            assert opp.inner_inverses(a) == ring.inner_inverses(a)
+        assert scans == [ring]
+        # an opposite taken before any scan shares the one it triggers
+        other = _fresh(matrix_star_ring(2))
+        other_opp = other.opposite()
+        assert other_opp.mp_invertible == other.mp_invertible
+        assert scans == [ring, other_opp]
+
     def test_z6_opposite_has_the_same_tables(self):
         ring = _fresh(zn_ring(6))
         opp = ring.opposite()
@@ -177,6 +211,116 @@ class TestOpposite:
         assert all(opp.mul(a, b) == ring.mul(a, b) for a in els for b in els)
         assert all(opp.left_ann(a) == ring.left_ann(a) for a in els)
         assert opp.projections == ring.projections
+
+
+@pytest.mark.parametrize("name", ["z6", "z12", "m2gf2", "m2gf3"])
+class TestTableConsistency:
+    """The flat int tables, bitsets and cached families against element arithmetic."""
+
+    def test_operations_match_element_arithmetic(self, name):
+        ring = _fresh(ring_by_name(name))
+        opp = ring.opposite()
+        els = ring.elements
+        for a in els:
+            assert ring.neg(a) == -a
+            assert ring.star(a) == a.star
+            assert ring.mul3(a, a.star, a) == a * a.star * a
+            for b in els:
+                assert ring.mul(a, b) == a * b
+                assert ring.add(a, b) == a + b
+                assert ring.sub(a, b) == a - b
+                assert opp.mul(a, b) == b * a
+
+    def test_annihilator_bitsets_match_set_scans(self, name):
+        ring = _fresh(ring_by_name(name))
+        els, idx, zero = ring.elements, ring.index, ring.zero
+        left = {a: frozenset(x for x in els if x * a == zero) for a in els}
+        right = {a: frozenset(x for x in els if a * x == zero) for a in els}
+        for a in els:
+            assert ring.left_ann(a) == left[a]
+            assert ring.right_ann(a) == right[a]
+        for a in els:
+            for b in els:
+                i, j = idx[a], idx[b]
+                assert (ring.left_bits(j) & ~ring.left_bits(i) == 0) == (left[b] <= left[a])
+                assert (ring.right_bits(j) & ~ring.right_bits(i) == 0) == (right[b] <= right[a])
+                assert ring.contained_i(j, i) == (left[b] <= left[a] and right[b] <= right[a])
+
+    def test_cached_families_match_inverse_classes(self, name):
+        ring = _fresh(ring_by_name(name))
+        opp = ring.opposite()
+        for a in ring.elements:
+            if ring.dagger_of(a) is None:
+                assert ring.one_mp_set(a) == ring.mp_one_set(a) == frozenset()
+                continue
+            for _ in range(2):  # the second read comes from the cache
+                assert ring.one_mp_set(a) == ring.inverse_class(a, {1, 2, 3})
+                assert ring.mp_one_set(a) == ring.inverse_class(a, {1, 2, 4})
+                assert opp.one_mp_set(a) == ring.inverse_class(a, {1, 2, 4})
+
+
+class TestAxiomCheck:
+    def test_corrupted_table_fails_exhaustive_check(self):
+        ring = _fresh(zn_ring(12))
+        n = ring.n
+        ring.mul_table[2 * n + 3] = ring.mul_table[3 * n + 2] = 7
+        with pytest.raises(InternalCheckError, match="associative|distributivity"):
+            ring._verify_axioms()
+
+    def test_corrupted_table_fails_sampled_check(self):
+        ring = _fresh(zn_ring(101))
+        n = ring.n
+        ring.mul_table[2 * n + 3] = ring.mul_table[3 * n + 2] = 7
+        with pytest.raises(InternalCheckError, match="associative|distributivity"):
+            ring._verify_axioms()
+
+
+class TestM3GF2:
+    """3x3 matrices over GF(2): 512 elements, admitted past the carrier guard by name."""
+
+    def test_build_and_structure_counts(self):
+        ring = ring_by_name("m3gf2")
+        assert ring is matrix_star_ring(2, 3)
+        assert len(ring.elements) == 512
+        assert len(ring.mp_invertible) == 281
+        assert len(ring.regular) == 512
+        assert len(ring.idempotents) == 58  # 1 + 28 + 28 + 1 by rank
+        assert len(ring.projections) == 10
+        assert ring.is_vn_regular
+        assert not ring.is_rickart_star
+
+    def test_guard_admits_it_by_name_only(self):
+        ring = matrix_star_ring(2, 3)
+        with pytest.raises(CarrierTooLarge, match="carrier of m3x has 512 elements"):
+            FiniteStarRing("m3x", ring.elements, ring.zero, ring.one)
+
+    def test_decisions_match_the_oracle_on_a_seeded_slice(self):
+        # 100 seeded a, each with one random b and one b above a in the
+        # minus order, so every relation meets positives
+        ring = matrix_star_ring(2, 3)
+        rng = random.Random(512)
+        els = ring.elements
+        mp_set = set(ring.mp_invertible)
+        pairs = []
+        for a in rng.sample(els, 100):
+            pairs.append((a, rng.choice(els)))
+            pairs.append((a, rng.choice([b for b in els if ring.rel_minus(a, b)])))
+        holds = {"minus": 0, "1mp": 0, "mp1": 0, "diamond": 0, "plus": 0}
+        for a, b in pairs:
+            decided = {"minus": leq_minus(a, b).holds, "diamond": leq_diamond(a, b).holds}
+            oracle = {"minus": ring.rel_minus(a, b), "diamond": ring.rel_diamond(a, b)}
+            if a in mp_set:
+                decided.update({"1mp": leq_1mp(a, b).holds, "mp1": leq_mp1(a, b).holds})
+                oracle.update({"1mp": ring.rel_1mp(a, b), "mp1": ring.rel_mp1(a, b)})
+            try:
+                decided["plus"] = leq_plus(a, b).holds
+                oracle["plus"] = ring.rel_plus(a, b)
+            except NotRickart:
+                assert ring.lp(a) is None or ring.rp(a) is None
+            assert decided == oracle, (a, b)
+            for rel, value in decided.items():
+                holds[rel] += value
+        assert all(holds.values()), holds
 
 
 class TestCappedTuples:

@@ -72,7 +72,7 @@ class TestPeirce:
 
     def test_round_trip_exhaustive_z6(self):
         ring = zn_ring(6)
-        ring._build_structure()
+        ring.structure()
         for p in ring.idempotents:
             for q in ring.idempotents:
                 pair = IdempotentPair(p, q)
@@ -112,7 +112,7 @@ class TestPeirce:
         # block-multiply then recompose == recompose then multiply
         rng = random.Random(97)
         ring = zn_ring(6)
-        ring._build_structure()
+        ring.structure()
         idems = ring.idempotents
         for _ in range(200):
             p, q, g = rng.choice(idems), rng.choice(idems), rng.choice(idems)
