@@ -43,9 +43,9 @@ from .fields import GF
 from .matrix import ExactMatrix
 
 # A ring keeps two |R|^2-entry int tables: at most 250,000 entries each for a
-# carrier of 500.  Registered rings above that size are admitted by name.
+# carrier of 500.  The registered matrix rings are built from a fixed list and
+# are exempt, so m3gf2 (512 elements) is admitted.
 CARRIER_GUARD = 500
-ADMITTED_BY_NAME = {"m3gf2": 512}
 TUPLE_CAP = 1_000_000
 SAMPLE_SEED = 74207281
 MATRIX_RINGS = {(2, 2), (2, 3), (3, 2)}  # (size, p) of the registered m<size>gf<p>
@@ -150,8 +150,8 @@ def _bitset(values, target) -> int:
 class FiniteStarRing:
     """A finite *-ring on flat int operation tables with lazily cached derived data."""
 
-    def __init__(self, name, elements, zero, one):
-        if len(elements) > ADMITTED_BY_NAME.get(name, CARRIER_GUARD):
+    def __init__(self, name, elements, zero, one, registered=False):
+        if not registered and len(elements) > CARRIER_GUARD:
             raise CarrierTooLarge(f"carrier of {name} has {len(elements)} elements")
         self.name = name
         self.elements = els = tuple(elements)
@@ -173,8 +173,9 @@ class FiniteStarRing:
                 f"{name}: carrier not closed under the ring operations"
             ) from None
         n = self.n
-        # Per-index caches, filled on first use; `opposite()` shares them.  The
-        # structure sits in a one-slot list so a scan run by either ring serves both.
+        # Per-index caches, filled on first use; `opposite()` shares some of
+        # them.  The structure sits in a one-slot list so a scan run by either
+        # ring serves both.
         self._structure = [None]
         self._inner = [None] * n
         self._left_bits = [None] * n
@@ -214,10 +215,6 @@ class FiniteStarRing:
         i, m, n = self.index, self.mul_table, self.n
         return self.elements[m[m[i[a] * n + i[b]] * n + i[c]]]
 
-    def tables(self):
-        """(n, mul_table, add_table, neg_table, star_table), for index loops."""
-        return self.n, self.mul_table, self.add_table, self.neg_table, self.star_table
-
     def opposite(self) -> FiniteStarRing:
         """The same ring with multiplication reversed: a transpose of the product table.
 
@@ -225,10 +222,11 @@ class FiniteStarRing:
         table meets the axioms exactly when this one does, so they are not
         checked again.  Derived data that reversal leaves alone (idempotents,
         projections, the dagger, regularity, inner inverses) is shared, and
-        the side-dependent caches are shared with their sides swapped: a left
-        annihilator of the opposite is a right annihilator here, its 1MP
-        family is the MP1 family here, its LP(a) is RP(a) here, and its
-        corner (p, q) is the corner (q, p) here.
+        so are the annihilators and corners with their sides swapped: a left
+        annihilator of the opposite is a right annihilator here, and its
+        corner (p, q) is the corner (q, p) here.  The 1MP/MP1 families and
+        LP/RP data are not shared: the opposite scans its own table for them,
+        so the duality sweep compares two computations, not one cache.
         """
         if self._opposite is None:
             n, m = self.n, self.mul_table
@@ -236,9 +234,8 @@ class FiniteStarRing:
             opp.__dict__.update(self.__dict__)
             opp.mul_table = [x for i in range(n) for x in m[i::n]]  # row i = column i
             opp._left_bits, opp._right_bits = self._right_bits, self._left_bits
-            opp._one_mp, opp._mp_one = self._mp_one, self._one_mp
-            opp._lp_members, opp._rp_members = self._rp_members, self._lp_members
-            opp._lp, opp._rp = self._rp, self._lp
+            for attr in ("_one_mp", "_mp_one", "_lp_members", "_rp_members", "_lp", "_rp"):
+                setattr(opp, attr, [None] * n)
             opp._flipped = not self._flipped
             opp._opposite = self
             self._opposite = opp
@@ -247,7 +244,8 @@ class FiniteStarRing:
     # -- construction-time axiom verification --------------------------------
 
     def _verify_axioms(self):
-        n, mul, add, neg, star = self.tables()
+        n, mul, add = self.n, self.mul_table, self.add_table
+        neg, star = self.neg_table, self.star_table
         zero, one = self.zero_i, self.one_i
         fail = f"{self.name}: "
         for a in range(n):
@@ -338,7 +336,7 @@ class FiniteStarRing:
         return s
 
     def _scan_structure(self) -> Structure:
-        n, mul, _, _, star = self.tables()
+        n, mul, star = self.n, self.mul_table, self.star_table
         idempotents = tuple(e for e in range(n) if mul[e * n + e] == e)
         projections = tuple(e for e in idempotents if star[e] == e)
         dagger = [-1] * n
@@ -629,8 +627,7 @@ def zn_ring(n: int) -> FiniteStarRing:
 
 
 @lru_cache(maxsize=None)
-def matrix_star_ring(p: int, size: int = 2) -> FiniteStarRing:
-    """All size x size matrices over GF(p) with transpose involution: m2gf2, m2gf3, m3gf2."""
+def _matrix_ring(size: int, p: int) -> FiniteStarRing:
     if (size, p) not in MATRIX_RINGS:
         raise UnknownRing(
             f"m{size}gf{p} is not a registered backend (m2gf2, m2gf3 and m3gf2 are)"
@@ -642,7 +639,15 @@ def matrix_star_ring(p: int, size: int = 2) -> FiniteStarRing:
     ]
     zero = ExactMatrix.zeros(size, size, field)
     one = ExactMatrix.identity(size, field)
-    return FiniteStarRing(f"m{size}gf{p}", els, zero, one)
+    return FiniteStarRing(f"m{size}gf{p}", els, zero, one, registered=True)
+
+
+def matrix_star_ring(p: int, size: int = 2) -> FiniteStarRing:
+    """All size x size matrices over GF(p) with transpose involution: m2gf2, m2gf3, m3gf2."""
+    return _matrix_ring(size, p)
+
+
+matrix_star_ring.cache_clear = _matrix_ring.cache_clear  # drops every cached matrix ring
 
 
 def ring_by_name(name: str) -> FiniteStarRing:
@@ -653,14 +658,12 @@ def ring_by_name(name: str) -> FiniteStarRing:
         except ValueError:
             raise UnknownRing(f"bad ring id {name!r}") from None
         return zn_ring(n)
-    if name[:1] == "m" and name[2:4] == "gf" and name[1:2].isdigit():
+    if name[:1] == "m" and name[2:4] == "gf":
         try:
-            p = int(name[4:])
+            size, p = int(name[1]), int(name[4:])
         except ValueError:
             raise UnknownRing(f"bad ring id {name!r}") from None
-        size = int(name[1])
-        # the default size is left implicit, so m2gf<p> shares matrix_star_ring(p)'s cache entry
-        return matrix_star_ring(p) if size == 2 else matrix_star_ring(p, size)
+        return _matrix_ring(size, p)
     raise UnknownRing(f"unknown ring id {name!r}")
 
 

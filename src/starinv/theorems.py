@@ -6,14 +6,14 @@ the formula layers in inverses.py and orders.py.  A report lists how many
 instances were checked and every counterexample found (expected: none).
 
 Sweeps run on element indices over the ring's flat int tables
-(`FiniteStarRing.tables()`), and name elements by `repr` only in violations
-and notes.
+(`ring.mul_table`, `ring.add_table`, ...), and name elements by `repr` only
+in violations and notes.
 
 MP1-side statements are verified by running the corresponding 1MP sweep
 on `ring.opposite()`, the same carrier with a reversed multiplication table.
-`order_mp1_duality` checks that transport: it scans the inverse classes and
-the 1MP family of the opposite ring from its own table and compares them,
-its products and its order with those of the base ring.
+`order_mp1_duality` checks that transport: it compares the inverse classes,
+the 1MP family, products and order of the opposite ring, each computed from
+the opposite's own table, with the MP1 data of the base ring.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ def _namer(ring):
 
 def _complement(ring):
     """p |-> 1 - p on indices."""
-    n, _, add, neg, _ = ring.tables()
+    n, add, neg = ring.n, ring.add_table, ring.neg_table
     one = ring.one_i * n
     return lambda p: add[one + neg[p]]
 
@@ -65,7 +65,7 @@ def _one_mp_characterization(ring, label="one_mp_characterization"):
     """Membership in the 1MP family == solving its system == {1,2,3}-inverse."""
     start = time.perf_counter()
     s = ring.structure()
-    n, mul, _, _, _ = ring.tables()
+    n, mul = ring.n, ring.mul_table
     name = _namer(ring)
     violations = []
     checked = 0
@@ -88,7 +88,7 @@ def _one_mp_products(ring, label="one_mp_products"):
     """Products a_minus*a*dagger(a) land in {1,2,3} with the fixed marginals."""
     start = time.perf_counter()
     s = ring.structure()
-    n, mul, _, _, _ = ring.tables()
+    n, mul = ring.n, ring.mul_table
     name = _namer(ring)
     violations = []
     checked = 0
@@ -118,7 +118,7 @@ def _one_mp_family_completeness(ring, label="one_mp_family_completeness"):
     """Sweeping the free parameter from any base member fills the whole family."""
     start = time.perf_counter()
     s = ring.structure()
-    n, mul, add, neg, _ = ring.tables()
+    n, mul, add, neg = ring.n, ring.mul_table, ring.add_table, ring.neg_table
     name = _namer(ring)
     violations = []
     checked = 0
@@ -152,7 +152,7 @@ def _one_mp_condition_equivalences(ring, label="one_mp_condition_equivalences"):
     """
     start = time.perf_counter()
     s = ring.structure()
-    n, mul, _, _, star = ring.tables()
+    n, mul, star = ring.n, ring.mul_table, ring.star_table
     name = _namer(ring)
     violations = []
     checked = 0
@@ -241,7 +241,7 @@ def _one_mp_existence_projections(ring, label="one_mp_existence_projections"):
     what the hypothesis must supply.
     """
     start = time.perf_counter()
-    n, mul, _, _, _ = ring.tables()
+    n, mul = ring.n, ring.mul_table
     name = _namer(ring)
     generators = _ideal_generators(ring)
     violations = []
@@ -274,7 +274,7 @@ def _one_mp_closure(ring, label="one_mp_closure"):
     """x*a*y stays inside the 1MP family."""
     start = time.perf_counter()
     s = ring.structure()
-    n, mul, _, _, _ = ring.tables()
+    n, mul = ring.n, ring.mul_table
     name = _namer(ring)
     violations = []
     checked = 0
@@ -293,7 +293,8 @@ def _partial_isometry_solutions(ring, label="partial_isometry_solutions"):
     """For star(a) == dagger(a): the solution set of (xax == x, ax == a*star(a))."""
     start = time.perf_counter()
     s = ring.structure()
-    n, mul, add, neg, star = ring.tables()
+    n, mul, add = ring.n, ring.mul_table, ring.add_table
+    neg, star = ring.neg_table, ring.star_table
     name = _namer(ring)
     violations = []
     checked = 0
@@ -326,7 +327,7 @@ def _inner_inverse_block_form(ring, label="inner_inverse_block_form"):
     """a{1} is exactly h*a*h plus the three free corners relative to (ha, ah)."""
     start = time.perf_counter()
     s = ring.structure()
-    n, mul, add, _, _ = ring.tables()
+    n, mul, add = ring.n, ring.mul_table, ring.add_table
     name = _namer(ring)
     co = _complement(ring)
     violations = []
@@ -385,7 +386,7 @@ def _order_1mp_above_form(ring, label="order_1mp_above_form"):
     """{b : a below b} equals the image of (b4, d) |-> a - b4*d*a + b4."""
     start = time.perf_counter()
     s = ring.structure()
-    n, mul, add, neg, _ = ring.tables()
+    n, mul, add, neg = ring.n, ring.mul_table, ring.add_table, ring.neg_table
     name = _namer(ring)
     co = _complement(ring)
     violations = []
@@ -409,7 +410,8 @@ def _order_1mp_upper_inverses(ring, label="order_1mp_upper_inverses"):
     """The 1MP family of every b above a, in block coordinates."""
     start = time.perf_counter()
     s = ring.structure()
-    n, mul, add, neg, star = ring.tables()
+    n, mul, add = ring.n, ring.mul_table, ring.add_table
+    neg, star = ring.neg_table, ring.star_table
     name = _namer(ring)
     co = _complement(ring)
     violations = []
@@ -454,7 +456,7 @@ def _order_1mp_equivalences(ring, label="order_1mp_equivalences"):
     """Order membership == split witnesses == the shared-inner-inverse identity."""
     start = time.perf_counter()
     s = ring.structure()
-    n, mul, _, _, _ = ring.tables()
+    n, mul = ring.n, ring.mul_table
     name = _namer(ring)
     violations = []
     checked = 0
@@ -483,7 +485,7 @@ def _order_1mp_projection_form(ring, label="order_1mp_projection_form"):
     """
     start = time.perf_counter()
     s = ring.structure()
-    n, mul, _, _, _ = ring.tables()
+    n, mul = ring.n, ring.mul_table
     name = _namer(ring)
     generators = _ideal_generators(ring)
     violations = []
@@ -512,7 +514,7 @@ def _order_1mp_inverse_inheritance(ring, label="order_1mp_inverse_inheritance"):
     """If a is below b then z*a*y lies in a's family for all y, z above."""
     start = time.perf_counter()
     s = ring.structure()
-    n, mul, _, _, _ = ring.tables()
+    n, mul = ring.n, ring.mul_table
     name = _namer(ring)
     violations = []
     checked = 0
@@ -535,7 +537,7 @@ def _order_1mp_minus_link(ring, label="order_1mp_minus_link"):
     """1MP order == minus order plus the dagger(a)*b == dagger(a)*a condition."""
     start = time.perf_counter()
     s = ring.structure()
-    n, mul, _, _, _ = ring.tables()
+    n, mul = ring.n, ring.mul_table
     name = _namer(ring)
     violations = []
     checked = 0
@@ -567,7 +569,7 @@ def _order_mp1_duality(ring, label="order_mp1_duality"):
     start = time.perf_counter()
     s = ring.structure()
     opp = ring.opposite()
-    n, opp_mul, els = ring.n, opp.mul_table, ring.elements
+    n, mul, opp_mul = ring.n, ring.mul_table, opp.mul_table
     name = _namer(ring)
     violations = []
     checked = 0
@@ -578,15 +580,14 @@ def _order_mp1_duality(ring, label="order_mp1_duality"):
     for a in s.mp_invertible:
         d = s.dagger[a]
         inners = ring.inner_i(a)
+        ad = opp_mul[a * n + d]
+        da = mul[d * n + a] * n
         for am in inners:
             checked += 1
             # a_minus * a * dagger(a) computed in the opposite ring
-            transported = opp.mul3(els[am], els[a], els[d])
-            if transported != ring.mul3(els[d], els[a], els[am]):
+            if opp_mul[am * n + ad] != mul[da + am]:
                 violations.append(("product transport", name(a), name(am)))
-        # the opposite's 1MP family, scanned from its own table
-        ad = opp_mul[a * n + d]
-        if ring.mp_one_i(a) != frozenset(opp_mul[x * n + ad] for x in inners):
+        if ring.mp_one_i(a) != opp.one_mp_i(a):
             violations.append(("family transport", name(a)))
         for b in range(n):
             checked += 1
@@ -618,7 +619,7 @@ def _minus_idempotent_form(ring, label="minus_idempotent_form"):
     """Witness form of the minus order: a == p*b and a == b*q for idempotents."""
     start = time.perf_counter()
     s = ring.structure()
-    n, mul, _, _, _ = ring.tables()
+    n, mul = ring.n, ring.mul_table
     name = _namer(ring)
     violations = []
     checked = 0
@@ -640,7 +641,7 @@ def _minus_idempotent_form(ring, label="minus_idempotent_form"):
 def _diamond_factorization(ring, label="diamond_factorization"):
     """a*star(b)*a == a*star(a)*a iff a == lp(a)*b*rp(a), where lp/rp exist."""
     start = time.perf_counter()
-    n, mul, _, _, star = ring.tables()
+    n, mul, star = ring.n, ring.mul_table, ring.star_table
     name = _namer(ring)
     violations = []
     checked = 0
@@ -724,7 +725,7 @@ def _order_inclusions(ring, label="order_inclusions"):
 def _projection_family_form(ring, label="projection_family_form"):
     """LP(a) == {p + corner} and RP(a) == {q + corner} for any base members."""
     start = time.perf_counter()
-    n, _, add, _, _ = ring.tables()
+    n, add = ring.n, ring.add_table
     name = _namer(ring)
     co = _complement(ring)
     violations = []
@@ -753,7 +754,7 @@ def _projection_family_form(ring, label="projection_family_form"):
 def _order_plus_block_form(ring, label="order_plus_block_form"):
     """{b : a below b in the plus order} == the block-compose image."""
     start = time.perf_counter()
-    n, mul, add, neg, _ = ring.tables()
+    n, mul, add, neg = ring.n, ring.mul_table, ring.add_table, ring.neg_table
     name = _namer(ring)
     co = _complement(ring)
     left, right = ring.left_bits, ring.right_bits

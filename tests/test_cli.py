@@ -242,6 +242,10 @@ class TestPlumbing:
         assert time.perf_counter() - start < 1.0
         assert code == 2 and rep == {"status": "error", "error": "carrier of z501 has 501 elements"}
 
+    def test_ring_with_non_ascii_size_digit_exit_2(self, capsys):
+        code, rep = run_cli(capsys, "verify", "--ring", "m\u00b2gf2")
+        assert code == 2 and rep == {"status": "error", "error": "bad ring id 'm\u00b2gf2'"}
+
     def test_failed_self_check_exit_3(self, tmp_path, capsys, monkeypatch):
         from starinv import InternalCheckError
 

@@ -45,6 +45,11 @@ class TestRegistry:
         with pytest.raises(UnknownRing):
             zn_ring(1)
 
+    def test_size_must_be_an_int_literal(self):
+        for name in ("m\u00b2gf2", "mxgf2", "m3gf", "m3gfx"):
+            with pytest.raises(UnknownRing, match="bad ring id"):
+                ring_by_name(name)
+
     def test_carrier_guard(self):
         with pytest.raises(CarrierTooLarge):
             zn_ring(10_001)
@@ -289,10 +294,11 @@ class TestM3GF2:
         assert ring.is_vn_regular
         assert not ring.is_rickart_star
 
-    def test_guard_admits_it_by_name_only(self):
+    def test_guard_admits_only_the_registered_build(self):
         ring = matrix_star_ring(2, 3)
-        with pytest.raises(CarrierTooLarge, match="carrier of m3x has 512 elements"):
-            FiniteStarRing("m3x", ring.elements, ring.zero, ring.one)
+        for name in ("m3x", "m3gf2"):
+            with pytest.raises(CarrierTooLarge, match=f"carrier of {name} has 512 elements"):
+                FiniteStarRing(name, ring.elements, ring.zero, ring.one)
 
     def test_decisions_match_the_oracle_on_a_seeded_slice(self):
         # 100 seeded a, each with one random b and one b above a in the

@@ -78,6 +78,27 @@ def test_duality_fails_when_the_opposite_is_the_ring_itself(monkeypatch):
     assert {v[0] for v in rep.violations} >= {"class transport", "order transport"}
 
 
+def test_duality_catches_a_faulty_mp1_scan_in_the_full_registry(monkeypatch):
+    # The fault is in the scan, not in the cached result, so it only shows if
+    # the ring fills its own MP1 cache rather than reading one the opposite
+    # ring's 1MP sweeps filled earlier in the run.
+    scan = FiniteStarRing.mp_one_i
+
+    def dropping_scan(self, a):
+        if self._mp_one[a] is None:
+            family = scan(self, a)
+            self._mp_one[a] = family - {min(family)} if len(family) > 1 else family
+        return self._mp_one[a]
+
+    monkeypatch.setattr(FiniteStarRing, "mp_one_i", dropping_scan)
+    base = matrix_star_ring(2)
+    ring = FiniteStarRing(base.name, base.elements, base.zero, base.one)
+    reports = {r.theorem: r for r in verify_all(ring)}
+    duality = reports["order_mp1_duality"]
+    assert not duality.passed
+    assert {v[0] for v in duality.violations} >= {"family transport", "order transport"}
+
+
 def test_z4_small_ring_runs():
     rep = verify_theorem(zn_ring(4), "one_mp_characterization")
     assert rep.passed
