@@ -3,10 +3,18 @@
 Rational scalars are `fractions.Fraction` (always in lowest terms with a
 positive denominator); GF(p) scalars are plain ints in [0, p).  A field
 object bundles the scalar arithmetic, parsing and formatting of the exact
-string form used by the CLI ("-7/2", "3"), and the two matrix kernels that
-`matrix.py` is built on: `matmul` and `row_reduce`.  The kernels may work
-on other representations inside (the rational ones on integer-scaled rows
-and columns), but every entry they return is canonical.
+string form used by the CLI ("-7/2", "3"), and the matrix kernels that
+`matrix.py` is built on.
+
+The kernels work on a matrix's packed form: a row-major tuple of ints
+`nums` and one int `den > 0`, the matrix being nums / den.  Each field owns
+its format.  `RationalField` keeps it canonical: `gcd(den, *nums) == 1`, so
+the zero matrix has den 1 and equal matrices have equal packed forms.
+`PrimeField` keeps the residues themselves with den 1.  Every field has
+`pack(values)` and `unpack(nums, den)` between scalars and packed form, the
+matrix kernels `matmul`, `matadd`, `matsub` and `matneg`, and the
+elimination kernels `row_reduce` and `rank`; no kernel builds a scalar
+object.
 """
 
 from __future__ import annotations
@@ -48,10 +56,12 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _integer_scaled(values):
-    """(d, ints) with d the lcm of the denominators and ints[i] == values[i] * d."""
-    d = lcm(*(x.denominator for x in values))
-    return d, [x.numerator * (d // x.denominator) for x in values]
+def lowest_terms(nums, den):
+    """The packed form (tuple(nums), den) divided by gcd(den, *nums); den > 0."""
+    g = gcd(den, *nums)
+    if g == 1:
+        return tuple(nums), den
+    return tuple([v // g for v in nums]), den // g
 
 
 class RationalField:
@@ -98,31 +108,55 @@ class RationalField:
     def to_str(self, a) -> str:
         return str(a)
 
-    def matmul(self, a, b, n, k, m):
-        """Row-major entries of the n x m product of row-major n x k `a` and k x m `b`.
+    # -- packed matrices: nums / den, canonical --------------------------------
 
-        Each row of a and each column of b is scaled to integers by the lcm
-        of its denominators, so an entry is one integer dot product and one
-        normalisation instead of a gcd per scalar operation.
+    def pack(self, values):
+        """Canonical (nums, den) of a row-major sequence of ints and Fractions.
+
+        den is the lcm of the denominators, so no gcd is needed: a prime
+        dividing den divides some denominator d_i to its full power in den,
+        and then not den // d_i, nor the numerator coprime to d_i.
         """
-        rows = [_integer_scaled(a[i * k : (i + 1) * k]) for i in range(n)]
-        cols = [_integer_scaled(b[j::m]) for j in range(m)]
-        return [
-            Fraction(sum(map(mul, r, c)), dr * dc) for dr, r in rows for dc, c in cols
-        ]
+        values = list(values)
+        den = lcm(*(x.denominator for x in values))
+        return tuple([x.numerator * (den // x.denominator) for x in values]), den
 
-    def row_reduce(self, rows):
-        """Reduced row-echelon form of a list of rows, and its pivot columns.
+    def unpack(self, nums, den):
+        """The entries of a packed matrix as canonical Fractions."""
+        return tuple([Fraction(v, den) for v in nums])
 
-        Fraction-free Gauss-Jordan: each row is scaled to integers, a row
-        is eliminated as pv*x - f*y and divided by the gcd of its entries,
-        and only the pivot rows are divided by their pivots at the end.
-        Every row stays a nonzero multiple of the row textbook elimination
-        holds, so the pivots, and the (unique) RREF, are the same.
+    def matmul(self, an, ad, bn, bd, n, k, m):
+        """Packed n x m product of packed n x k (an, ad) and k x m (bn, bd).
+
+        The integer product of the numerators over ad * bd, reduced once.
         """
-        m = [_integer_scaled(row)[1] for row in rows]
-        nrows = len(m)
-        ncols = len(m[0]) if m else 0
+        rows = [an[i * k : (i + 1) * k] for i in range(n)]
+        cols = [bn[j::m] for j in range(m)]
+        return lowest_terms([sum(map(mul, r, c)) for r in rows for c in cols], ad * bd)
+
+    def matadd(self, an, ad, bn, bd):
+        d = lcm(ad, bd)
+        sa, sb = d // ad, d // bd
+        return lowest_terms([x * sa + y * sb for x, y in zip(an, bn)], d)
+
+    def matsub(self, an, ad, bn, bd):
+        d = lcm(ad, bd)
+        sa, sb = d // ad, d // bd
+        return lowest_terms([x * sa - y * sb for x, y in zip(an, bn)], d)
+
+    def matneg(self, nums):
+        return tuple([-v for v in nums])
+
+    @staticmethod
+    def _eliminate(nums, nrows, ncols, full):
+        """Fraction-free Gauss(-Jordan) elimination on the integer rows of nums.
+
+        A row is eliminated as pv*x - f*y and divided by the gcd of its
+        entries.  Every row stays a positive multiple of the row textbook
+        elimination holds, so the pivots are the same.  With full=False
+        only the rows below each pivot are eliminated (enough for the rank).
+        """
+        m = [list(nums[i * ncols : (i + 1) * ncols]) for i in range(nrows)]
         pivots = []
         r = 0
         for c in range(ncols):
@@ -135,7 +169,7 @@ class RationalField:
                 m[r], m[pr] = m[pr], m[r]
             y = m[r]
             pv = y[c]
-            for i in range(nrows):
+            for i in range(nrows) if full else range(r + 1, nrows):
                 f = m[i][c]
                 if i != r and f:
                     x = [pv * xv - f * yv for xv, yv in zip(m[i], y)]
@@ -143,9 +177,34 @@ class RationalField:
                     m[i] = [v // g for v in x] if g > 1 else x
             pivots.append(c)
             r += 1
-        out = [[Fraction(v, m[i][c]) for v in m[i]] for i, c in enumerate(pivots)]
-        out += [[self.zero] * ncols for _ in range(nrows - r)]
-        return out, pivots
+        return m, pivots
+
+    def row_reduce(self, nums, nrows, ncols):
+        """Packed reduced row-echelon form of a packed matrix, and its pivot columns.
+
+        The den of the input plays no part: scaling every row leaves the
+        RREF alone.  Pivot row i ends as x_i / p_i with x_i primitive and
+        p_i > 0 its pivot entry; over den = lcm(p_i) the result is canonical
+        by the argument of `pack`.
+        """
+        m, pivots = self._eliminate(nums, nrows, ncols, True)
+        rows = []
+        for i, c in enumerate(pivots):
+            g = gcd(*m[i])
+            if m[i][c] < 0:
+                g = -g
+            rows.append([v // g for v in m[i]])
+        den = lcm(*(row[c] for row, c in zip(rows, pivots)))
+        out = []
+        for row, c in zip(rows, pivots):
+            s = den // row[c]
+            out += row if s == 1 else [v * s for v in row]
+        out += [0] * ((nrows - len(pivots)) * ncols)
+        return tuple(out), den, pivots
+
+    def rank(self, nums, nrows, ncols):
+        """Rank of a packed matrix: forward elimination only, no RREF built."""
+        return len(self._eliminate(nums, nrows, ncols, False)[1])
 
     def __reduce__(self):
         # Unpickle to the module singleton QQ: fields compare by identity.
@@ -204,21 +263,36 @@ class PrimeField:
     def to_str(self, a) -> str:
         return str(a % self.p)
 
-    def matmul(self, a, b, n, k, m):
-        """Row-major entries of the n x m product of row-major n x k `a` and k x m `b`.
+    # -- packed matrices: the residues themselves, den 1 ------------------------
 
-        One integer dot product and one reduction mod p per entry.
-        """
+    def pack(self, values):
+        return tuple(values), 1
+
+    def unpack(self, nums, den):
+        return nums
+
+    def matmul(self, an, ad, bn, bd, n, k, m):
+        """Packed n x m product: one integer dot product and one reduction mod p per entry."""
         p = self.p
-        rows = [a[i * k : (i + 1) * k] for i in range(n)]
-        cols = [b[j::m] for j in range(m)]
-        return [sum(map(mul, r, c)) % p for r in rows for c in cols]
+        rows = [an[i * k : (i + 1) * k] for i in range(n)]
+        cols = [bn[j::m] for j in range(m)]
+        return tuple([sum(map(mul, r, c)) % p for r in rows for c in cols]), 1
 
-    def row_reduce(self, rows):
-        """Reduced row-echelon form of a list of rows, and its pivot columns."""
-        m = [list(row) for row in rows]
-        nrows = len(m)
-        ncols = len(m[0]) if m else 0
+    def matadd(self, an, ad, bn, bd):
+        p = self.p
+        return tuple([(x + y) % p for x, y in zip(an, bn)]), 1
+
+    def matsub(self, an, ad, bn, bd):
+        p = self.p
+        return tuple([(x - y) % p for x, y in zip(an, bn)]), 1
+
+    def matneg(self, nums):
+        p = self.p
+        return tuple([-v % p for v in nums])
+
+    def _eliminate(self, nums, nrows, ncols, full):
+        """Gauss(-Jordan) elimination mod p; full=False clears below the pivots only."""
+        m = [list(nums[i * ncols : (i + 1) * ncols]) for i in range(nrows)]
         pivots = []
         r = 0
         for c in range(ncols):
@@ -231,13 +305,22 @@ class PrimeField:
                 m[r], m[pr] = m[pr], m[r]
             inv_p = self.inv(m[r][c])
             m[r] = [self.mul(inv_p, v) for v in m[r]]
-            for i in range(nrows):
+            for i in range(nrows) if full else range(r + 1, nrows):
                 if i != r and m[i][c] != 0:
                     factor = m[i][c]
                     m[i] = [self.sub(x, self.mul(factor, y)) for x, y in zip(m[i], m[r])]
             pivots.append(c)
             r += 1
         return m, pivots
+
+    def row_reduce(self, nums, nrows, ncols):
+        """Packed reduced row-echelon form of a packed matrix, and its pivot columns."""
+        m, pivots = self._eliminate(nums, nrows, ncols, True)
+        return tuple([v for row in m for v in row]), 1, pivots
+
+    def rank(self, nums, nrows, ncols):
+        """Rank of a packed matrix: forward elimination only."""
+        return len(self._eliminate(nums, nrows, ncols, False)[1])
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

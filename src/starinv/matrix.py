@@ -4,15 +4,21 @@ The involution is plain transpose, which is a legitimate *-ring involution
 over these fields and keeps every identity in the package exactly checkable.
 No floating point exists anywhere in this module.
 
-Products and row reduction are the field's kernels (`field.matmul`,
-`field.row_reduce` in `fields.py`); `ExactMatrix.__mul__` and `rref` only
-carry shapes.  Entries are canonical at this boundary: `Fraction` in lowest
-terms over the rationals, residues in [0, p) over GF(p).
+A matrix holds its field's packed form (see `fields.py`): a row-major int
+tuple `nums` and an int `den > 0`, the matrix being nums / den.  Over the
+rationals it is canonical (`gcd(den, *nums) == 1`), so `==` and `hash`
+compare ints; over GF(p), `nums` are the residues and den is 1.  Products,
+sums and row reduction are the field's kernels (`matmul`, `matadd`,
+`matsub`, `matneg`, `row_reduce`, `rank`); this module carries shapes and
+does the structural work (transpose, stacking, selection) on packed forms.
+`entries` gives the scalars (canonical `Fraction`s over the rationals,
+residues over GF(p)); it is built on first read and cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Optional
 
 from .errors import (
@@ -21,24 +27,36 @@ from .errors import (
     NotMPInvertible,
     RingMismatch,
 )
-from .fields import QQ
+from .fields import QQ, lowest_terms
 
 
 class ExactMatrix:
     """Immutable m x n matrix with exact entries and transpose involution."""
 
-    __slots__ = ("rows", "cols", "entries", "field", "_hash")
+    __slots__ = ("rows", "cols", "field", "nums", "den", "_entries", "_hash")
 
     def __init__(self, rows, cols, entries, field):
         self.rows = rows
         self.cols = cols
-        self.entries = tuple(entries)
         self.field = field
-        if len(self.entries) != rows * cols:
-            raise DimensionMismatch(
-                f"expected {rows * cols} entries, got {len(self.entries)}"
-            )
+        self.nums, self.den = field.pack(entries)
+        if len(self.nums) != rows * cols:
+            raise DimensionMismatch(f"expected {rows * cols} entries, got {len(self.nums)}")
+        self._entries = None
         self._hash = None
+
+    @classmethod
+    def _packed(cls, rows, cols, nums, den, field) -> "ExactMatrix":
+        """A matrix from a packed form that is already canonical (a kernel's output)."""
+        m = object.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m.field = field
+        m.nums = nums
+        m.den = den
+        m._entries = None
+        m._hash = None
+        return m
 
     @classmethod
     def from_rows(cls, row_lists, field=QQ) -> "ExactMatrix":
@@ -54,14 +72,22 @@ class ExactMatrix:
 
     @classmethod
     def zeros(cls, rows, cols, field=QQ) -> "ExactMatrix":
-        return cls(rows, cols, [field.zero] * (rows * cols), field)
+        return cls._packed(rows, cols, (0,) * (rows * cols), 1, field)
 
     @classmethod
     def identity(cls, n, field=QQ) -> "ExactMatrix":
-        ents = [field.one if i == j else field.zero for i in range(n) for j in range(n)]
-        return cls(n, n, ents, field)
+        nums = tuple([int(i == j) for i in range(n) for j in range(n)])
+        return cls._packed(n, n, nums, 1, field)
 
     # -- basic access ------------------------------------------------------
+
+    @property
+    def entries(self):
+        """Row-major scalars: canonical Fractions over the rationals, residues over GF(p)."""
+        e = self._entries
+        if e is None:
+            e = self._entries = self.field.unpack(self.nums, self.den)
+        return e
 
     def __getitem__(self, key):
         i, j = key
@@ -83,44 +109,41 @@ class ExactMatrix:
 
     @property
     def is_zero(self) -> bool:
-        z = self.field.zero
-        return all(e == z for e in self.entries)
+        return not any(self.nums)
 
     # -- ring structure ----------------------------------------------------
 
     def _check_ring(self, other):
         if not isinstance(other, ExactMatrix):
             raise RingMismatch(f"cannot combine ExactMatrix with {type(other).__name__}")
-        if other.field != self.field:
+        if other.field is not self.field and other.field != self.field:
             raise RingMismatch(f"field mismatch: {self.field.name} vs {other.field.name}")
 
     def __add__(self, other):
         self._check_ring(other)
         if other.shape != self.shape:
             raise DimensionMismatch(f"add {self.shape} + {other.shape}")
-        add = self.field.add
-        ents = [add(a, b) for a, b in zip(self.entries, other.entries)]
-        return ExactMatrix(self.rows, self.cols, ents, self.field)
+        nums, den = self.field.matadd(self.nums, self.den, other.nums, other.den)
+        return ExactMatrix._packed(self.rows, self.cols, nums, den, self.field)
 
     def __sub__(self, other):
         self._check_ring(other)
         if other.shape != self.shape:
             raise DimensionMismatch(f"sub {self.shape} - {other.shape}")
-        sub = self.field.sub
-        ents = [sub(a, b) for a, b in zip(self.entries, other.entries)]
-        return ExactMatrix(self.rows, self.cols, ents, self.field)
+        nums, den = self.field.matsub(self.nums, self.den, other.nums, other.den)
+        return ExactMatrix._packed(self.rows, self.cols, nums, den, self.field)
 
     def __neg__(self):
-        neg = self.field.neg
-        return ExactMatrix(self.rows, self.cols, [neg(a) for a in self.entries], self.field)
+        nums = self.field.matneg(self.nums)
+        return ExactMatrix._packed(self.rows, self.cols, nums, self.den, self.field)
 
     def __mul__(self, other):
         self._check_ring(other)
         if self.cols != other.rows:
             raise DimensionMismatch(f"mul {self.shape} * {other.shape}")
         n, k, m = self.rows, self.cols, other.cols
-        ents = self.field.matmul(self.entries, other.entries, n, k, m)
-        return ExactMatrix(n, m, ents, self.field)
+        nums, den = self.field.matmul(self.nums, self.den, other.nums, other.den, n, k, m)
+        return ExactMatrix._packed(n, m, nums, den, self.field)
 
     def scale(self, scalar):
         c = self.field.of(scalar)
@@ -130,21 +153,25 @@ class ExactMatrix:
     @property
     def star(self) -> "ExactMatrix":
         """Transpose: the involution of this *-ring."""
-        ents = [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)]
-        return ExactMatrix(self.cols, self.rows, ents, self.field)
+        nums = self.nums
+        cols = self.cols
+        t = tuple([nums[i * cols + j] for j in range(cols) for i in range(self.rows)])
+        return ExactMatrix._packed(cols, self.rows, t, self.den, self.field)
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         return (
-            self.field == other.field
-            and self.shape == other.shape
-            and self.entries == other.entries
+            self.den == other.den
+            and self.nums == other.nums
+            and self.rows == other.rows
+            and self.cols == other.cols
+            and (self.field is other.field or self.field == other.field)
         )
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.field.name, self.rows, self.cols, self.entries))
+            self._hash = hash((self.field.name, self.rows, self.cols, self.den, self.nums))
         return self._hash
 
     def __reduce__(self):
@@ -160,15 +187,27 @@ class ExactMatrix:
 
 
 def hstack(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """[a | b]; over den = lcm(a.den, b.den) the packed form stays canonical."""
     if a.field != b.field:
         raise RingMismatch("field mismatch in hstack")
     if a.rows != b.rows:
         raise DimensionMismatch("row count mismatch in hstack")
-    ents = []
+    den = lcm(a.den, b.den)
+    an = a.nums if den == a.den else [v * (den // a.den) for v in a.nums]
+    bn = b.nums if den == b.den else [v * (den // b.den) for v in b.nums]
+    ac, bc = a.cols, b.cols
+    nums = []
     for i in range(a.rows):
-        ents.extend(a.row_list(i))
-        ents.extend(b.row_list(i))
-    return ExactMatrix(a.rows, a.cols + b.cols, ents, a.field)
+        nums += an[i * ac : (i + 1) * ac]
+        nums += bn[i * bc : (i + 1) * bc]
+    return ExactMatrix._packed(a.rows, ac + bc, tuple(nums), den, a.field)
+
+
+def select(a: ExactMatrix, rows, cols) -> ExactMatrix:
+    """The submatrix of a on the given row and column indices, in that order."""
+    nums, n = a.nums, a.cols
+    sub = [nums[i * n + j] for i in rows for j in cols]
+    return ExactMatrix._packed(len(rows), len(cols), *lowest_terms(sub, a.den), a.field)
 
 
 def embed_square(a: ExactMatrix) -> ExactMatrix:
@@ -176,12 +215,12 @@ def embed_square(a: ExactMatrix) -> ExactMatrix:
     n = max(a.rows, a.cols)
     if a.shape == (n, n):
         return a
-    z = a.field.zero
-    ents = []
-    for i in range(n):
-        for j in range(n):
-            ents.append(a[i, j] if i < a.rows and j < a.cols else z)
-    return ExactMatrix(n, n, ents, a.field)
+    nums = []
+    for i in range(a.rows):
+        nums += a.nums[i * a.cols : (i + 1) * a.cols]
+        nums += [0] * (n - a.cols)
+    nums += [0] * ((n - a.rows) * n)
+    return ExactMatrix._packed(n, n, tuple(nums), a.den, a.field)
 
 
 # -- elimination ------------------------------------------------------------
@@ -189,13 +228,13 @@ def embed_square(a: ExactMatrix) -> ExactMatrix:
 
 def rref(a: ExactMatrix):
     """Reduced row-echelon form and pivot columns, exactly over the field."""
-    rows, pivots = a.field.row_reduce([a.row_list(i) for i in range(a.rows)])
-    return ExactMatrix(a.rows, a.cols, [v for row in rows for v in row], a.field), pivots
+    nums, den, pivots = a.field.row_reduce(a.nums, a.rows, a.cols)
+    return ExactMatrix._packed(a.rows, a.cols, nums, den, a.field), pivots
 
 
 def rank(a: ExactMatrix) -> int:
-    """Exact rank over the matrix's field."""
-    return len(rref(a)[1])
+    """Exact rank over the matrix's field, from the elimination alone."""
+    return a.field.rank(a.nums, a.rows, a.cols)
 
 
 def inverse(a: ExactMatrix) -> ExactMatrix:
@@ -206,10 +245,7 @@ def inverse(a: ExactMatrix) -> ExactMatrix:
     red, pivots = rref(hstack(a, ExactMatrix.identity(n, a.field)))
     if pivots != list(range(n)):  # the augmented block always has n pivots
         raise ZeroDivisionError("matrix is singular")
-    ents = []
-    for i in range(n):
-        ents.extend(red.row_list(i)[n:])
-    return ExactMatrix(n, n, ents, a.field)
+    return select(red, range(n), range(n, 2 * n))
 
 
 def inner_inverse(a: ExactMatrix) -> ExactMatrix:
@@ -220,54 +256,53 @@ def inner_inverse(a: ExactMatrix) -> ExactMatrix:
     """
     m, n = a.shape
     red, pivots = rref(hstack(a, ExactMatrix.identity(m, a.field)))
-    rows = [[a.field.zero] * m for _ in range(n)]
+    width = n + m
+    nums = [0] * (n * m)
     for i, c in enumerate(pivots):
         if c >= n:
             break
-        rows[c] = red.row_list(i)[n:]
-    return ExactMatrix(n, m, [v for row in rows for v in row], a.field)
+        nums[c * m : (c + 1) * m] = red.nums[i * width + n : (i + 1) * width]
+    return ExactMatrix._packed(n, m, *lowest_terms(nums, red.den), a.field)
 
 
 @dataclass(frozen=True)
 class RankFactorization:
     """a = F*G with F of full column rank r and G of full row rank r.
 
-    Rank zero is represented by empty factor lists; the m x 0 by 0 x n
+    F is the columns of a at the pivots of its RREF and G the nonzero RREF
+    rows.  Rank zero has no factors (f and g are None); the m x 0 by 0 x n
     product is the zero matrix by convention.
     """
 
-    f_columns: tuple  # r columns, each a tuple of length m
-    g_rows: tuple  # r rows, each a tuple of length n
+    f: Optional[ExactMatrix]  # m x r
+    g: Optional[ExactMatrix]  # r x n
+    pivots: tuple  # the pivot columns of a
     r: int
     rows: int
     cols: int
     field: object
 
     def f_matrix(self) -> Optional[ExactMatrix]:
-        if self.r == 0:
-            return None
-        ents = [self.f_columns[j][i] for i in range(self.rows) for j in range(self.r)]
-        return ExactMatrix(self.rows, self.r, ents, self.field)
+        return self.f
 
     def g_matrix(self) -> Optional[ExactMatrix]:
-        if self.r == 0:
-            return None
-        ents = [v for row in self.g_rows for v in row]
-        return ExactMatrix(self.r, self.cols, ents, self.field)
+        return self.g
 
     def product(self) -> ExactMatrix:
         if self.r == 0:
             return ExactMatrix.zeros(self.rows, self.cols, self.field)
-        return self.f_matrix() * self.g_matrix()
+        return self.f * self.g
 
 
 def full_rank_factorize(a: ExactMatrix) -> RankFactorization:
     """Factor a into pivot columns (F) times nonzero RREF rows (G)."""
     red, pivots = rref(a)
     r = len(pivots)
-    f_columns = tuple(tuple(a[i, c] for i in range(a.rows)) for c in pivots)
-    g_rows = tuple(tuple(red.row_list(i)) for i in range(r))
-    fact = RankFactorization(f_columns, g_rows, r, a.rows, a.cols, a.field)
+    f = g = None
+    if r:
+        f = select(a, range(a.rows), pivots)
+        g = select(red, range(r), range(a.cols))
+    fact = RankFactorization(f, g, tuple(pivots), r, a.rows, a.cols, a.field)
     if fact.product() != a:
         raise InternalCheckError("rank factorization does not reproduce the matrix")
     return fact

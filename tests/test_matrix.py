@@ -36,7 +36,7 @@ from starinv.matrix import (
     solve_matrix_equations,
 )
 
-from conftest import M, random_rational_matrix
+from conftest import M, random_rational_matrix, random_singular_matrix
 
 
 class TestArithmetic:
@@ -251,6 +251,87 @@ class TestKernels:
             assert (list(red.entries), pivots) == _textbook_rref(a)
             assert red.shape == a.shape
             self._assert_canonical(red)
+            assert rank(a) == len(pivots)
+
+
+def _assert_packed(m):
+    """The canonical packed form: int nums over one den > 0 with gcd(den, *nums) == 1."""
+    assert type(m.nums) is tuple and len(m.nums) == m.rows * m.cols
+    assert all(type(v) is int for v in m.nums)
+    assert type(m.den) is int and m.den > 0
+    assert gcd(m.den, *m.nums) == 1
+    if not any(m.nums):
+        assert m.den == 1
+
+
+class TestPackedForm:
+    """Rational matrices hold nums / den in lowest terms after every operation."""
+
+    @staticmethod
+    def _cases(rng):
+        cases = [
+            M([["1/2", "1/2"], ["1/4", "-1/4"]]),
+            M([["2/3", 0], [0, "3/2"]]),
+            M([[6, 4], [2, 8]]),
+            ExactMatrix.zeros(2, 2),
+            random_singular_matrix(rng, 4, 2),
+        ]
+        cases += [random_rational_matrix(rng, n, n) for n in (1, 2, 3, 5)]
+        return cases
+
+    def test_operations_keep_the_canonical_form(self):
+        rng = random.Random(61)
+        cases = self._cases(rng)
+        for a in cases:
+            b = random_rational_matrix(rng, a.rows, a.cols)
+            results = [a, a * a.star, a.star * a, a + b, a - b, b - b, a - a, a + (-a), a.star]
+            results += [rref(a)[0], inner_inverse(a), mp_inverse(a)]
+            if rank(a) == a.rows == a.cols:
+                results.append(inverse(a))
+            for m in results:
+                _assert_packed(m)
+        # products that cancel to integers, to zero, and the 3x0 by 0x4 product
+        half = M([["1/2", "1/2"]])
+        _assert_packed(half * M([[1], [-1]]))
+        _assert_packed(M([["2/3"]]) * M([["3/2"]]))
+        empty = ExactMatrix(3, 0, [], QQ) * ExactMatrix(0, 4, [], QQ)
+        _assert_packed(empty)
+        assert empty == ExactMatrix.zeros(3, 4)
+
+    def test_from_rows_and_constructor_pack(self):
+        for m in (
+            M([["1/2", "1/3"], ["-5/6", 7]]),
+            M([[2, 4], [6, 8]]),
+            ExactMatrix(1, 3, [Fraction(2, 4), 3, Fraction(-9, 6)], QQ),
+        ):
+            _assert_packed(m)
+        m = M([["1/2", "1/3"], ["-5/6", 7]])
+        assert (m.nums, m.den) == ((3, 2, -5, 42), 6)
+
+    def test_entries_are_lowest_terms_fractions(self):
+        rng = random.Random(67)
+        for a in self._cases(rng):
+            for m in (a, a * a.star, rref(a)[0], mp_inverse(a)):
+                assert len(m.entries) == m.rows * m.cols
+                for e in m.entries:
+                    assert type(e) is Fraction
+                    assert e.denominator > 0 and gcd(e.numerator, e.denominator) == 1
+                assert m.entries is m.entries  # built once
+                assert m == ExactMatrix(m.rows, m.cols, m.entries, QQ)
+
+    def test_built_and_computed_matrices_agree(self):
+        a = M([["1/2", "1/3"], [2, "-3/4"]])
+        b = M([[2, "1/5"], ["4/7", 3]])
+        built = M([["25/21", "11/10"], ["25/7", "-37/20"]])  # a*b worked by hand
+        product = a * b
+        assert built == product and product == built
+        assert hash(built) == hash(product)
+        assert product in {built} and built in {product}
+        assert len({built, product, M([[1, 0], [0, 1]])}) == 2
+        # equal values with different arithmetic histories
+        assert M([["1/3"]]) * M([[3]]) == ExactMatrix.identity(1)
+        assert hash(M([["1/3"]]) * M([[3]])) == hash(ExactMatrix.identity(1))
+        assert (a - a) == ExactMatrix.zeros(2, 2) and hash(a - a) == hash(ExactMatrix.zeros(2, 2))
 
 
 class TestInnerInverse:

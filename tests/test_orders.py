@@ -339,6 +339,58 @@ class TestMP1Order:
         assert outcomes == {True, False}
 
 
+class TestRationalDecidePath:
+    """What a rational decision computes: the witness self-checks compute each
+    product once, and no Fraction is built."""
+
+    @pytest.mark.parametrize(
+        "relation, most", [(leq_minus, 9), (leq_1mp, 29), (leq_mp1, 35)], ids=["minus", "1mp", "mp1"]
+    )
+    def test_products_per_positive_decision(self, monkeypatch, relation, most):
+        # ExactMatrix.__mul__ calls per positive n = 8 decision, dagger(a) included
+        rng = random.Random(5)
+        n = 8
+        eye = ExactMatrix.identity(n)
+        a = random_singular_matrix(rng, n, 4)
+        d = dagger(a)
+        p, q = a * d, d * a
+        b4 = (eye - p) * random_rational_matrix(rng, n, n) * (eye - q)
+        if relation is leq_mp1:
+            b = a - a * (q * random_rational_matrix(rng, n, n) * (eye - p)) * b4 + b4
+        else:
+            b = a - b4 * ((eye - q) * random_rational_matrix(rng, n, n) * p) * a + b4
+        calls = []
+        mul = ExactMatrix.__mul__
+
+        def counting_mul(x, y):
+            calls.append(None)
+            return mul(x, y)
+
+        monkeypatch.setattr(ExactMatrix, "__mul__", counting_mul)
+        assert relation(a, b).holds
+        assert len(calls) <= most
+        if relation is leq_minus:
+            assert len(calls) == most
+
+    def test_rational_decisions_build_no_fraction(self, monkeypatch):
+        # decisions run on the packed integer form; only reading entries makes Fractions
+        import starinv.fields as fields
+
+        rng = random.Random(7)
+        pairs = []
+        for n in (2, 3, 4):
+            a = random_singular_matrix(rng, n, n - 1)
+            pairs += [(a, a), (a, a + random_singular_matrix(rng, n, 1)), (a, random_rational_matrix(rng, n, n))]
+
+        def no_fraction(*args):
+            raise AssertionError("a Fraction was built on the decide path")
+
+        monkeypatch.setattr(fields, "Fraction", no_fraction)
+        for a, b in pairs:
+            for relation in (leq_minus, leq_1mp, leq_mp1, leq_diamond, leq_plus):
+                relation(a, b)
+
+
 class TestDiamondOrder:
     def test_holds_example(self):
         v = leq_diamond(DIAG10, EYE2)
