@@ -292,6 +292,7 @@ class PrimeField:
 
     def _eliminate(self, nums, nrows, ncols, full):
         """Gauss(-Jordan) elimination mod p; full=False clears below the pivots only."""
+        p = self.p
         m = [list(nums[i * ncols : (i + 1) * ncols]) for i in range(nrows)]
         pivots = []
         r = 0
@@ -303,12 +304,12 @@ class PrimeField:
                 continue
             if pr != r:
                 m[r], m[pr] = m[pr], m[r]
-            inv_p = self.inv(m[r][c])
-            m[r] = [self.mul(inv_p, v) for v in m[r]]
+            inv = pow(m[r][c], -1, p)
+            y = m[r] = [v * inv % p for v in m[r]]
             for i in range(nrows) if full else range(r + 1, nrows):
-                if i != r and m[i][c] != 0:
-                    factor = m[i][c]
-                    m[i] = [self.sub(x, self.mul(factor, y)) for x, y in zip(m[i], m[r])]
+                f = m[i][c]
+                if i != r and f != 0:
+                    m[i] = [(x - f * yv) % p for x, yv in zip(m[i], y)]
             pivots.append(c)
             r += 1
         return m, pivots

@@ -138,13 +138,21 @@ def _(x: ZnElement):
 Structure = namedtuple("Structure", "idempotents projections dagger mp_invertible regular")
 
 
-def _bitset(values, target) -> int:
+def bitset(values, target) -> int:
     """The int with bit x set where values[x] == target."""
     bits = 0
     for x, v in enumerate(values):
         if v == target:
             bits |= 1 << x
     return bits
+
+
+def bit_indices(bits):
+    """The positions of the set bits of a nonnegative int, ascending."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
 
 
 class FiniteStarRing:
@@ -182,6 +190,7 @@ class FiniteStarRing:
         self._right_bits = [None] * n
         self._one_mp = [None] * n
         self._mp_one = [None] * n
+        self._penrose_bits = [None] * n
         self._lp_members = [None] * n
         self._rp_members = [None] * n
         self._lp = [None] * n
@@ -224,9 +233,10 @@ class FiniteStarRing:
         projections, the dagger, regularity, inner inverses) is shared, and
         so are the annihilators and corners with their sides swapped: a left
         annihilator of the opposite is a right annihilator here, and its
-        corner (p, q) is the corner (q, p) here.  The 1MP/MP1 families and
-        LP/RP data are not shared: the opposite scans its own table for them,
-        so the duality sweep compares two computations, not one cache.
+        corner (p, q) is the corner (q, p) here.  The 1MP/MP1 families, the
+        Penrose-equation bitsets and LP/RP data are not shared: the opposite
+        scans its own table for them, so the duality sweep compares two
+        computations, not one cache.
         """
         if self._opposite is None:
             n, m = self.n, self.mul_table
@@ -234,7 +244,9 @@ class FiniteStarRing:
             opp.__dict__.update(self.__dict__)
             opp.mul_table = [x for i in range(n) for x in m[i::n]]  # row i = column i
             opp._left_bits, opp._right_bits = self._right_bits, self._left_bits
-            for attr in ("_one_mp", "_mp_one", "_lp_members", "_rp_members", "_lp", "_rp"):
+            for attr in (
+                "_one_mp", "_mp_one", "_penrose_bits", "_lp_members", "_rp_members", "_lp", "_rp"
+            ):
                 setattr(opp, attr, [None] * n)
             opp._flipped = not self._flipped
             opp._opposite = self
@@ -304,7 +316,7 @@ class FiniteStarRing:
         """Bitset of {x : x*a == 0}."""
         bits = self._left_bits[a]
         if bits is None:
-            bits = self._left_bits[a] = _bitset(self.mul_table[a :: self.n], self.zero_i)
+            bits = self._left_bits[a] = bitset(self.mul_table[a :: self.n], self.zero_i)
         return bits
 
     def right_bits(self, a) -> int:
@@ -312,7 +324,7 @@ class FiniteStarRing:
         bits = self._right_bits[a]
         if bits is None:
             n = self.n
-            bits = self._right_bits[a] = _bitset(self.mul_table[a * n : a * n + n], self.zero_i)
+            bits = self._right_bits[a] = bitset(self.mul_table[a * n : a * n + n], self.zero_i)
         return bits
 
     def inner_i(self, a) -> tuple:
@@ -367,15 +379,35 @@ class FiniteStarRing:
             star[xa] == xa,
         )
 
+    def penrose_bits(self, a) -> tuple:
+        """Penrose bitsets of a: bit x of the c-th is set when x satisfies equation c."""
+        found = self._penrose_bits[a]
+        if found is None:
+            n, mul, star = self.n, self.mul_table, self.star_table
+            row = a * n
+            b1 = b2 = b3 = b4 = 0
+            for x in range(n):
+                ax = mul[row + x]
+                xa = mul[x * n + a]
+                bit = 1 << x
+                if mul[ax * n + a] == a:
+                    b1 |= bit
+                if mul[xa * n + x] == x:
+                    b2 |= bit
+                if star[ax] == ax:
+                    b3 |= bit
+                if star[xa] == xa:
+                    b4 |= bit
+            found = self._penrose_bits[a] = (b1, b2, b3, b4)
+        return found
+
     def inverse_class_i(self, a, classes) -> frozenset:
-        """The {classes}-inverses of a by full scan of the Penrose equations."""
-        cs = [c - 1 for c in frozenset(classes)]
-        out = []
-        for x in range(self.n):
-            flags = self.penrose_i(a, x)
-            if all(flags[c] for c in cs):
-                out.append(x)
-        return frozenset(out)
+        """The {classes}-inverses of a: the AND of the requested Penrose bitsets."""
+        eqs = self.penrose_bits(a)
+        bits = (1 << self.n) - 1
+        for c in frozenset(classes):
+            bits &= eqs[c - 1]
+        return frozenset(bit_indices(bits))
 
     def one_mp_i(self, a) -> frozenset:
         """{a_minus * a * dagger(a)} over all inner inverses; empty if no dagger."""
@@ -519,7 +551,7 @@ class FiniteStarRing:
         return tuple(els[i] for i in ids)
 
     def _bits_to_set(self, bits) -> frozenset:
-        return self._set_of(x for x in range(self.n) if bits >> x & 1)
+        return self._set_of(bit_indices(bits))
 
     def _element_or_none(self, i):
         return None if i < 0 else self.elements[i]

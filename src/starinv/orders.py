@@ -39,7 +39,15 @@ from .errors import (
     OrderViolation,
     RingMismatch,
 )
-from .finite import FiniteStarRing, TheoremReport, ZnElement, capped_tuples, zn_ring
+from .finite import (
+    FiniteStarRing,
+    TheoremReport,
+    ZnElement,
+    bit_indices,
+    bitset,
+    capped_tuples,
+    zn_ring,
+)
 from .inverses import dagger, is_one_mp
 from .matrix import ExactMatrix, column_space_leq, row_space_leq, solve_matrix_equations
 from .ring import OppositeView, in_corner
@@ -728,9 +736,19 @@ def order_axiom_suite(ring: FiniteStarRing, relation: str, label: str = ""):
     triples, sampled, count = capped_tuples([positions, positions, positions])
     if sampled:
         notes.append(f"transitivity sampled: {count} seeded triples")
-    for i, j, k in triples:
-        if table[i * m + j] and table[j * m + k] and not table[i * m + k]:
-            violations.append(("transitivity", els[i], els[j], els[k]))
+        for i, j, k in triples:
+            if table[i * m + j] and table[j * m + k] and not table[i * m + k]:
+                violations.append(("transitivity", els[i], els[j], els[k]))
+    else:
+        # rows[i] has bit j set when element i relates to element j.  The
+        # triples (i, j, k) that break transitivity are the bits k of
+        # rows[j] & ~rows[i] for each bit j of rows[i]; walking i, j and k
+        # upward gives them in the order of the full triple product.
+        rows = [bitset(table[i * m : i * m + m], True) for i in positions]
+        for i, row in enumerate(rows):
+            for j in bit_indices(row):
+                for k in bit_indices(rows[j] & ~row):
+                    violations.append(("transitivity", els[i], els[j], els[k]))
     checked += count
     return TheoremReport(
         label,

@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 
@@ -262,6 +263,41 @@ class TestTableConsistency:
                 assert ring.one_mp_set(a) == ring.inverse_class(a, {1, 2, 3})
                 assert ring.mp_one_set(a) == ring.inverse_class(a, {1, 2, 4})
                 assert opp.one_mp_set(a) == ring.inverse_class(a, {1, 2, 4})
+
+
+@pytest.mark.parametrize("name", ["z12", "m2gf2", "m2gf3"])
+class TestPenroseBitsets:
+    """inverse_class_i, an AND of cached per-equation bitsets, against a plain filter."""
+
+    def test_every_class_matches_the_penrose_filter(self, name):
+        ring = _fresh(ring_by_name(name))
+        subsets = [
+            set(c) for r in range(1, 5) for c in itertools.combinations((1, 2, 3, 4), r)
+        ]
+        assert len(subsets) == 15
+        for a in range(ring.n):
+            flags = [ring.penrose_i(a, x) for x in range(ring.n)]
+            for classes in subsets:
+                expected = frozenset(
+                    x for x in range(ring.n) if all(flags[x][c - 1] for c in classes)
+                )
+                assert ring.inverse_class_i(a, classes) == expected
+
+    @pytest.mark.parametrize("opposite_first", [True, False])
+    def test_opposite_scans_its_own_table(self, name, opposite_first):
+        ring = _fresh(ring_by_name(name))
+        opp = ring.opposite()
+        for a in range(ring.n):
+            if opposite_first:
+                lhs = opp.inverse_class_i(a, {1, 2, 3})
+                rhs = ring.inverse_class_i(a, {1, 2, 4})
+            else:
+                rhs = ring.inverse_class_i(a, {1, 2, 4})
+                lhs = opp.inverse_class_i(a, {1, 2, 3})
+            assert lhs == rhs
+            b1, b2, b3, b4 = ring.penrose_bits(a)
+            assert opp.penrose_bits(a) == (b1, b2, b4, b3)
+        assert opp._penrose_bits is not ring._penrose_bits
 
 
 class TestAxiomCheck:

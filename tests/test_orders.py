@@ -9,6 +9,7 @@ from starinv import (
     CornerViolation,
     DimensionMismatch,
     ExactMatrix,
+    FiniteStarRing,
     MP1Witness,
     NotMPInvertible,
     NotRegular,
@@ -872,3 +873,43 @@ class TestAxiomSuite:
     def test_unknown_relation(self):
         with pytest.raises(ValueError):
             order_axiom_suite(zn_ring(6), "sharp")
+
+    @pytest.mark.parametrize("relation", ["1mp", "diamond"])
+    @pytest.mark.parametrize("name", ["z12", "m2gf2"])
+    def test_non_transitive_relation_matches_a_triple_loop(self, name, relation):
+        base = zn_ring(12) if name == "z12" else matrix_star_ring(2)
+        ring = FiniteStarRing(base.name, base.elements, base.zero, base.one)
+        rng = random.Random(90731)
+        related = {
+            (x, y) for x in range(ring.n) for y in range(ring.n) if rng.random() < 0.4
+        }
+
+        def rel(x, y):
+            return (x, y) in related
+
+        setattr(ring, f"rel_{relation}_i", rel)  # a fixed, non-transitive lookup table
+        domain = ring.structure().mp_invertible if relation == "1mp" else range(ring.n)
+        els = ring.elements
+        violations = []
+        checked = 0
+        for x in domain:
+            checked += 1
+            if not rel(x, x):
+                violations.append(("reflexivity", els[x]))
+        for x in domain:
+            for y in domain:
+                checked += 1
+                if x != y and rel(x, y) and rel(y, x):
+                    violations.append(("antisymmetry", els[x], els[y]))
+        for x in domain:
+            for y in domain:
+                for w in domain:
+                    checked += 1
+                    if rel(x, y) and rel(y, w) and not rel(x, w):
+                        violations.append(("transitivity", els[x], els[y], els[w]))
+        assert any(v[0] == "transitivity" for v in violations)
+
+        rep = order_axiom_suite(ring, relation)
+        assert list(rep.violations) == violations
+        assert rep.checked == checked
+        assert not rep.passed and not rep.sampled
