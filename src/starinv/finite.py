@@ -46,6 +46,8 @@ from .matrix import ExactMatrix
 # carrier of 500.  The registered matrix rings are built from a fixed list and
 # are exempt, so m3gf2 (512 elements) is admitted.
 CARRIER_GUARD = 500
+# Triples the construction-time axiom check covers before it samples, and the
+# most transitivity violations an order axiom suite stores.
 TUPLE_CAP = 1_000_000
 SAMPLE_SEED = 74207281
 MATRIX_RINGS = {(2, 2), (2, 3), (3, 2)}  # (size, p) of the registered m<size>gf<p>
@@ -53,7 +55,11 @@ MATRIX_RINGS = {(2, 2), (2, 3), (3, 2)}  # (size, p) of the registered m<size>gf
 
 @dataclass(frozen=True)
 class TheoremReport:
-    """Result of one exhaustive verification sweep over a finite ring."""
+    """Result of one exhaustive verification sweep over a finite ring.
+
+    `sampled` is always False: every sweep enumerates its whole domain.  The
+    field stays because the `verify` JSON reports it.
+    """
 
     theorem: str
     ring: str
@@ -66,23 +72,6 @@ class TheoremReport:
     @property
     def passed(self) -> bool:
         return not self.violations
-
-
-def capped_tuples(pools, cap=TUPLE_CAP, seed=SAMPLE_SEED):
-    """All tuples from `pools`, or a deterministic sample when too many.
-
-    Returns (iterable, sampled_flag, count).
-    """
-    total = 1
-    for pool in pools:
-        total *= len(pool)
-    if total <= cap:
-        return itertools.product(*pools), False, total
-    rng = random.Random(seed)
-    def sample():
-        for _ in range(cap):
-            yield tuple(rng.choice(pool) for pool in pools)
-    return sample(), True, cap
 
 
 @dataclass(frozen=True)

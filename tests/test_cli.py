@@ -305,7 +305,8 @@ class TestGoldenOutput:
     were first decided; a change to the arithmetic kernels must reproduce
     them byte for byte (witnesses, digests, key order and formatting).
     `verify_<ring>.json` pins the theorem reports of z12, m2gf2 and m2gf3
-    the same way, with the timings dropped.
+    the same way, with the timings dropped; `verify_m3gf2_axioms.json` pins
+    the order-axiom and plus block-form sweeps of m3gf2.
     """
 
     @pytest.mark.parametrize(
@@ -333,10 +334,20 @@ class TestGoldenOutput:
         assert code == expected_code
         assert out == expected
 
-    @pytest.mark.parametrize("ring", ["z12", "m2gf2", "m2gf3"])
-    def test_verify_report(self, capsys, ring):
-        code, rep = run_cli(capsys, "verify", "--ring", ring)
+    @staticmethod
+    def check_verify(capsys, golden, *argv):
+        code, rep = run_cli(capsys, "verify", *argv)
         for r in rep["reports"]:
             del r["elapsed_seconds"]
         assert code == 0
-        assert json.dumps(rep, indent=2) + "\n" == (GOLDEN / f"verify_{ring}.json").read_text()
+        assert json.dumps(rep, indent=2) + "\n" == (GOLDEN / f"verify_{golden}.json").read_text()
+
+    @pytest.mark.parametrize("ring", ["z12", "m2gf2", "m2gf3"])
+    def test_verify_report(self, capsys, ring):
+        self.check_verify(capsys, ring, "--ring", ring)
+
+    def test_verify_m3gf2_axiom_report(self, capsys):
+        # every triple of the 281- and 512-element domains, none sampled
+        theorems = [f"order_{r}_axioms" for r in ("1mp", "mp1", "minus", "plus")]
+        theorems.append("order_plus_block_form")
+        self.check_verify(capsys, "m3gf2_axioms", "--ring", "m3gf2", "--theorems", ",".join(theorems))

@@ -23,7 +23,6 @@ from starinv import (
     ring_by_name,
     zn_ring,
 )
-from starinv.finite import capped_tuples
 
 from conftest import M, z
 
@@ -363,22 +362,6 @@ class TestM3GF2:
             for rel, value in decided.items():
                 holds[rel] += value
         assert all(holds.values()), holds
-
-
-class TestCappedTuples:
-    def test_exhaustive_below_cap(self):
-        it, sampled, count = capped_tuples([[1, 2], [3, 4]], cap=100)
-        assert not sampled and count == 4
-        assert sorted(it) == [(1, 3), (1, 4), (2, 3), (2, 4)]
-
-    def test_sampling_above_cap(self):
-        it, sampled, count = capped_tuples([range(100), range(100)], cap=50)
-        assert sampled and count == 50
-        drawn = list(it)
-        assert len(drawn) == 50
-        # deterministic under the fixed seed
-        it2, _, _ = capped_tuples([range(100), range(100)], cap=50)
-        assert list(it2) == drawn
 
 
 def test_zn_element_repr():

@@ -36,10 +36,12 @@ from starinv import (
     order_axiom_suite,
     plus_block_compose,
     rank,
+    ring_by_name,
     rp,
     rp_family_member,
     zn_ring,
 )
+from starinv.finite import TUPLE_CAP
 from starinv.matrix import hstack
 
 from conftest import M, random_rational_matrix, random_singular_matrix, z
@@ -875,9 +877,10 @@ class TestAxiomSuite:
             order_axiom_suite(zn_ring(6), "sharp")
 
     @pytest.mark.parametrize("relation", ["1mp", "diamond"])
-    @pytest.mark.parametrize("name", ["z12", "m2gf2"])
+    @pytest.mark.parametrize("name", ["z12", "m2gf2", "z101"])
     def test_non_transitive_relation_matches_a_triple_loop(self, name, relation):
-        base = zn_ring(12) if name == "z12" else matrix_star_ring(2)
+        # z101 has 101^3 > TUPLE_CAP triples: the whole product is still walked
+        base = ring_by_name(name)
         ring = FiniteStarRing(base.name, base.elements, base.zero, base.one)
         rng = random.Random(90731)
         related = {
@@ -913,3 +916,16 @@ class TestAxiomSuite:
         assert list(rep.violations) == violations
         assert rep.checked == checked
         assert not rep.passed and not rep.sampled
+
+    def test_transitivity_violations_stored_up_to_the_cap(self):
+        base = zn_ring(200)
+        ring = FiniteStarRing(base.name, base.elements, base.zero, base.one)
+        # i relates to j when i == j or i + j is odd: i -> j -> k breaks
+        # transitivity for each of the 99 k != i of i's parity
+        ring.rel_diamond_i = lambda i, j: i == j or (i + j) % 2 == 1
+        rep = order_axiom_suite(ring, "diamond")
+        kinds = [v[0] for v in rep.violations]
+        assert kinds.count("transitivity") == TUPLE_CAP == 1_000_000
+        assert kinds.count("antisymmetry") == 200 * 100
+        assert rep.checked == 200 + 200**2 + 200**3 == 8_040_200
+        assert rep.notes == (f"{200 * 100 * 99} transitivity violations; first 1000000 stored",)
