@@ -16,6 +16,16 @@ corners) is computed on first use and cached per index.  Each scan is written
 once on indices (the `*_i` methods); the element-facing methods are thin
 wrappers over them.
 
+The five order relations exist twice.  `rel_<relation>_i(a, b)` decides one
+pair from the definition and is the reference.  `rel_rows(relation)` holds
+the whole relation as one int per element (bit b of rows[a] set when a
+relates to b), built for every a at once and cached per ring.  The rows are
+ORs of fibre bitsets: `fibres()` returns left[x][c] = {b : x*b == c} and
+right[x][c] = {b : b*x == c}, so the minus row of a is the OR over inner
+inverses x of left[x][x*a] & right[x][a*x], and the 1MP and MP1 rows take
+the same OR over their families.  Fibres hold 2 * |R|^2 ints and are rebuilt
+by each caller rather than cached.
+
 Everything in this module decides membership questions by raw enumeration
 against the defining equations.  It deliberately shares no code paths with
 the formula-based layers so that agreement between the two is evidence, not
@@ -185,6 +195,7 @@ class FiniteStarRing:
         self._lp = [None] * n
         self._rp = [None] * n
         self._corners = {}  # p*n + q -> corner (p, q), in the unflipped ring's orientation
+        self._rows = {}  # relation tag -> rel_rows
         self._flipped = False
         self._opposite = None
         self._verify_axioms()
@@ -223,9 +234,9 @@ class FiniteStarRing:
         so are the annihilators and corners with their sides swapped: a left
         annihilator of the opposite is a right annihilator here, and its
         corner (p, q) is the corner (q, p) here.  The 1MP/MP1 families, the
-        Penrose-equation bitsets and LP/RP data are not shared: the opposite
-        scans its own table for them, so the duality sweep compares two
-        computations, not one cache.
+        Penrose-equation bitsets, LP/RP data and relation rows are not shared:
+        the opposite scans its own table for them, so the duality sweep
+        compares two computations, not one cache.
         """
         if self._opposite is None:
             n, m = self.n, self.mul_table
@@ -237,6 +248,7 @@ class FiniteStarRing:
                 "_one_mp", "_mp_one", "_penrose_bits", "_lp_members", "_rp_members", "_lp", "_rp"
             ):
                 setattr(opp, attr, [None] * n)
+            opp._rows = {}
             opp._flipped = not self._flipped
             opp._opposite = self
             self._opposite = opp
@@ -528,6 +540,108 @@ class FiniteStarRing:
                 if mul[row + q] == a:
                     return True
         return False
+
+    # -- relation rows ----------------------------------------------------------
+
+    def fibres(self) -> tuple:
+        """(left, right): bit b of left[x][c] is set when x*b == c, of right[x][c] when b*x == c.
+
+        Not cached: the two tables hold 2 * |R|^2 ints, so a caller builds them
+        for one scan and drops them.
+        """
+        n, mul = self.n, self.mul_table
+        bits = [1 << b for b in range(n)]
+
+        def split(products):
+            row = [0] * n
+            for c, bit in zip(products, bits):
+                row[c] |= bit
+            return row
+
+        return [split(mul[x * n : x * n + n]) for x in range(n)], [split(mul[x::n]) for x in range(n)]
+
+    def rel_rows(self, relation) -> tuple:
+        """Row bitsets of an oracle order: bit b of rows[a] is set when rel_<relation>_i(a, b).
+
+        `relation` is "minus", "1mp", "mp1", "diamond" or "plus".  All rows are
+        built on first use and cached per relation; the opposite ring builds
+        its own from its own table.
+        """
+        rows = self._rows.get(relation)
+        if rows is None:
+            if relation == "minus":
+                rows = self._identified_rows(self.inner_i)
+            elif relation == "1mp":
+                rows = self._identified_rows(self.one_mp_i)
+            elif relation == "mp1":
+                rows = self._identified_rows(self.mp_one_i)
+            elif relation == "diamond":
+                rows = self._diamond_rows()
+            elif relation == "plus":
+                rows = self._plus_rows()
+            else:
+                raise ValueError(f"unknown relation tag {relation!r}")
+            rows = self._rows[relation] = tuple(rows)
+        return rows
+
+    def _identified_rows(self, candidates) -> list:
+        """rows[a]: the OR over x in candidates(a) of {b : x*b == x*a} & {b : b*x == a*x}."""
+        n, mul = self.n, self.mul_table
+        left, right = self.fibres()
+        rows = []
+        for a in range(n):
+            an = a * n
+            row = 0
+            for x in candidates(a):
+                row |= left[x][mul[x * n + a]] & right[x][mul[an + x]]
+            rows.append(row)
+        return rows
+
+    def _containment_rows(self) -> list:
+        """rows[a]: {b : contained_i(b, a)}, one test per distinct annihilator pair."""
+        keys = [(self.left_bits(b), self.right_bits(b)) for b in range(self.n)]
+        groups = {}
+        for b, key in enumerate(keys):
+            groups[key] = groups.get(key, 0) | 1 << b
+        rows = []
+        for left_a, right_a in keys:
+            row = 0
+            for (left_b, right_b), members in groups.items():
+                if not (left_b & ~left_a) and not (right_b & ~right_a):
+                    row |= members
+            rows.append(row)
+        return rows
+
+    def _diamond_rows(self) -> list:
+        """rows[a]: the contained b with a*star(b)*a == a*star(a)*a."""
+        n, mul, star = self.n, self.mul_table, self.star_table
+        rows = []
+        for a, contained in enumerate(self._containment_rows()):
+            an = a * n
+            asa = mul[mul[an + star[a]] * n + a]
+            row = 0
+            for b in bit_indices(contained):
+                if mul[mul[an + star[b]] * n + a] == asa:
+                    row |= 1 << b
+            rows.append(row)
+        return rows
+
+    def _plus_rows(self) -> list:
+        """rows[a]: the contained b with (qt*b)*q == a for some qt in LP(a), q in RP(a)."""
+        left, right = self.fibres()
+        rows = []
+        for a, contained in enumerate(self._containment_rows()):
+            lands = 0  # c with c*q == a for some q in RP(a)
+            for q in self.rp_members_i(a):
+                lands |= right[q][a]
+            lands = tuple(bit_indices(lands))
+            reach = 0
+            for qt in self.lp_members_i(a):
+                left_qt = left[qt]
+                for c in lands:
+                    reach |= left_qt[c]
+            rows.append(contained & reach)
+        return rows
 
     # -- element-facing wrappers ----------------------------------------------
 

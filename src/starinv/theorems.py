@@ -10,6 +10,14 @@ Sweeps run on element indices over the ring's flat int tables
 (`ring.mul_table`, `ring.add_table`, ...), and name elements by `repr` only
 in violations and notes.
 
+A sweep over pairs (a, b) reads the order from `ring.rel_rows`, one bitset of
+b per a, and computes its other side as a bitset too: a condition of the form
+"some w has w*b == t" is a union of the fibres `ring.fibres()` returns,
+keeping the table's bracketing ((b*am)*a == a is the union over c with
+c*a == a of {b : b*am == c}).  Violations are the set bits of the XOR of the
+two sides, walked upward in b, so a report lists them in the order of a
+pairwise loop; `checked` still counts every pair.
+
 MP1-side statements are verified by running the corresponding 1MP sweep
 on `ring.opposite()`, the same carrier with a reversed multiplication table.
 `order_mp1_duality` checks that transport: it compares the inverse classes,
@@ -23,7 +31,7 @@ import itertools
 import time
 
 from .errors import UnknownTheorem
-from .finite import FiniteStarRing, TheoremReport
+from .finite import FiniteStarRing, TheoremReport, bit_indices
 from .orders import order_axiom_suite
 
 MAX_STORED_VIOLATIONS = 20
@@ -41,6 +49,10 @@ def _namer(ring):
     """The repr of the element at an index: reports name elements, not indices."""
     els = ring.elements
     return lambda i: repr(els[i])
+
+
+def _bit(bits, b) -> bool:
+    return bool(bits >> b & 1)
 
 
 def _complement(ring):
@@ -133,11 +145,9 @@ def _one_mp_family_completeness(ring, label="one_mp_family_completeness"):
             ba = mul[base * n + a] * n
             ab = mul[a * n + base]
             bn = base * n
-            image = set()
-            for w in range(n):
-                checked += 1
-                t = mul[w * n + ab]
-                image.add(add[bn + add[t * n + neg[mul[ba + t]]]])
+            # w enters only through t = w*ab, so each distinct t is mapped once
+            checked += n
+            image = {add[bn + add[t * n + neg[mul[ba + t]]]] for t in set(mul[ab::n])}
             if image != family:
                 violations.append((name(a), name(base)))
     return _finish(label, ring.name, checked, violations, start)
@@ -310,13 +320,12 @@ def _partial_isometry_solutions(ring, label="partial_isometry_solutions"):
             c for c in range(n) if mul[mul[c * n + a] * n + c] == c and mul[a * n + c] == aas
         )
         image = set()
+        products = set(mul[aas::n])  # t = w*aas over all w, each distinct t once
         for am in ring.inner_i(a):
             ama = mul[am * n + a]
             base = mul[ama * n + star[a]] * n
-            for w in range(n):
-                checked += 1
-                t = mul[w * n + aas]
-                image.add(add[base + add[t * n + neg[mul[ama * n + t]]]])
+            checked += n
+            image.update(add[base + add[t * n + neg[mul[ama * n + t]]]] for t in products)
         if image != solutions:
             violations.append((name(a),))
     return _finish(
@@ -391,19 +400,19 @@ def _order_1mp_above_form(ring, label="order_1mp_above_form"):
     n, mul, add, neg = ring.n, ring.mul_table, ring.add_table, ring.neg_table
     name = _namer(ring)
     co = _complement(ring)
+    rows = ring.rel_rows("1mp")
     violations = []
     checked = 0
     for a in s.mp_invertible:
         d = s.dagger[a]
         p = mul[a * n + d]
         q = mul[d * n + a]
-        above = frozenset(b for b in range(n) if ring.rel_1mp_i(a, b))
-        image = set()
+        image = 0
         for b4 in ring.corner_i(co(p), co(q)):
             for dd in ring.corner_i(co(q), p):
                 checked += 1
-                image.add(add[add[a * n + neg[mul[mul[b4 * n + dd] * n + a]]] * n + b4])
-        if image != above:
+                image |= 1 << add[add[a * n + neg[mul[mul[b4 * n + dd] * n + a]]] * n + b4]
+        if image != rows[a]:
             violations.append((name(a), "block image differs from the order"))
     return _finish(label, ring.name, checked, violations, start)
 
@@ -460,23 +469,29 @@ def _order_1mp_equivalences(ring, label="order_1mp_equivalences"):
     s = ring.structure()
     n, mul = ring.n, ring.mul_table
     name = _namer(ring)
+    rows = ring.rel_rows("1mp")
+    left, right = ring.fibres()
     violations = []
     checked = 0
     for a in s.mp_invertible:
         an = a * n
-        adn = mul[an + s.dagger[a]] * n
-        family = ring.one_mp_i(a)
-        inners = ring.inner_i(a)
-        for b in range(n):
-            checked += 1
-            bn = b * n
-            r1 = ring.rel_1mp_i(a, b)
-            r2 = any(mul[x * n + a] == mul[x * n + b] for x in family) and any(
-                mul[an + y] == mul[bn + y] for y in family
-            )
-            r3 = mul[adn + b] == a and any(mul[mul[bn + am] * n + a] == a for am in inners)
-            if not (r1 == r2 == r3):
-                violations.append((name(a), name(b), r1, r2, r3))
+        ad = mul[an + s.dagger[a]]
+        # r2: some x in the family has x*b == x*a, and some y has b*y == a*y
+        x_side = y_side = 0
+        for x in ring.one_mp_i(a):
+            x_side |= left[x][mul[x * n + a]]
+            y_side |= right[x][mul[an + x]]
+        # r3: ad*b == a, and (b*am)*a == a for some inner inverse am
+        fixes_a = tuple(bit_indices(right[a][a]))
+        some_am = 0
+        for am in ring.inner_i(a):
+            right_am = right[am]
+            for c in fixes_a:
+                some_am |= right_am[c]
+        r1s, r2s, r3s = rows[a], x_side & y_side, left[ad][a] & some_am
+        checked += n
+        for b in bit_indices((r1s ^ r2s) | (r1s ^ r3s)):
+            violations.append((name(a), name(b), _bit(r1s, b), _bit(r2s, b), _bit(r3s, b)))
     return _finish(label, ring.name, checked, violations, start)
 
 
@@ -487,9 +502,11 @@ def _order_1mp_projection_form(ring, label="order_1mp_projection_form"):
     """
     start = time.perf_counter()
     s = ring.structure()
-    n, mul = ring.n, ring.mul_table
+    n = ring.n
     name = _namer(ring)
     generators = _ideal_generators(ring)
+    rows = ring.rel_rows("1mp")
+    left, right = ring.fibres()
     violations = []
     checked = 0
     skipped = 0
@@ -498,16 +515,17 @@ def _order_1mp_projection_form(ring, label="order_1mp_projection_form"):
             skipped += 1
             continue
         p_hits, q_hits = generators(a)
-        mp_ok = s.dagger[a] >= 0
-        for b in range(n):
-            checked += 1
-            bn = b * n
-            lhs = mp_ok and ring.rel_1mp_i(a, b)
-            rhs = any(
-                mul[p * n + b] == a and mul[bn + q] == a for p in p_hits for q in q_hits
-            )
-            if lhs != rhs:
-                violations.append((name(a), name(b), lhs, rhs))
+        # some p with p*b == a, and some q with b*q == a
+        p_side = q_side = 0
+        for p in p_hits:
+            p_side |= left[p][a]
+        for q in q_hits:
+            q_side |= right[q][a]
+        lhs = rows[a] if s.dagger[a] >= 0 else 0
+        rhs = p_side & q_side
+        checked += n
+        for b in bit_indices(lhs ^ rhs):
+            violations.append((name(a), name(b), _bit(lhs, b), _bit(rhs, b)))
     notes = [f"{skipped} element(s) without a {{1,4}}-inverse excluded by hypothesis"] if skipped else []
     return _finish(label, ring.name, checked, violations, start, notes)
 
@@ -518,13 +536,13 @@ def _order_1mp_inverse_inheritance(ring, label="order_1mp_inverse_inheritance"):
     s = ring.structure()
     n, mul = ring.n, ring.mul_table
     name = _namer(ring)
+    rows = ring.rel_rows("1mp")
+    mp_mask = sum(1 << b for b in s.mp_invertible)
     violations = []
     checked = 0
     for a in s.mp_invertible:
         family_a = ring.one_mp_i(a)
-        for b in s.mp_invertible:
-            if not ring.rel_1mp_i(a, b):
-                continue
+        for b in bit_indices(rows[a] & mp_mask):
             family_b = ring.one_mp_i(b)
             for z in family_b:
                 za = mul[z * n + a] * n
@@ -541,24 +559,26 @@ def _order_1mp_minus_link(ring, label="order_1mp_minus_link"):
     s = ring.structure()
     n, mul = ring.n, ring.mul_table
     name = _namer(ring)
+    rows_1mp, rows_minus = ring.rel_rows("1mp"), ring.rel_rows("minus")
+    left, right = ring.fibres()
     violations = []
     checked = 0
     for a in s.mp_invertible:
         an = a * n
-        dn = s.dagger[a] * n
-        da = mul[dn + a]
-        inners = ring.inner_i(a)
-        for b in range(n):
-            checked += 1
-            bn = b * n
-            cond = mul[dn + b] == da
-            r1 = ring.rel_1mp_i(a, b)
-            minus = ring.rel_minus_i(a, b)
-            r2 = minus and cond
-            r3 = cond and any(mul[an + am] == mul[bn + am] for am in inners)
+        d = s.dagger[a]
+        cond = left[d][mul[d * n + a]]  # dagger(a)*b == dagger(a)*a
+        shared = 0  # b*am == a*am for some inner inverse am
+        for am in ring.inner_i(a):
+            shared |= right[am][mul[an + am]]
+        r1s, minus = rows_1mp[a], rows_minus[a]
+        r2s, r3s = minus & cond, cond & shared
+        checked += n
+        # r2 lies inside the minus row, so a 1MP pair outside it is in r1 ^ r2
+        for b in bit_indices((r1s ^ r2s) | (r1s ^ r3s)):
+            r1, r2, r3 = _bit(r1s, b), _bit(r2s, b), _bit(r3s, b)
             if not (r1 == r2 == r3):
                 violations.append((name(a), name(b), r1, r2, r3))
-            if r1 and not minus:
+            if r1 and not _bit(minus, b):
                 violations.append(("1mp without minus", name(a), name(b)))
     return _finish(label, ring.name, checked, violations, start)
 
@@ -573,6 +593,7 @@ def _order_mp1_duality(ring, label="order_mp1_duality"):
     opp = ring.opposite()
     n, mul, opp_mul = ring.n, ring.mul_table, opp.mul_table
     name = _namer(ring)
+    rows, opp_rows = ring.rel_rows("mp1"), opp.rel_rows("1mp")
     violations = []
     checked = 0
     for a in range(n):
@@ -591,10 +612,9 @@ def _order_mp1_duality(ring, label="order_mp1_duality"):
                 violations.append(("product transport", name(a), name(am)))
         if ring.mp_one_i(a) != opp.one_mp_i(a):
             violations.append(("family transport", name(a)))
-        for b in range(n):
-            checked += 1
-            if ring.rel_mp1_i(a, b) != opp.rel_1mp_i(a, b):
-                violations.append(("order transport", name(a), name(b)))
+        checked += n
+        for b in bit_indices(rows[a] ^ opp_rows[a]):
+            violations.append(("order transport", name(a), name(b)))
     return _finish(label, ring.name, checked, violations, start)
 
 
@@ -621,22 +641,23 @@ def _minus_idempotent_form(ring, label="minus_idempotent_form"):
     """Witness form of the minus order: a == p*b and a == b*q for idempotents."""
     start = time.perf_counter()
     s = ring.structure()
-    n, mul = ring.n, ring.mul_table
+    n = ring.n
     name = _namer(ring)
+    rows = ring.rel_rows("minus")
+    left, right = ring.fibres()
     violations = []
     checked = 0
     notes = _regularity_note(ring)
-    idempotents = s.idempotents
     for a in s.regular:
-        for b in range(n):
-            checked += 1
-            bn = b * n
-            direct = ring.rel_minus_i(a, b)
-            via_idempotents = any(mul[p * n + b] == a for p in idempotents) and any(
-                mul[bn + q] == a for q in idempotents
-            )
-            if direct != via_idempotents:
-                violations.append((name(a), name(b), direct, via_idempotents))
+        # some idempotent p has p*b == a, and some idempotent q has b*q == a
+        p_side = q_side = 0
+        for e in s.idempotents:
+            p_side |= left[e][a]
+            q_side |= right[e][a]
+        direct, via_idempotents = rows[a], p_side & q_side
+        checked += n
+        for b in bit_indices(direct ^ via_idempotents):
+            violations.append((name(a), name(b), _bit(direct, b), _bit(via_idempotents, b)))
     return _finish(label, ring.name, checked, violations, start, notes)
 
 
@@ -695,27 +716,29 @@ def _order_inclusions(ring, label="order_inclusions"):
     diamond_example = None
     regular = set(s.regular)
     mp_set = set(s.mp_invertible)
+    rows_1mp, rows_minus, rows_diamond, rows_plus = (
+        ring.rel_rows(r) for r in ("1mp", "minus", "diamond", "plus")
+    )
     for a in range(n):
         lp_ok = bool(ring.lp_members_i(a)) and bool(ring.rp_members_i(a))
         a_mp, a_regular = a in mp_set, a in regular
-        for b in range(n):
-            if a_mp:
-                checked += 1
-                if ring.rel_1mp_i(a, b) and not ring.rel_minus_i(a, b):
-                    violations.append(("1mp->minus", name(a), name(b)))
-            if a_regular:
-                checked += 1
-                if ring.rel_minus_i(a, b) and not ring.rel_plus_i(a, b):
-                    violations.append(("minus->plus", name(a), name(b)))
-            if lp_ok:
-                checked += 1
-                if ring.rel_diamond_i(a, b) and not ring.rel_plus_i(a, b):
-                    if rickart:
-                        violations.append(("diamond->plus", name(a), name(b)))
-                    else:
-                        diamond_gap += 1
-                        if diamond_example is None:
-                            diamond_example = (name(a), name(b))
+        checked += n * (a_mp + a_regular + lp_ok)
+        minus, plus = rows_minus[a], rows_plus[a]
+        mp_minus = rows_1mp[a] & ~minus if a_mp else 0
+        minus_plus = minus & ~plus if a_regular else 0
+        diamond_plus = rows_diamond[a] & ~plus if lp_ok else 0
+        if diamond_plus and not rickart:
+            diamond_gap += diamond_plus.bit_count()
+            if diamond_example is None:
+                diamond_example = (name(a), name(next(bit_indices(diamond_plus))))
+            diamond_plus = 0
+        for b in bit_indices(mp_minus | minus_plus | diamond_plus):
+            if _bit(mp_minus, b):
+                violations.append(("1mp->minus", name(a), name(b)))
+            if _bit(minus_plus, b):
+                violations.append(("minus->plus", name(a), name(b)))
+            if _bit(diamond_plus, b):
+                violations.append(("diamond->plus", name(a), name(b)))
     if diamond_gap:
         notes.append(
             f"non-Rickart backend: diamond->plus fails for {diamond_gap} pair(s) outside "
@@ -760,6 +783,7 @@ def _order_plus_block_form(ring, label="order_plus_block_form"):
     name = _namer(ring)
     co = _complement(ring)
     left, right = ring.left_bits, ring.right_bits
+    rows = ring.rel_rows("plus")
     violations = []
     checked = 0
     skipped = 0
@@ -770,7 +794,6 @@ def _order_plus_block_form(ring, label="order_plus_block_form"):
         if la < 0 or ra < 0:
             skipped += 1
             continue
-        above = frozenset(b for b in range(n) if ring.rel_plus_i(a, b))
         nla = co(la)
         nra = co(ra)
         corners = itertools.product(
@@ -780,7 +803,7 @@ def _order_plus_block_form(ring, label="order_plus_block_form"):
             sorted(ring.corner_i(nla, ra)),  # w
             sorted(ring.corner_i(la, nra)),  # z
         )
-        image = set()
+        image = 0
         for b22, y, x, w, z in corners:
             checked += 1
             yn, zn = y * n, z * n
@@ -798,10 +821,10 @@ def _order_plus_block_form(ring, label="order_plus_block_form"):
             q = add[ra * n + neg[x]]
             if mul[mul[qt * n + b] * n + q] != a:
                 violations.append(("witness identity", name(a), name(b)))
-            image.add(b)
-        for b in sorted(above - image):
+            image |= 1 << b
+        for b in bit_indices(rows[a] & ~image):
             violations.append(("missing from image", name(a), name(b)))
-        for b in sorted(image - above):
+        for b in bit_indices(image & ~rows[a]):
             violations.append(("extra in image", name(a), name(b)))
     if skipped:
         notes.append(f"{skipped} element(s) without canonical projections skipped")

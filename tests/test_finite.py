@@ -299,6 +299,47 @@ class TestPenroseBitsets:
         assert opp._penrose_bits is not ring._penrose_bits
 
 
+@pytest.mark.parametrize("name", ["z12", "m2gf2", "m2gf3"])
+class TestRelationRows:
+    """rel_rows, built for all a from fibre bitsets, against the one-pair rel_*_i."""
+
+    @pytest.mark.parametrize("opposite", [False, True])
+    def test_rows_match_the_pairwise_relations(self, name, opposite):
+        ring = _fresh(ring_by_name(name))
+        if opposite:
+            ring = ring.opposite()
+        n = ring.n
+        for relation in ("minus", "1mp", "mp1", "diamond", "plus"):
+            rel = getattr(ring, f"rel_{relation}_i")
+            rows = ring.rel_rows(relation)
+            assert len(rows) == n
+            for a in range(n):
+                assert rows[a] == sum(1 << b for b in range(n) if rel(a, b)), (relation, a)
+            assert ring.rel_rows(relation) is rows
+        with pytest.raises(ValueError):
+            ring.rel_rows("sharp")
+
+    def test_mp1_rows_are_the_opposite_1mp_rows(self, name):
+        ring = _fresh(ring_by_name(name))
+        mp1 = ring.rel_rows("mp1")
+        opp = ring.opposite()
+        assert opp._rows == {}
+        assert opp.rel_rows("1mp") == mp1
+        assert ring.rel_rows("1mp") is not opp.rel_rows("1mp")
+
+    def test_fibres_partition_the_carrier(self, name):
+        ring = ring_by_name(name)
+        n, mul = ring.n, ring.mul_table
+        left, right = ring.fibres()
+        full = (1 << n) - 1
+        for x in range(n):
+            for fibre in (left[x], right[x]):
+                assert sum(fibre) == full and sum(f.bit_count() for f in fibre) == n
+            for b in range(n):
+                assert left[x][mul[x * n + b]] >> b & 1
+                assert right[x][mul[b * n + x]] >> b & 1
+
+
 class TestAxiomCheck:
     def test_corrupted_table_fails_exhaustive_check(self):
         ring = _fresh(zn_ring(12))

@@ -890,7 +890,9 @@ class TestAxiomSuite:
         def rel(x, y):
             return (x, y) in related
 
-        setattr(ring, f"rel_{relation}_i", rel)  # a fixed, non-transitive lookup table
+        # a fixed, non-transitive relation, injected as the suite reads it
+        rows = tuple(sum(1 << y for y in range(ring.n) if rel(x, y)) for x in range(ring.n))
+        ring.rel_rows = {relation: rows}.__getitem__
         domain = ring.structure().mp_invertible if relation == "1mp" else range(ring.n)
         els = ring.elements
         violations = []
@@ -922,7 +924,8 @@ class TestAxiomSuite:
         ring = FiniteStarRing(base.name, base.elements, base.zero, base.one)
         # i relates to j when i == j or i + j is odd: i -> j -> k breaks
         # transitivity for each of the 99 k != i of i's parity
-        ring.rel_diamond_i = lambda i, j: i == j or (i + j) % 2 == 1
+        rows = tuple(sum(1 << j for j in range(200) if i == j or (i + j) % 2 == 1) for i in range(200))
+        ring.rel_rows = {"diamond": rows}.__getitem__
         rep = order_axiom_suite(ring, "diamond")
         kinds = [v[0] for v in rep.violations]
         assert kinds.count("transitivity") == TUPLE_CAP == 1_000_000

@@ -120,3 +120,50 @@ def test_other_moduli_sanity(n):
     ):
         rep = verify_theorem(ring, theorem)
         assert rep.passed, (n, theorem, rep.violations[:3])
+
+
+def test_flipped_row_bits_show_in_the_pairwise_sweeps():
+    # Each sweep compares cached rows with an independent computation, so one
+    # corrupted bit in a minus row and one in a 1MP row must surface as exactly
+    # these violations, ordered by b and, within b, as the sweep checks them.
+    base = matrix_star_ring(3)
+    ring = FiniteStarRing(base.name, base.elements, base.zero, base.one)
+    n, mul, dagger = ring.n, ring.mul_table, ring.structure().dagger
+
+    def name(i):
+        return repr(ring.elements[i])
+
+    a, b1 = next(
+        (a, b) for a in ring.structure().mp_invertible if a != ring.zero_i for b in range(n)
+        if b != a and ring.rel_1mp_i(a, b)
+    )
+    d = dagger[a]
+    b2 = next(
+        b for b in range(n)
+        if not ring.rel_minus_i(a, b) and mul[d * n + b] != mul[d * n + a]
+    )
+    clean = {t: verify_theorem(ring, t) for t in (
+        "minus_idempotent_form", "order_1mp_minus_link", "order_inclusions", "order_1mp_equivalences"
+    )}
+    assert all(rep.passed for rep in clean.values())
+    for relation, b in (("minus", b1), ("1mp", b2)):
+        rows = list(ring.rel_rows(relation))
+        rows[a] ^= 1 << b
+        ring._rows[relation] = tuple(rows)
+
+    by_b = {
+        "minus_idempotent_form": {b1: [(name(a), name(b1), False, True)]},
+        "order_1mp_minus_link": {
+            b1: [(name(a), name(b1), True, False, True), ("1mp without minus", name(a), name(b1))],
+            b2: [(name(a), name(b2), True, False, False), ("1mp without minus", name(a), name(b2))],
+        },
+        "order_inclusions": {
+            b1: [("1mp->minus", name(a), name(b1))],
+            b2: [("1mp->minus", name(a), name(b2))],
+        },
+        "order_1mp_equivalences": {b2: [(name(a), name(b2), True, False, False)]},
+    }
+    for theorem, expected in by_b.items():
+        rep = verify_theorem(ring, theorem)
+        assert list(rep.violations) == [v for b in sorted(expected) for v in expected[b]], theorem
+        assert rep.checked == clean[theorem].checked
