@@ -17,14 +17,15 @@ once on indices (the `*_i` methods); the element-facing methods are thin
 wrappers over them.
 
 The five order relations exist twice.  `rel_<relation>_i(a, b)` decides one
-pair from the definition and is the reference.  `rel_rows(relation)` holds
-the whole relation as one int per element (bit b of rows[a] set when a
-relates to b), built for every a at once and cached per ring.  The rows are
-ORs of fibre bitsets: `fibres()` returns left[x][c] = {b : x*b == c} and
-right[x][c] = {b : b*x == c}, so the minus row of a is the OR over inner
-inverses x of left[x][x*a] & right[x][a*x], and the 1MP and MP1 rows take
-the same OR over their families.  Fibres hold 2 * |R|^2 ints and are rebuilt
-by each caller rather than cached.
+pair from the definition and is the reference; its scans (`identifying_i`,
+`plus_pair_i`) return the witnesses that orders.py gives Z_n verdicts.
+`rel_rows(relation)` holds the whole relation as one int per element (bit b
+of rows[a] set when a relates to b), built for every a at once and cached
+per ring.  The rows are ORs of fibre bitsets: `fibres()` returns
+left[x][c] = {b : x*b == c} and right[x][c] = {b : b*x == c}, so the minus
+row of a is the OR over inner inverses x of left[x][x*a] & right[x][a*x],
+and the 1MP and MP1 rows take the same OR over their families.  Fibres hold
+2 * |R|^2 ints and are rebuilt by each caller.
 
 Everything in this module decides membership questions by raw enumeration
 against the defining equations.  It deliberately shares no code paths with
@@ -497,28 +498,39 @@ class FiniteStarRing:
             self.right_bits(b) & ~self.right_bits(a)
         )
 
-    def _identified_by(self, a, b, candidates) -> bool:
-        """Whether some candidate x has x*a == x*b and a*x == b*x."""
+    def identifying_i(self, a, b, candidates) -> int:
+        """The first candidate x with x*a == x*b and a*x == b*x, or -1."""
         n, mul = self.n, self.mul_table
         an, bn = a * n, b * n
         for x in candidates:
             xn = x * n
             if mul[xn + a] == mul[xn + b] and mul[an + x] == mul[bn + x]:
-                return True
-        return False
+                return x
+        return -1
+
+    def plus_pair_i(self, a, b):
+        """The first (qt, q) in LP(a) x RP(a), in carrier order, with qt*b*q == a, or None."""
+        n, mul = self.n, self.mul_table
+        rp_set = self.rp_members_i(a)
+        for qt in self.lp_members_i(a):
+            row = mul[qt * n + b] * n
+            for q in rp_set:
+                if mul[row + q] == a:
+                    return qt, q
+        return None
 
     # -- oracle order relations on indices ------------------------------------
 
     def rel_minus_i(self, a, b) -> bool:
         """Minus order by scanning all inner inverses of a."""
-        return self._identified_by(a, b, self.inner_i(a))
+        return self.identifying_i(a, b, self.inner_i(a)) >= 0
 
     def rel_1mp_i(self, a, b) -> bool:
         """1MP order by scanning the full 1MP family of a."""
-        return self._identified_by(a, b, self.one_mp_i(a))
+        return self.identifying_i(a, b, self.one_mp_i(a)) >= 0
 
     def rel_mp1_i(self, a, b) -> bool:
-        return self._identified_by(a, b, self.mp_one_i(a))
+        return self.identifying_i(a, b, self.mp_one_i(a)) >= 0
 
     def rel_diamond_i(self, a, b) -> bool:
         """Diamond order: annihilator containments plus a*star(b)*a == a*star(a)*a."""
@@ -530,16 +542,7 @@ class FiniteStarRing:
 
     def rel_plus_i(self, a, b) -> bool:
         """Plus order with idempotent witnesses; False when LP or RP is empty."""
-        if not self.contained_i(b, a):
-            return False
-        n, mul = self.n, self.mul_table
-        rp_set = self.rp_members_i(a)
-        for qt in self.lp_members_i(a):
-            row = mul[qt * n + b] * n
-            for q in rp_set:
-                if mul[row + q] == a:
-                    return True
-        return False
+        return self.contained_i(b, a) and self.plus_pair_i(a, b) is not None
 
     # -- relation rows ----------------------------------------------------------
 

@@ -145,11 +145,6 @@ class ExactMatrix:
         nums, den = self.field.matmul(self.nums, self.den, other.nums, other.den, n, k, m)
         return ExactMatrix._packed(n, m, nums, den, self.field)
 
-    def scale(self, scalar):
-        c = self.field.of(scalar)
-        mul = self.field.mul
-        return ExactMatrix(self.rows, self.cols, [mul(c, e) for e in self.entries], self.field)
-
     @property
     def star(self) -> "ExactMatrix":
         """Transpose: the involution of this *-ring."""
@@ -328,9 +323,11 @@ def penrose_equations(a: ExactMatrix, x: ExactMatrix):
 def mp_inverse(a: ExactMatrix) -> ExactMatrix:
     """Moore-Penrose inverse via full-rank factorization, then verified.
 
-    Over the rationals this always succeeds.  Over GF(p) the inverse exists
-    exactly when both Gram factors G*G^T and F^T*F are nonsingular; otherwise
-    NotMPInvertible is raised.
+    MacDuffee's formula: with a = F*G of full rank r,
+    dagger(a) = G^T*(F^T*a*G^T)^{-1}*F^T, one r x r inverse.  Since
+    F^T*a*G^T = (F^T*F)*(G*G^T), over the rationals this always succeeds;
+    over GF(p) the inverse exists exactly when both Gram factors are
+    nonsingular, and otherwise NotMPInvertible is raised.
 
     Raises:
         NotMPInvertible: no Moore-Penrose inverse exists over this field.
@@ -338,16 +335,14 @@ def mp_inverse(a: ExactMatrix) -> ExactMatrix:
     fact = full_rank_factorize(a)
     if fact.r == 0:
         return ExactMatrix.zeros(a.cols, a.rows, a.field)
-    fmat = fact.f_matrix()
-    gmat = fact.g_matrix()
+    f_star, g_star = fact.f.star, fact.g.star
     try:
-        gg_inv = inverse(gmat * gmat.star)
-        ff_inv = inverse(fmat.star * fmat)
+        core_inv = inverse(f_star * a * g_star)
     except ZeroDivisionError:
         raise NotMPInvertible(
             f"no Moore-Penrose inverse over {a.field.name}: singular Gram factor"
         ) from None
-    x = gmat.star * gg_inv * ff_inv * fmat.star
+    x = g_star * core_inv * f_star
     if not all(penrose_equations(a, x)):
         raise InternalCheckError("computed Moore-Penrose candidate fails a Penrose equation")
     return x

@@ -7,19 +7,21 @@ dagger(a)*b == dagger(a)*a), the MP1 order is its star dual, and
 opposite-ring views are decided by the dual relation on their bases.
 Minus, lp/rp, the annihilator tests and plus keep a matrix branch (rank
 arithmetic, one inner inverse of b, annihilator-matching projections, a
-rank criterion for plus) and a finite-ring branch (exhaustive scans); exact
-linear solves remain only in leq_1mp_routes.  Annihilator containment is
-decided in _left_ann_leq/_right_ann_leq and nowhere else.  Every positive
-verdict carries a witness re-verified against the defining equations of
-the relation, so a structural shortcut can never silently disagree with
-the definition.
+rank criterion for plus) and a finite-ring branch, whose minus and plus
+witnesses are those of the oracle's own index scans (identifying_i,
+plus_pair_i); exact linear solves remain only in leq_1mp_routes.
+Annihilator containment is decided in _left_ann_leq/_right_ann_leq and
+nowhere else.  Every positive verdict carries a witness checked against the
+defining equations of the relation, so a structural shortcut can never
+silently disagree with the definition.
 
 Verdict method tags:
     minus    "rank" | "exhaustive"
     1mp      "minus-dagger"
     mp1      "transpose-dual"
     diamond  "equational"
-    plus     "hinted" | "containment" | "canonical" | "rank" | "exhaustive"
+    plus     "containment" | "canonical" | "rank" (matrices), "containment" |
+             "exhaustive" (finite rings)
 """
 
 from __future__ import annotations
@@ -217,19 +219,6 @@ def _ring_of(a, b=None) -> Optional[FiniteStarRing]:
     return None
 
 
-def _order_equations_hold(x, a, b) -> bool:
-    return x * a == x * b and a * x == b * x
-
-
-def _first_identifying(ring, a, b, candidates):
-    """The first candidate x with x*a == x*b and a*x == b*x, or None."""
-    mul = ring.mul
-    for x in candidates:
-        if mul(x, a) == mul(x, b) and mul(a, x) == mul(b, x):
-            return x
-    return None
-
-
 def _via_opposite(dual, a, b, witness_cls) -> OrderVerdict:
     """Decide on opposite-ring views a, b by the dual relation on their bases."""
     if not isinstance(b, OppositeView):
@@ -258,13 +247,14 @@ def leq_minus(a, b) -> OrderVerdict:
             return OrderVerdict(False, None, "rank", "rank(b - a) != rank(b) - rank(a)")
         g = mx.inner_inverse(b)
         return OrderVerdict(True, _minus_witness(a, b, g * a * g), "rank")
-    inners = ring.inner_inverses(a)
+    i = ring.index[a]
+    inners = ring.inner_i(i)
     if not inners:
         raise NotRegular(f"{a!r} has no inner inverse")
-    k = _first_identifying(ring, a, b, inners)
-    if k is None:
+    k = ring.identifying_i(i, ring.index[b], inners)
+    if k < 0:
         return OrderVerdict(False, None, "exhaustive", "no inner inverse identifies a and b")
-    return OrderVerdict(True, _minus_witness(a, b, k), "exhaustive")
+    return OrderVerdict(True, _minus_witness(a, b, ring.elements[k]), "exhaustive")
 
 
 def _minus_witness(a, b, k) -> MinusWitness:
@@ -342,7 +332,7 @@ def leq_1mp_routes(a, b) -> dict:
     route_definition = False
     if d is not None:
         x = a_dag + d
-        route_definition = is_one_mp(a, x, a_dag) and _order_equations_hold(x, a, b)
+        route_definition = is_one_mp(a, x, a_dag) and x * a == x * b and a * x == b * x
         if not route_definition:
             raise InternalCheckError("definition-route solution fails verification")
 
@@ -401,11 +391,10 @@ def leq_diamond(a, b) -> OrderVerdict:
         return OrderVerdict(False, None, "equational", "annihilator containment fails")
     if a * b.star * a != a * a.star * a:
         return OrderVerdict(False, None, "equational", "a*star(b)*a != a*star(a)*a")
-    witness = None
     try:
         witness = DiamondWitness(lp(a), rp(a))
     except NotRickart:
-        pass
+        witness = None
     return OrderVerdict(True, witness, "equational")
 
 
@@ -474,69 +463,54 @@ def _verify_plus_witness(a, b, q_tilde, q):
         raise InternalCheckError("plus witness fails a == q_tilde*b*q")
 
 
-def leq_plus(a, b, witness_hint=None) -> OrderVerdict:
+def leq_plus(a, b) -> OrderVerdict:
     """a <= b in the plus order.
 
     Matrices: the annihilator containments, then the canonical witness
-    (lp(a), rp(a)), then a rank criterion that decides every remaining pair
-    over any field.  Write a = F*G and b = F_b*G_b as full-rank
-    factorisations of ranks r and r_b; the containments give F = F_b*S and
-    G = T*G_b.  LP(a) = {F*X : X*F = I_r} and RP(a) = {Y*G : G*Y = I_r}, so
-    a = (F*X)*b*(Y*G) for such X, Y exactly when U = X*F_b and V = G_b*Y
-    satisfy U*S = T*V = U*V = I_r.  Such U, V exist iff
-    rank(I_r - T*S) <= r_b - r.  Necessity: I_r - T*S = T*(V - S) and the
-    columns of V - S lie in the kernel of U, of dimension r_b - r.
-    Sufficiency: _plus_rank_witness builds U and V.  Since
-    F*(I_r - T*S)*G = a - a*g*a for any inner inverse g of b, the criterion
-    reads rank(a - a*g*a) <= rank(b) - rank(a), and the minus order
-    (Hartwig 1980) is the case where the left side is 0.  Both verdicts of
-    this stage are definitive and tagged "rank".
+    (lp(a), rp(a)) when both projections exist, then a rank criterion that
+    decides every remaining pair over any field.  Write a = F*G and
+    b = F_b*G_b as full-rank factorisations of ranks r and r_b; the
+    containments give F = F_b*S and G = T*G_b.  LP(a) = {F*X : X*F = I_r}
+    and RP(a) = {Y*G : G*Y = I_r}, so a = (F*X)*b*(Y*G) for such X, Y
+    exactly when U = X*F_b and V = G_b*Y satisfy U*S = T*V = U*V = I_r.
+    Such U, V exist iff rank(I_r - T*S) <= r_b - r.  Necessity:
+    I_r - T*S = T*(V - S) and the columns of V - S lie in the kernel of U,
+    of dimension r_b - r.  Sufficiency: _plus_rank_witness builds U and V.
+    Since F*(I_r - T*S)*G = a - a*g*a for any inner inverse g of b, the
+    criterion reads rank(a - a*g*a) <= rank(b) - rank(a), and the minus
+    order (Hartwig 1980) is the case where the left side is 0.  Both
+    verdicts of this stage are definitive and tagged "rank".
 
-    A caller who knows a candidate idempotent pair (for example from the
-    block-form construction) can pass it as witness_hint=(q_tilde, q); the
-    hint is fully re-verified and, when valid, decides positively with
-    method "hinted".
+    Over a field LP(a) and RP(a) are never empty, so this never refuses.
+    Where lp(a) or rp(a) is missing (over GF(2), say) it decides the oracle's
+    idempotent-witness relation, which extends the paper's plus order on
+    Rickart *-rings.  lp and rp verify the canonical projections themselves.
 
     Raises:
-        NotRickart: the canonical projections for a do not exist.
+        NotRickart: a finite-ring operand a has an empty LP or RP family.
     """
     ring = _ring_of(a, b)
-    if witness_hint is not None:
-        qt, q = witness_hint
-        if (
-            qt * qt == qt
-            and q * q == q
-            and _left_ann_equal(qt, a)
-            and _right_ann_equal(q, a)
-            and qt * b * q == a
-            and _containments(a, b)
-        ):
-            return OrderVerdict(True, PlusWitness(qt, q), "hinted")
     if ring is not None:
-        lp_set = ring.lp_members(a)
-        rp_set = ring.rp_members(a)
-        if not lp_set or not rp_set:
+        i = ring.index[a]
+        if not ring.lp_members_i(i) or not ring.rp_members_i(i):
             raise NotRickart(f"{a!r} has empty LP or RP family")
-        if not _containments(a, b):
-            return OrderVerdict(False, None, "containment", "annihilator containment fails")
-        for qt in lp_set:
-            for q in rp_set:
-                if ring.mul3(qt, b, q) == a:
-                    _verify_plus_witness(a, b, qt, q)
-                    return OrderVerdict(True, PlusWitness(qt, q), "exhaustive")
-        return OrderVerdict(False, None, "exhaustive", "no idempotent pair factors a through b")
-    la = lp(a)
-    ra = rp(a)
     if not _containments(a, b):
         return OrderVerdict(False, None, "containment", "annihilator containment fails")
-    if la * b * ra == a:
-        _verify_plus_witness(a, b, la, ra)
-        return OrderVerdict(True, PlusWitness(la, ra), "canonical")
-    pair = _plus_rank_witness(a, b)
+    if ring is not None:
+        method, found = "exhaustive", ring.plus_pair_i(i, ring.index[b])
+        pair = None if found is None else tuple(ring.elements[x] for x in found)
+    else:
+        try:
+            la, ra = lp(a), rp(a)
+        except NotRickart:
+            la = None
+        if la is not None and la * b * ra == a:
+            return OrderVerdict(True, PlusWitness(la, ra), "canonical")
+        method, pair = "rank", _plus_rank_witness(a, b)
     if pair is None:
-        return OrderVerdict(False, None, "rank", "no idempotent pair factors a through b")
+        return OrderVerdict(False, None, method, "no idempotent pair factors a through b")
     _verify_plus_witness(a, b, *pair)
-    return OrderVerdict(True, PlusWitness(*pair), "rank")
+    return OrderVerdict(True, PlusWitness(*pair), method)
 
 
 # -- block forms above an element -----------------------------------------------

@@ -138,6 +138,17 @@ class TestCmdOrder:
         assert rep["results"]["holds"] is False
         assert rep["results"]["reason"] == "dagger(a)*b != dagger(a)*a"
 
+    def test_1mp_without_dagger_fails_with_reason(self, tmp_path, capsys):
+        # the row Gram factor of a vanishes over GF(2), so dagger(a) does not exist
+        a = write_doc(tmp_path, "a.mat", M([[1, 1], [0, 0]], GF(2)))
+        b = write_doc(tmp_path, "b.mat", ExactMatrix.identity(2, GF(2)))
+        code, rep = run_cli(capsys, "order", "1mp", a, b)
+        assert code == 1 and rep["status"] == "fail"
+        assert rep["results"] == {
+            "holds": False,
+            "reason": "no Moore-Penrose inverse over gf:2: singular Gram factor",
+        }
+
     def test_reflexive_any_relation(self, tmp_path, capsys):
         a = write_doc(tmp_path, "a.mat", M([[1, 2], [2, 4]]))
         for relation in ("1mp", "mp1", "minus", "diamond", "plus"):
@@ -299,7 +310,8 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestGoldenOutput:
-    """Exact stdout bytes of the CLI on fixed 3x3 rational documents.
+    """Exact stdout bytes of the CLI on fixed 3x3 rational documents, and on
+    the GF(2) pair t <= i in the plus order, where t has no canonical projections.
 
     `tests/golden/*.json` holds the reports as written when these documents
     were first decided; a change to the arithmetic kernels must reproduce
@@ -323,6 +335,7 @@ class TestGoldenOutput:
             (("order", "mp1", "a", "c"), 1),
             (("order", "diamond", "a", "b"), 0),
             (("mpone", "a", "g"), 0),
+            (("order", "plus", "t", "i"), 0),
         ],
     )
     def test_stdout_bytes(self, capsys, argv, expected_code):
