@@ -155,6 +155,17 @@ def bit_indices(bits):
         bits ^= low
 
 
+def fibre_row(products, bits) -> list:
+    """row[c] = the bitset of positions b with products[b] == c.
+
+    `bits[b]` is 1 << b, passed in so a caller splitting many rows builds it once.
+    """
+    row = [0] * len(bits)
+    for c, bit in zip(products, bits):
+        row[c] |= bit
+    return row
+
+
 class FiniteStarRing:
     """A finite *-ring on flat int operation tables with lazily cached derived data."""
 
@@ -447,7 +458,8 @@ class FiniteStarRing:
         if found is None:
             mul = self.mul_table
             row = p * n
-            found = self._corners[key] = frozenset(mul[mul[row + u] * n + q] for u in range(n))
+            # (p*u)*q over u: each distinct p*u is multiplied by q once
+            found = self._corners[key] = frozenset(mul[t * n + q] for t in set(mul[row : row + n]))
         return found
 
     def lp_members_i(self, a) -> tuple:
@@ -554,14 +566,10 @@ class FiniteStarRing:
         """
         n, mul = self.n, self.mul_table
         bits = [1 << b for b in range(n)]
-
-        def split(products):
-            row = [0] * n
-            for c, bit in zip(products, bits):
-                row[c] |= bit
-            return row
-
-        return [split(mul[x * n : x * n + n]) for x in range(n)], [split(mul[x::n]) for x in range(n)]
+        return (
+            [fibre_row(mul[x * n : x * n + n], bits) for x in range(n)],
+            [fibre_row(mul[x::n], bits) for x in range(n)],
+        )
 
     def rel_rows(self, relation) -> tuple:
         """Row bitsets of an oracle order: bit b of rows[a] is set when rel_<relation>_i(a, b).

@@ -18,6 +18,16 @@ c*a == a of {b : b*am == c}).  Violations are the set bits of the XOR of the
 two sides, walked upward in b, so a report lists them in the order of a
 pairwise loop; `checked` still counts every pair.
 
+Sweeps over triples avoid the per-triple loop the same way.  The seven 1MP
+conditions are one bitset over x per (a, a_minus): each condition is an AND
+or OR of the fibre rows of a alone ({x : a*x == c} and {x : x*a == c},
+split by `fibre_row`, not the whole `ring.fibres()`), and the violations
+are walked upward in x and then over a_minus, in the order of the triple
+loop.  The inner-inverse block form depends on h only through
+(h*a*h, a*h, h*a), so each image is built once per such key in a dict local
+to one sweep.  The plus block form keeps its nested loops and computes each
+partial sum at the outermost loop where its inputs are fixed.
+
 MP1-side statements are verified by running the corresponding 1MP sweep
 on `ring.opposite()`, the same carrier with a reversed multiplication table.
 `order_mp1_duality` checks that transport: it compares the inverse classes,
@@ -27,11 +37,10 @@ the opposite's own table, with the MP1 data of the base ring.
 
 from __future__ import annotations
 
-import itertools
 import time
 
 from .errors import UnknownTheorem
-from .finite import FiniteStarRing, TheoremReport, bit_indices
+from .finite import FiniteStarRing, TheoremReport, bit_indices, fibre_row
 from .orders import order_axiom_suite
 
 MAX_STORED_VIOLATIONS = 20
@@ -166,6 +175,7 @@ def _one_mp_condition_equivalences(ring, label="one_mp_condition_equivalences"):
     s = ring.structure()
     n, mul, star = ring.n, ring.mul_table, ring.star_table
     name = _namer(ring)
+    bits = [1 << x for x in range(n)]
     violations = []
     checked = 0
     literal_gap = 0
@@ -173,39 +183,83 @@ def _one_mp_condition_equivalences(ring, label="one_mp_condition_equivalences"):
     for a in s.mp_invertible:
         d = s.dagger[a]
         an = a * n
-        ad = mul[an + d]
         astar = star[a]
-        family = ring.one_mp_i(a)
-        inners = [(am, am * n, mul[am * n + a]) for am in ring.inner_i(a)]
-        for x in range(n):
-            ax = mul[an + x]
-            xa = mul[x * n + a]
-            axa = mul[ax * n + a]
-            xad = mul[xa * n + d]
-            asax_ok = mul[astar * n + ax] == astar
-            # (7): x*a*x == x and star(a)*a*x == star(a), whatever a_minus is
-            c7 = mul[xa * n + x] == x and asax_ok
-            rows = []
-            for am, amn, ama in inners:
-                checked += 1
-                x_from_ax = mul[amn + ax] == x
-                c1 = x == mul[ama * n + d]
-                c2 = ax == ad and x_from_ax
-                c3 = asax_ok and x_from_ax
-                c4 = xa == ama and x == xad
-                c5 = mul[xa * n + am] == mul[ama * n + am] and x == xad
-                c6 = axa == a and mul[mul[amn + axa] * n + d] == x
-                if not (c1 == c2 == c3 == c4 == c5 == c6):
+        asn = astar * n
+        left = fibre_row(mul[an : an + n], bits)
+        right = fibre_row(mul[a::n], bits)
+        ax_values = [(y, xs) for y, xs in enumerate(left) if xs]
+        xa_values = [(v, xs) for v, xs in enumerate(right) if xs]
+        axad = left[mul[an + d]]  # a*x == a*dagger(a)
+        asax = 0  # star(a)*(a*x) == star(a)
+        for y, xs in ax_values:
+            if mul[asn + y] == astar:
+                asax |= xs
+        xad = 0  # (x*a)*dagger(a) == x
+        for v, xs in xa_values:
+            x = mul[v * n + d]
+            if xs >> x & 1:
+                xad |= bits[x]
+        p1, p2 = ring.penrose_bits(a)[:2]
+        c7 = p2 & asax  # (7): x*a*x == x and star(a)*a*x == star(a)
+        family = 0
+        for x in ring.one_mp_i(a):
+            family |= bits[x]
+        inners = ring.inner_i(a)
+        checked += n * len(inners)
+        q1 = q2 = q3 = q4 = q5 = q6 = 0
+        marked = []  # (a_minus, fixed-disagreement mask, (1)-without-(7) mask)
+        gaps = []
+        for am in inners:
+            amn = am * n
+            ama = mul[amn + a]
+            c1 = bits[mul[ama * n + d]]
+            x_from_ax = 0  # a_minus*(a*x) == x
+            for y, xs in ax_values:
+                x = mul[amn + y]
+                if xs >> x & 1:
+                    x_from_ax |= bits[x]
+            target = mul[ama * n + am]
+            some_xa = 0  # (x*a)*a_minus == (a_minus*a)*a_minus
+            for v, xs in xa_values:
+                if mul[v * n + am] == target:
+                    some_xa |= xs
+            c2 = axad & x_from_ax
+            c3 = asax & x_from_ax
+            c4 = right[ama] & xad
+            c5 = some_xa & xad
+            # (a*x)*a == a makes a_minus*((a*x)*a) == a_minus*a, so (6) is (1) there
+            c6 = p1 & c1
+            q1 |= c1
+            q2 |= c2
+            q3 |= c3
+            q4 |= c4
+            q5 |= c5
+            q6 |= c6
+            fixed = (c1 ^ c2) | (c1 ^ c3) | (c1 ^ c4) | (c1 ^ c5) | (c1 ^ c6)
+            without_7 = c1 & ~c7
+            if fixed or without_7:
+                marked.append((am, fixed, without_7))
+            gap = c7 & ~c1
+            if gap:
+                literal_gap += gap.bit_count()
+                gaps.append((am, gap))
+        if gaps and gap_example is None:
+            x = min((gap & -gap).bit_length() - 1 for _, gap in gaps)
+            am = next(am for am, gap in gaps if gap >> x & 1)
+            gap_example = (name(a), name(am), name(x))
+        quantified = family ^ c7
+        if inners:
+            quantified |= (q1 ^ c7) | (q2 ^ c7) | (q3 ^ c7) | (q4 ^ c7) | (q5 ^ c7) | (q6 ^ c7)
+        flagged = quantified
+        for _, fixed, without_7 in marked:
+            flagged |= fixed | without_7
+        for x in bit_indices(flagged):
+            for am, fixed, without_7 in marked:
+                if fixed >> x & 1:
                     violations.append(("fixed (1)-(6) disagree", name(a), name(am), name(x)))
-                if c1 and not c7:
+                if without_7 >> x & 1:
                     violations.append(("(1) without (7)", name(a), name(am), name(x)))
-                if c7 and not c1:
-                    literal_gap += 1
-                    if gap_example is None:
-                        gap_example = (name(a), name(am), name(x))
-                rows.append((c1, c2, c3, c4, c5, c6))
-            exists = {any(column) for column in zip(*rows)}
-            if len(exists | {c7, x in family}) != 1:
+            if quantified >> x & 1:
                 violations.append(("quantified readings disagree", name(a), name(x)))
     notes = []
     if literal_gap:
@@ -343,22 +397,25 @@ def _inner_inverse_block_form(ring, label="inner_inverse_block_form"):
     co = _complement(ring)
     violations = []
     checked = 0
+    # The image depends on h only through (hah, p, q), which many h share.
+    images = {}
     for a in s.regular:
         inners = frozenset(ring.inner_i(a))
         for h in inners:
             p = mul[a * n + h]
             q = mul[h * n + a]
             hah = mul[q * n + h] * n
-            c12 = ring.corner_i(q, co(p))
-            c21 = ring.corner_i(co(q), p)
-            c22 = ring.corner_i(co(q), co(p))
-            image = set()
-            for k12 in c12:
-                k12n = k12 * n
-                for k21 in c21:
-                    base = add[hah + add[k12n + k21]] * n
-                    checked += len(c22)
-                    image.update(add[base + k22] for k22 in c22)
+            key = (hah, p, q)
+            found = images.get(key)
+            if found is None:
+                c12 = ring.corner_i(q, co(p))
+                c21 = ring.corner_i(co(q), p)
+                c22 = ring.corner_i(co(q), co(p))
+                bases = [add[hah + add[k12 * n + k21]] * n for k12 in c12 for k21 in c21]
+                image = {add[base + k22] for base in bases for k22 in c22}
+                found = images[key] = (image, len(c12) * len(c21) * len(c22))
+            image, count = found
+            checked += count
             if image != inners:
                 violations.append((name(a), name(h)))
     return _finish(label, ring.name, checked, violations, start)
@@ -782,7 +839,8 @@ def _order_plus_block_form(ring, label="order_plus_block_form"):
     n, mul, add, neg = ring.n, ring.mul_table, ring.add_table, ring.neg_table
     name = _namer(ring)
     co = _complement(ring)
-    left, right = ring.left_bits, ring.right_bits
+    left = [ring.left_bits(b) for b in range(n)]
+    right = [ring.right_bits(b) for b in range(n)]
     rows = ring.rel_rows("plus")
     violations = []
     checked = 0
@@ -794,34 +852,44 @@ def _order_plus_block_form(ring, label="order_plus_block_form"):
         if la < 0 or ra < 0:
             skipped += 1
             continue
+        an, lan, ran = a * n, la * n, ra * n
         nla = co(la)
         nra = co(ra)
-        corners = itertools.product(
-            sorted(ring.corner_i(nla, nra)),  # b22
-            sorted(ring.corner_i(la, nla)),  # y
-            sorted(ring.corner_i(nra, ra)),  # x
-            sorted(ring.corner_i(nla, ra)),  # w
-            sorted(ring.corner_i(la, nra)),  # z
-        )
+        b22s = sorted(ring.corner_i(nla, nra))
+        ys = sorted(ring.corner_i(la, nla))
+        xs = sorted(ring.corner_i(nra, ra))
+        ws = sorted(ring.corner_i(nla, ra))
+        zs = sorted(ring.corner_i(la, nra))
+        checked += len(b22s) * len(ys) * len(xs) * len(ws) * len(zs)
         image = 0
-        for b22, y, x, w, z in corners:
-            checked += 1
-            yn, zn = y * n, z * n
-            b21 = add[mul[b22 * n + x] * n + w]
-            b12 = add[mul[yn + b22] * n + z]
-            b11 = add[a * n + add[mul[yn + b21] * n + mul[zn + x]]]
-            b = add[add[b11 * n + b12] * n + add[b21 * n + b22]]
-            t_left = add[mul[yn + w] * n + w]
-            t_right = add[mul[zn + x] * n + z]
-            if left(b) & ~left(t_left):
-                continue
-            if right(b) & ~right(t_right):
-                continue
-            qt = add[la * n + neg[y]]
-            q = add[ra * n + neg[x]]
-            if mul[mul[qt * n + b] * n + q] != a:
-                violations.append(("witness identity", name(a), name(b)))
-            image |= 1 << b
+        # b22, y, x, w, z with z fastest; each value is computed at the
+        # outermost loop where its inputs are fixed
+        for b22 in b22s:
+            b22n = b22 * n
+            for y in ys:
+                yn = y * n
+                yb22 = mul[yn + b22] * n
+                qtn = add[lan + neg[y]] * n
+                for x in xs:
+                    b22x = mul[b22n + x] * n
+                    qx = add[ran + neg[x]]
+                    for w in ws:
+                        b21 = add[b22x + w]
+                        ynb21 = mul[yn + b21] * n
+                        b2 = add[b21 * n + b22]
+                        not_t_left = ~left[add[mul[yn + w] * n + w]]
+                        for z in zs:
+                            zx = mul[z * n + x]
+                            b12 = add[yb22 + z]
+                            b11 = add[an + add[ynb21 + zx]]
+                            b = add[add[b11 * n + b12] * n + b2]
+                            if left[b] & not_t_left:
+                                continue
+                            if right[b] & ~right[add[zx * n + z]]:
+                                continue
+                            if mul[mul[qtn + b] * n + qx] != a:
+                                violations.append(("witness identity", name(a), name(b)))
+                            image |= 1 << b
         for b in bit_indices(rows[a] & ~image):
             violations.append(("missing from image", name(a), name(b)))
         for b in bit_indices(image & ~rows[a]):

@@ -1,3 +1,6 @@
+import itertools
+import time
+
 import pytest
 
 from starinv import (
@@ -10,6 +13,8 @@ from starinv import (
     verify_theorem,
     zn_ring,
 )
+from starinv.finite import bit_indices
+from starinv.theorems import _complement, _finish, _namer
 
 
 class TestRegistry:
@@ -167,3 +172,248 @@ def test_flipped_row_bits_show_in_the_pairwise_sweeps():
         rep = verify_theorem(ring, theorem)
         assert list(rep.violations) == [v for b in sorted(expected) for v in expected[b]], theorem
         assert rep.checked == clean[theorem].checked
+
+
+# -- parity with the plain triple loops ------------------------------------------
+#
+# The bitset and memoised sweeps below must report exactly what these loops
+# report, on clean rings and on rings whose caches were corrupted so that the
+# sweeps find violations.  The loops are the per-triple definitions, kept here
+# unchanged as the reference.
+
+
+def _reference_one_mp_condition_equivalences(ring, label="one_mp_condition_equivalences"):
+    start = time.perf_counter()
+    s = ring.structure()
+    n, mul, star = ring.n, ring.mul_table, ring.star_table
+    name = _namer(ring)
+    violations = []
+    checked = 0
+    literal_gap = 0
+    gap_example = None
+    for a in s.mp_invertible:
+        d = s.dagger[a]
+        an = a * n
+        ad = mul[an + d]
+        astar = star[a]
+        family = ring.one_mp_i(a)
+        inners = [(am, am * n, mul[am * n + a]) for am in ring.inner_i(a)]
+        for x in range(n):
+            ax = mul[an + x]
+            xa = mul[x * n + a]
+            axa = mul[ax * n + a]
+            xad = mul[xa * n + d]
+            asax_ok = mul[astar * n + ax] == astar
+            # (7): x*a*x == x and star(a)*a*x == star(a), whatever a_minus is
+            c7 = mul[xa * n + x] == x and asax_ok
+            rows = []
+            for am, amn, ama in inners:
+                checked += 1
+                x_from_ax = mul[amn + ax] == x
+                c1 = x == mul[ama * n + d]
+                c2 = ax == ad and x_from_ax
+                c3 = asax_ok and x_from_ax
+                c4 = xa == ama and x == xad
+                c5 = mul[xa * n + am] == mul[ama * n + am] and x == xad
+                c6 = axa == a and mul[mul[amn + axa] * n + d] == x
+                if not (c1 == c2 == c3 == c4 == c5 == c6):
+                    violations.append(("fixed (1)-(6) disagree", name(a), name(am), name(x)))
+                if c1 and not c7:
+                    violations.append(("(1) without (7)", name(a), name(am), name(x)))
+                if c7 and not c1:
+                    literal_gap += 1
+                    if gap_example is None:
+                        gap_example = (name(a), name(am), name(x))
+                rows.append((c1, c2, c3, c4, c5, c6))
+            exists = {any(column) for column in zip(*rows)}
+            if len(exists | {c7, x in family}) != 1:
+                violations.append(("quantified readings disagree", name(a), name(x)))
+    notes = []
+    if literal_gap:
+        notes.append(
+            f"condition (7) ignores the fixed witness: {literal_gap} triple(s) satisfy (7) "
+            f"but not (1), e.g. (a, a_minus, x) = {gap_example}; with the witness "
+            f"quantified away all seven agree"
+        )
+    else:
+        notes.append("1MP-inverses are unique here; the fixed and quantified readings coincide")
+    return _finish(label, ring.name, checked, violations, start, notes)
+
+
+def _reference_inner_inverse_block_form(ring, label="inner_inverse_block_form"):
+    start = time.perf_counter()
+    s = ring.structure()
+    n, mul, add = ring.n, ring.mul_table, ring.add_table
+    name = _namer(ring)
+    co = _complement(ring)
+    violations = []
+    checked = 0
+    for a in s.regular:
+        inners = frozenset(ring.inner_i(a))
+        for h in inners:
+            p = mul[a * n + h]
+            q = mul[h * n + a]
+            hah = mul[q * n + h] * n
+            c12 = ring.corner_i(q, co(p))
+            c21 = ring.corner_i(co(q), p)
+            c22 = ring.corner_i(co(q), co(p))
+            image = set()
+            for k12 in c12:
+                k12n = k12 * n
+                for k21 in c21:
+                    base = add[hah + add[k12n + k21]] * n
+                    checked += len(c22)
+                    image.update(add[base + k22] for k22 in c22)
+            if image != inners:
+                violations.append((name(a), name(h)))
+    return _finish(label, ring.name, checked, violations, start)
+
+
+def _reference_order_plus_block_form(ring, label="order_plus_block_form"):
+    start = time.perf_counter()
+    n, mul, add, neg = ring.n, ring.mul_table, ring.add_table, ring.neg_table
+    name = _namer(ring)
+    co = _complement(ring)
+    left, right = ring.left_bits, ring.right_bits
+    rows = ring.rel_rows("plus")
+    violations = []
+    checked = 0
+    skipped = 0
+    notes = []
+    for a in range(n):
+        la = ring.lp_i(a)
+        ra = ring.rp_i(a)
+        if la < 0 or ra < 0:
+            skipped += 1
+            continue
+        nla = co(la)
+        nra = co(ra)
+        corners = itertools.product(
+            sorted(ring.corner_i(nla, nra)),  # b22
+            sorted(ring.corner_i(la, nla)),  # y
+            sorted(ring.corner_i(nra, ra)),  # x
+            sorted(ring.corner_i(nla, ra)),  # w
+            sorted(ring.corner_i(la, nra)),  # z
+        )
+        image = 0
+        for b22, y, x, w, z in corners:
+            checked += 1
+            yn, zn = y * n, z * n
+            b21 = add[mul[b22 * n + x] * n + w]
+            b12 = add[mul[yn + b22] * n + z]
+            b11 = add[a * n + add[mul[yn + b21] * n + mul[zn + x]]]
+            b = add[add[b11 * n + b12] * n + add[b21 * n + b22]]
+            t_left = add[mul[yn + w] * n + w]
+            t_right = add[mul[zn + x] * n + z]
+            if left(b) & ~left(t_left):
+                continue
+            if right(b) & ~right(t_right):
+                continue
+            qt = add[la * n + neg[y]]
+            q = add[ra * n + neg[x]]
+            if mul[mul[qt * n + b] * n + q] != a:
+                violations.append(("witness identity", name(a), name(b)))
+            image |= 1 << b
+        for b in bit_indices(rows[a] & ~image):
+            violations.append(("missing from image", name(a), name(b)))
+        for b in bit_indices(image & ~rows[a]):
+            violations.append(("extra in image", name(a), name(b)))
+    if skipped:
+        notes.append(f"{skipped} element(s) without canonical projections skipped")
+    return _finish(label, ring.name, checked, violations, start, notes)
+
+
+REFERENCES = {
+    "one_mp_condition_equivalences": _reference_one_mp_condition_equivalences,
+    "inner_inverse_block_form": _reference_inner_inverse_block_form,
+    "order_plus_block_form": _reference_order_plus_block_form,
+}
+
+
+def _extra_family_member(ring):
+    # one element outside a's 1MP family joins the cached family
+    a = next(a for a in ring.structure().mp_invertible if len(ring.one_mp_i(a)) < ring.n)
+    family = ring.one_mp_i(a)
+    ring._one_mp[a] = family | {min(set(range(ring.n)) - family)}
+
+
+def _non_inner_appended(ring):
+    # the first MP-invertible a with a non-inner element gets one appended to a{1}
+    for a in ring.structure().mp_invertible:
+        inners = ring.inner_i(a)
+        outside = [x for x in range(ring.n) if x not in inners]
+        if outside:
+            ring._inner[a] = inners + (outside[len(outside) // 2],)
+            return
+
+
+def _corner_element_dropped(ring):
+    # the first block-form corner of a{1}, relative to (ha, ah), with two elements
+    n, mul = ring.n, ring.mul_table
+    co = _complement(ring)
+    for a in ring.structure().regular:
+        for h in ring.inner_i(a):
+            p, q = mul[a * n + h], mul[h * n + a]
+            for left, right in ((q, co(p)), (co(q), p), (co(q), co(p))):
+                corner = ring.corner_i(left, right)
+                if len(corner) > 1:
+                    ring._corners[left * n + right] = corner - {max(corner)}
+                    return
+    raise AssertionError("no corner with two elements")
+
+
+def _plus_corner_element_dropped(ring):
+    # the b22 corner (1 - lp(a), 1 - rp(a)) of the first a where it has two elements
+    co = _complement(ring)
+    for a in range(ring.n):
+        la, ra = ring.lp_i(a), ring.rp_i(a)
+        if la >= 0 and ra >= 0:
+            p, q = co(la), co(ra)
+            corner = ring.corner_i(p, q)
+            if len(corner) > 1:
+                ring._corners[p * ring.n + q] = corner - {min(corner)}
+                return
+    raise AssertionError("no b22 corner with two elements")
+
+
+def _plus_row_bit_flipped(ring):
+    # a with canonical projections: a relates to itself, so the flip drops b == a
+    a = next(a for a in range(ring.n) if ring.lp_i(a) >= 0 and ring.rp_i(a) >= 0 and a != ring.zero_i)
+    rows = list(ring.rel_rows("plus"))
+    rows[a] ^= 1 << a
+    ring._rows["plus"] = tuple(rows)
+
+
+# injection -> (corrupt the ring's caches, sweeps that must then report violations)
+INJECTIONS = {
+    "clean": (lambda ring: None, ()),
+    "extra 1mp member": (_extra_family_member, ("one_mp_condition_equivalences",)),
+    "non-inner appended": (
+        _non_inner_appended, ("one_mp_condition_equivalences", "inner_inverse_block_form")
+    ),
+    "corner element dropped": (_corner_element_dropped, ("inner_inverse_block_form",)),
+    "plus corner element dropped": (_plus_corner_element_dropped, ("order_plus_block_form",)),
+    "plus row bit flipped": (_plus_row_bit_flipped, ("order_plus_block_form",)),
+}
+# cases with more than MAX_STORED_VIOLATIONS violations: the note and the stored prefix compare too
+TRUNCATED = {("m2gf3", "non-inner appended"), ("m2gf3", "corner element dropped")}
+
+
+@pytest.mark.parametrize("injection", list(INJECTIONS))
+@pytest.mark.parametrize("ring_name", ["z12", "m2gf2", "m2gf3"])
+def test_sweeps_match_the_triple_loops(ring_name, injection):
+    base = ring_by_name(ring_name)
+    ring = FiniteStarRing(base.name, base.elements, base.zero, base.one)
+    ring.structure()
+    inject, targets = INJECTIONS[injection]
+    inject(ring)
+    for theorem, reference in REFERENCES.items():
+        expected = reference(ring)
+        got = verify_theorem(ring, theorem)
+        assert (got.checked, got.violations, got.notes) == (
+            expected.checked, expected.violations, expected.notes
+        ), (theorem, injection)
+        if theorem in targets:
+            assert expected.violations, (theorem, injection)
+        if theorem == "inner_inverse_block_form" and (ring_name, injection) in TRUNCATED:
+            assert any("violations total" in note for note in expected.notes)
