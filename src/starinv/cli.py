@@ -26,7 +26,6 @@ from .errors import (
     InternalCheckError,
     RingMismatch,
     StarInvError,
-    UnknownRing,
     UnknownTheorem,
 )
 from .fields import QQ, field_by_name
@@ -373,9 +372,6 @@ def main(argv=None) -> int:
     except InternalCheckError as exc:
         print(json.dumps({"status": "internal-error", "error": str(exc)}))
         return EXIT_INTERNAL
-    except (DocumentError, UnknownRing, UnknownTheorem) as exc:
-        print(json.dumps({"status": "error", "error": str(exc)}))
-        return EXIT_INPUT
     except StarInvError as exc:
         print(json.dumps({"status": "error", "error": str(exc)}))
         return EXIT_INPUT

@@ -4,7 +4,8 @@ Three families are registered: Z_n with the identity involution (valid because
 those rings are commutative), the 2x2 matrices over GF(p) with transpose for
 p in {2, 3}, and the 3x3 matrices over GF(2) with transpose (m3gf2, 512
 elements).  Construction verifies the full ring and involution axiom set over
-the carrier.
+the carrier; associativity and distributivity are checked through a
+generating set of (R, +), not over triples (`_verify_axioms` has the argument).
 
 A ring is stored by index: `elements[i]` is the i-th element and `index` maps
 an element back to i.  Sum and product are flat int tables
@@ -36,10 +37,10 @@ tautology.
 from __future__ import annotations
 
 import itertools
-import random
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from . import inverses as gi
 from .errors import (
@@ -57,10 +58,6 @@ from .matrix import ExactMatrix
 # carrier of 500.  The registered matrix rings are built from a fixed list and
 # are exempt, so m3gf2 (512 elements) is admitted.
 CARRIER_GUARD = 500
-# Triples the construction-time axiom check covers before it samples, and the
-# most transitivity violations an order axiom suite stores.
-TUPLE_CAP = 1_000_000
-SAMPLE_SEED = 74207281
 MATRIX_RINGS = {(2, 2), (2, 3), (3, 2)}  # (size, p) of the registered m<size>gf<p>
 
 
@@ -296,32 +293,43 @@ class FiniteStarRing:
             mul_col_sa = mul[sa::n]
             if [star[x] for x in mul[an : an + n]] != [mul_col_sa[sb] for sb in star]:
                 raise InternalCheckError(fail + "star not antimultiplicative")
-        # Associativity and distributivity over triples (i, j, k): every k for
-        # each pair (i, j), all pairs when |R|^3 fits TUPLE_CAP, else a seeded
-        # sample of TUPLE_CAP // |R| pairs.
-        if n ** 3 <= TUPLE_CAP:
-            pairs = itertools.product(range(n), repeat=2)
-        else:
-            rng = random.Random(SAMPLE_SEED)
-            pairs = ((rng.randrange(n), rng.randrange(n)) for _ in range(TUPLE_CAP // n))
-        for i, j in pairs:
-            i_n, j_n = i * n, j * n
-            mij, aij = mul[i_n + j] * n, add[i_n + j] * n
-            mul_i, add_i = mul[i_n : i_n + n], add[i_n : i_n + n]
-            mul_ij, add_ij = mul[mij : mij + n], add[mij : mij + n]
-            rows = zip(
-                mul[j_n : j_n + n], add[j_n : j_n + n], mul_i, mul_ij,
-                add[aij : aij + n], mul[aij : aij + n],
-            )
-            for mjk, ajk, mik, mij_k, aij_k, maij_k in rows:
-                if mij_k != mul_i[mjk]:
-                    raise InternalCheckError(fail + "multiplication not associative")
-                if aij_k != add_i[ajk]:
+        # Associativity and distributivity without a loop over triples.
+        # (1) Walk e over the carrier; an e not yet reached becomes a generator
+        # and the reached set grows by adding e until it is stable, so every
+        # element is 0 or a left-nested sum ((g1 + g2) + ...) + gk.  (2) Per x
+        # and generator g, one row over the third element: (x + g) + z ==
+        # x + (g + z) for all z makes + associative by Light's test (Clifford
+        # and Preston I, 1961); x*(y + g) == x*y + x*g and (y + g)*x == y*x +
+        # g*x for all y make every left and right multiplication additive, (R, +)
+        # being an abelian group.  (3) (g*h)*k == g*(h*k) on generator triples:
+        # both sides are additive in each variable, so they agree on every triple.
+        gens, reached = [], {zero}
+        for e in range(n):
+            if e not in reached:
+                gens.append(e)
+                new = reached
+                while new:
+                    new = {add[r * n + e] for r in new} - reached
+                    reached |= new
+        # at_gen_sums[i](row) reads row at gens[i] + z for every z
+        at_gen_sums = [itemgetter(*add[g * n : g * n + n]) for g in gens]
+        for x in range(n):
+            xn = x * n
+            add_x, mul_x, mul_col_x = add[xn : xn + n], mul[xn : xn + n], mul[x::n]
+            at_x_times, at_times_x = itemgetter(*mul_x), itemgetter(*mul_col_x)
+            for g, at_gen_sum in zip(gens, at_gen_sums):
+                sum_xg = add_x[g] * n
+                if tuple(add[sum_xg : sum_xg + n]) != at_gen_sum(add_x):
                     raise InternalCheckError(fail + "addition not associative")
-                if mul_i[ajk] != add_ij[mik]:
+                prod_xg = mul_x[g] * n
+                if at_gen_sum(mul_x) != at_x_times(add[prod_xg : prod_xg + n]):
                     raise InternalCheckError(fail + "left distributivity fails")
-                if maij_k != add[mik * n + mjk]:
+                prod_gx = mul[g * n + x] * n
+                if at_gen_sum(mul_col_x) != at_times_x(add[prod_gx : prod_gx + n]):
                     raise InternalCheckError(fail + "right distributivity fails")
+        for g, h, k in itertools.product(gens, repeat=3):
+            if mul[mul[g * n + h] * n + k] != mul[g * n + mul[h * n + k]]:
+                raise InternalCheckError(fail + "multiplication not associative")
 
     # -- index-level scans ----------------------------------------------------
 

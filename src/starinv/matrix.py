@@ -277,12 +277,6 @@ class RankFactorization:
     cols: int
     field: object
 
-    def f_matrix(self) -> Optional[ExactMatrix]:
-        return self.f
-
-    def g_matrix(self) -> Optional[ExactMatrix]:
-        return self.g
-
     def product(self) -> ExactMatrix:
         if self.r == 0:
             return ExactMatrix.zeros(self.rows, self.cols, self.field)

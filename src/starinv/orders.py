@@ -44,7 +44,6 @@ from .errors import (
 )
 from .finite import (
     FiniteStarRing,
-    TUPLE_CAP,
     TheoremReport,
     ZnElement,
     bit_indices,
@@ -53,6 +52,8 @@ from .finite import (
 from .inverses import dagger, is_one_mp
 from .matrix import ExactMatrix, column_space_leq, row_space_leq, solve_matrix_equations
 from .ring import OppositeView, in_corner
+
+TUPLE_CAP = 1_000_000  # the most transitivity violations an order axiom suite stores
 
 
 @dataclass(frozen=True)
@@ -124,7 +125,7 @@ def _left_projection(ring, a, side):
     fact = mx.full_rank_factorize(a)
     if fact.r == 0:
         return ExactMatrix.zeros(a.rows, a.rows, a.field)
-    f = fact.f_matrix()
+    f = fact.f
     try:
         gram_inv = mx.inverse(f.star * f)
     except ZeroDivisionError:
@@ -423,9 +424,9 @@ def _plus_rank_witness(a, b):
     fa = mx.full_rank_factorize(a)
     fb = mx.full_rank_factorize(b)
     r, r_b = fa.r, fb.r
-    f, g = fa.f_matrix(), fa.g_matrix()
+    f, g = fa.f, fa.g
     pivots = fb.pivots
-    l_b = mx.inner_inverse(fb.f_matrix())
+    l_b = mx.inner_inverse(fb.f)
     s = l_b * f
     t = _columns(g, pivots)
     d = ExactMatrix.identity(r, field) - t * s

@@ -40,7 +40,7 @@ from __future__ import annotations
 import time
 
 from .errors import UnknownTheorem
-from .finite import FiniteStarRing, TheoremReport, bit_indices, fibre_row
+from .finite import FiniteStarRing, TheoremReport, bit_indices, bitset, fibre_row
 from .orders import order_axiom_suite
 
 MAX_STORED_VIOLATIONS = 20
@@ -85,25 +85,26 @@ def _regularity_note(ring) -> list:
 
 
 def _one_mp_characterization(ring, label="one_mp_characterization"):
-    """Membership in the 1MP family == solving its system == {1,2,3}-inverse."""
+    """Membership in the 1MP family == solving its system == {1,2,3}-inverse.
+
+    Each side is a bitset over z, computed on its own; violations are where they differ.
+    """
     start = time.perf_counter()
     s = ring.structure()
     n, mul = ring.n, ring.mul_table
     name = _namer(ring)
     violations = []
-    checked = 0
     notes = _regularity_note(ring)
     for a in s.mp_invertible:
-        ad = mul[a * n + s.dagger[a]]
-        family = ring.one_mp_i(a)
-        klass = ring.inverse_class_i(a, {1, 2, 3})
-        for z in range(n):
-            checked += 1
-            in_family = z in family
-            solves = mul[mul[z * n + a] * n + z] == z and mul[a * n + z] == ad
-            in_class = z in klass
-            if not (in_family == solves == in_class):
-                violations.append((name(a), name(z), in_family, solves, in_class))
+        an = a * n
+        family = sum(1 << z for z in ring.one_mp_i(a))
+        fibre = bitset(mul[an : an + n], mul[an + s.dagger[a]])  # {z : a*z == a*dagger(a)}
+        solves = sum(1 << z for z in bit_indices(fibre) if mul[mul[z * n + a] * n + z] == z)
+        eq1, eq2, eq3, _ = ring.penrose_bits(a)
+        klass = eq1 & eq2 & eq3
+        for z in bit_indices((family ^ solves) | (family ^ klass)):
+            violations.append((name(a), name(z), _bit(family, z), _bit(solves, z), _bit(klass, z)))
+    checked = len(s.mp_invertible) * n
     return _finish(label, ring.name, checked, violations, start, notes)
 
 

@@ -1,6 +1,7 @@
 import itertools
 import random
 import tracemalloc
+from dataclasses import dataclass
 
 import pytest
 
@@ -339,20 +340,73 @@ class TestRelationRows:
                 assert right[x][mul[b * n + x]] >> b & 1
 
 
+@dataclass(frozen=True)
+class UVAlgebraElement:
+    """c*1 + u*U + v*V in the GF(2)-algebra with U*U == V, V*V == U, U*V == V*U == 0.
+
+    Unital, commutative and bi-additive, with the identity involution, but
+    (U*U)*V == U while U*(U*V) == 0: only the generator triples catch it.
+    """
+
+    c: int
+    u: int
+    v: int
+
+    def __add__(self, other):
+        return UVAlgebraElement(self.c ^ other.c, self.u ^ other.u, self.v ^ other.v)
+
+    def __neg__(self):
+        return self
+
+    def __mul__(self, other):
+        return UVAlgebraElement(
+            self.c & other.c,
+            (self.c & other.u) ^ (self.u & other.c) ^ (self.v & other.v),
+            (self.c & other.v) ^ (self.v & other.c) ^ (self.u & other.u),
+        )
+
+    @property
+    def star(self):
+        return self
+
+
 class TestAxiomCheck:
-    def test_corrupted_table_fails_exhaustive_check(self):
-        ring = _fresh(zn_ring(12))
+    @pytest.mark.parametrize("name", ["z12", "z101"])
+    def test_corrupted_table_fails_exhaustive_check(self, name):
+        ring = _fresh(ring_by_name(name))
         n = ring.n
         ring.mul_table[2 * n + 3] = ring.mul_table[3 * n + 2] = 7
-        with pytest.raises(InternalCheckError, match="associative|distributivity"):
+        with pytest.raises(InternalCheckError, match="left distributivity fails"):
             ring._verify_axioms()
 
-    def test_corrupted_table_fails_sampled_check(self):
-        ring = _fresh(zn_ring(101))
+    @pytest.mark.parametrize("name", ["z12", "z101"])
+    def test_corrupted_addition_fails(self, name):
+        ring = _fresh(ring_by_name(name))
         n = ring.n
-        ring.mul_table[2 * n + 3] = ring.mul_table[3 * n + 2] = 7
-        with pytest.raises(InternalCheckError, match="associative|distributivity"):
+        ring.add_table[2 * n + 3] = ring.add_table[3 * n + 2] = 7
+        with pytest.raises(InternalCheckError, match="addition not associative"):
             ring._verify_axioms()
+
+    @pytest.mark.parametrize(
+        "left, right, side",
+        [
+            ([[0, 0], [0, 1]], [[0, 0], [0, 1]], "left"),
+            ([[0, 0], [1, 1]], [[0, 0], [1, 0]], "right"),
+        ],
+    )
+    def test_one_sided_distributivity_failure_is_named(self, gf2, left, right, side):
+        # x*y := 0 and, to keep star antimultiplicative, star(y)*star(x) := 0
+        ring = _fresh(matrix_star_ring(2))
+        n, star, index = ring.n, ring.star_table, ring.index
+        x, y = index[M(left, gf2)], index[M(right, gf2)]
+        ring.mul_table[x * n + y] = ring.mul_table[star[y] * n + star[x]] = ring.zero_i
+        with pytest.raises(InternalCheckError, match=f"{side} distributivity fails"):
+            ring._verify_axioms()
+
+    def test_non_associative_algebra_fails(self):
+        els = [UVAlgebraElement(*bits) for bits in itertools.product((0, 1), repeat=3)]
+        with pytest.raises(InternalCheckError, match="multiplication not associative"):
+            FiniteStarRing("uv", els, els[0], UVAlgebraElement(1, 0, 0))
 
 
 class TestM3GF2:

@@ -407,19 +407,19 @@ class TestFactorization:
     def test_basic_example(self):
         fact = full_rank_factorize(M([[1, 1], [0, 0]]))
         assert fact.r == 1
-        assert fact.f_matrix() == M([[1], [0]])
-        assert fact.g_matrix() == M([[1, 1]])
+        assert fact.f == M([[1], [0]])
+        assert fact.g == M([[1, 1]])
 
     def test_identity(self):
         fact = full_rank_factorize(ExactMatrix.identity(3))
-        assert fact.f_matrix() == ExactMatrix.identity(3)
-        assert fact.g_matrix() == ExactMatrix.identity(3)
+        assert fact.f == ExactMatrix.identity(3)
+        assert fact.g == ExactMatrix.identity(3)
 
     def test_scaled_diagonal(self):
         a = M([[2, 0], [0, 0]])
         fact = full_rank_factorize(a)
         assert fact.product() == a
-        assert rank(fact.f_matrix()) == fact.r == rank(fact.g_matrix()) == 1
+        assert rank(fact.f) == fact.r == rank(fact.g) == 1
 
     def test_rank_zero(self):
         fact = full_rank_factorize(ExactMatrix.zeros(2, 3))
@@ -433,8 +433,8 @@ class TestFactorization:
             fact = full_rank_factorize(a)
             assert fact.product() == a
             if fact.r:
-                assert rank(fact.f_matrix()) == fact.r
-                assert rank(fact.g_matrix()) == fact.r
+                assert rank(fact.f) == fact.r
+                assert rank(fact.g) == fact.r
 
 
 class TestMoorePenrose:

@@ -42,8 +42,8 @@ from starinv import (
     rp_family_member,
     zn_ring,
 )
-from starinv.finite import TUPLE_CAP
 from starinv.matrix import hstack
+from starinv.orders import TUPLE_CAP
 
 from conftest import M, random_rational_matrix, random_singular_matrix, z
 

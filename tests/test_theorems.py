@@ -14,7 +14,13 @@ from starinv import (
     zn_ring,
 )
 from starinv.finite import bit_indices
-from starinv.theorems import _complement, _finish, _namer
+from starinv.theorems import (
+    MAX_STORED_VIOLATIONS,
+    _complement,
+    _finish,
+    _namer,
+    _regularity_note,
+)
 
 
 class TestRegistry:
@@ -182,6 +188,28 @@ def test_flipped_row_bits_show_in_the_pairwise_sweeps():
 # unchanged as the reference.
 
 
+def _reference_one_mp_characterization(ring, label="one_mp_characterization"):
+    start = time.perf_counter()
+    s = ring.structure()
+    n, mul = ring.n, ring.mul_table
+    name = _namer(ring)
+    violations = []
+    checked = 0
+    notes = _regularity_note(ring)
+    for a in s.mp_invertible:
+        ad = mul[a * n + s.dagger[a]]
+        family = ring.one_mp_i(a)
+        klass = ring.inverse_class_i(a, {1, 2, 3})
+        for z in range(n):
+            checked += 1
+            in_family = z in family
+            solves = mul[mul[z * n + a] * n + z] == z and mul[a * n + z] == ad
+            in_class = z in klass
+            if not (in_family == solves == in_class):
+                violations.append((name(a), name(z), in_family, solves, in_class))
+    return _finish(label, ring.name, checked, violations, start, notes)
+
+
 def _reference_one_mp_condition_equivalences(ring, label="one_mp_condition_equivalences"):
     start = time.perf_counter()
     s = ring.structure()
@@ -337,6 +365,19 @@ def _extra_family_member(ring):
     ring._one_mp[a] = family | {min(set(range(ring.n)) - family)}
 
 
+def _penrose_bit_flipped(ring):
+    # the first nonzero MP-invertible a loses its dagger from the cached eq1 bitset
+    s = ring.structure()
+    a = next(a for a in s.mp_invertible if a != ring.zero_i)
+    eq1, eq2, eq3, eq4 = ring.penrose_bits(a)
+    ring._penrose_bits[a] = (eq1 ^ 1 << s.dagger[a], eq2, eq3, eq4)
+
+
+def _zero_in_every_family(ring):
+    for a in ring.structure().mp_invertible:
+        ring._one_mp[a] = ring.one_mp_i(a) | {ring.zero_i}
+
+
 def _non_inner_appended(ring):
     # the first MP-invertible a with a non-inner element gets one appended to a{1}
     for a in ring.structure().mp_invertible:
@@ -417,3 +458,31 @@ def test_sweeps_match_the_triple_loops(ring_name, injection):
             assert expected.violations, (theorem, injection)
         if theorem == "inner_inverse_block_form" and (ring_name, injection) in TRUNCATED:
             assert any("violations total" in note for note in expected.notes)
+
+
+# The 1MP characterization against its pair loop, on its own injections: a
+# flipped Penrose bit reaches the bitset condition-equivalence sweep, which
+# reads `penrose_bits`, but not its triple loop, which reads the table.
+CHARACTERIZATION_INJECTIONS = {
+    "clean": lambda ring: None,
+    "extra 1mp member": _extra_family_member,
+    "penrose bit flipped": _penrose_bit_flipped,
+    "zero in every family": _zero_in_every_family,
+}
+
+
+@pytest.mark.parametrize("injection", list(CHARACTERIZATION_INJECTIONS))
+@pytest.mark.parametrize("ring_name", ["z12", "m2gf2", "m2gf3"])
+def test_one_mp_characterization_matches_the_pair_loop(ring_name, injection):
+    base = ring_by_name(ring_name)
+    ring = FiniteStarRing(base.name, base.elements, base.zero, base.one)
+    ring.structure()
+    CHARACTERIZATION_INJECTIONS[injection](ring)
+    expected = _reference_one_mp_characterization(ring)
+    got = verify_theorem(ring, "one_mp_characterization")
+    assert (got.checked, got.violations, got.notes) == (
+        expected.checked, expected.violations, expected.notes
+    )
+    assert bool(expected.violations) == (injection != "clean")
+    if (ring_name, injection) == ("m2gf3", "zero in every family"):
+        assert f"80 violations total; first {MAX_STORED_VIOLATIONS} stored" in expected.notes
