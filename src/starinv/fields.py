@@ -70,6 +70,11 @@ class RationalField:
     name = "rational"
     zero = Fraction(0)
     one = Fraction(1)
+    # A sum of squares is 0 only when every term is, so x^T*x == 0 forces
+    # x == 0: transpose has no isotropic vector and every matrix is
+    # Moore-Penrose invertible.  Over GF(p) there are isotropic vectors in
+    # three or more coordinates, for every p.
+    anisotropic = True
 
     def of(self, value) -> Fraction:
         """Coerce an int, Fraction, or exact string to a canonical scalar."""
@@ -226,6 +231,7 @@ class PrimeField:
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
         self.name = f"gf:{p}"
+        self.anisotropic = False
         self.zero = 0
         self.one = 1 % p
 

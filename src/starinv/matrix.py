@@ -333,21 +333,35 @@ def mp_inverse(a: ExactMatrix) -> ExactMatrix:
     try:
         core_inv = inverse(f_star * a * g_star)
     except ZeroDivisionError:
-        raise NotMPInvertible(
-            f"no Moore-Penrose inverse over {a.field.name}: singular Gram factor"
-        ) from None
+        raise _not_mp_invertible(a) from None
     x = g_star * core_inv * f_star
     if not all(penrose_equations(a, x)):
         raise InternalCheckError("computed Moore-Penrose candidate fails a Penrose equation")
     return x
 
 
+def _not_mp_invertible(a: ExactMatrix) -> NotMPInvertible:
+    return NotMPInvertible(f"no Moore-Penrose inverse over {a.field.name}: singular Gram factor")
+
+
 def is_mp_invertible(a: ExactMatrix) -> bool:
-    try:
-        mp_inverse(a)
+    """Whether a has a Moore-Penrose inverse: rank(a^T*a) == rank(a) == rank(a*a^T).
+
+    With a = F*G of full rank r, rank(a^T*a) = rank(F^T*F) and
+    rank(a*a^T) = rank(G*G^T), so this holds exactly when both Gram factors
+    of MacDuffee's formula in mp_inverse are nonsingular.  No inverse is built,
+    and over an anisotropic field (the rationals) nothing is computed.
+    """
+    if a.field.anisotropic:
         return True
-    except NotMPInvertible:
-        return False
+    r = rank(a)
+    return rank(a.star * a) == r and rank(a * a.star) == r
+
+
+def require_mp_invertible(a: ExactMatrix) -> None:
+    """Raise mp_inverse's NotMPInvertible unless is_mp_invertible(a)."""
+    if not is_mp_invertible(a):
+        raise _not_mp_invertible(a)
 
 
 # -- row/column space tests ---------------------------------------------------

@@ -11,9 +11,11 @@ rank criterion for plus) and a finite-ring branch, whose minus and plus
 witnesses are those of the oracle's own index scans (identifying_i,
 plus_pair_i); exact linear solves remain only in leq_1mp_routes.
 Annihilator containment is decided in _left_ann_leq/_right_ann_leq and
-nowhere else.  Every positive verdict carries a witness checked against the
-defining equations of the relation, so a structural shortcut can never
-silently disagree with the definition.
+nowhere else; whether an idempotent has the annihilator of a is decided in
+_left_ann_matches/_right_ann_matches.  On matrices, dagger(a), lp(a) and
+rp(a) are built only when the verdict uses them.  Every positive verdict
+carries a witness checked against the defining equations of the relation,
+so a structural shortcut can never silently disagree with the definition.
 
 Verdict method tags:
     minus    "rank" | "exhaustive"
@@ -133,7 +135,7 @@ def _left_projection(ring, a, side):
             f"no projection matches the {side} annihilator over {a.field.name}"
         ) from None
     e = f * gram_inv * f.star
-    if not (e * e == e and e.star == e and _left_ann_equal(e, a)):
+    if not (e * e == e and e.star == e and _left_ann_matches(e, a)):
         raise InternalCheckError(f"{side[0]}p construction failed verification")
     return e
 
@@ -154,12 +156,22 @@ def _right_ann_leq(b, t) -> bool:
     return not ring.right_bits(ring.index[b]) & ~ring.right_bits(ring.index[t])
 
 
-def _left_ann_equal(x, y) -> bool:
-    return _left_ann_leq(x, y) and _left_ann_leq(y, x)
+def _left_ann_matches(e, a) -> bool:
+    """Whether the idempotent e has the left annihilator of a.
+
+    Matrices: e*a == a puts the column space of a inside that of e, and
+    equal ranks make the two spaces equal.  Every caller checks e*e == e.
+    """
+    if _ring_of(e) is None:
+        return e * a == a and mx.rank(e) == mx.rank(a)
+    return _left_ann_leq(e, a) and _left_ann_leq(a, e)
 
 
-def _right_ann_equal(x, y) -> bool:
-    return _right_ann_leq(x, y) and _right_ann_leq(y, x)
+def _right_ann_matches(e, a) -> bool:
+    """Whether the idempotent e has the right annihilator of a (row spaces, dually)."""
+    if _ring_of(e) is None:
+        return a * e == a and mx.rank(e) == mx.rank(a)
+    return _right_ann_leq(e, a) and _right_ann_leq(a, e)
 
 
 def _containments(a, b) -> bool:
@@ -173,7 +185,7 @@ def lp_family_member(a, p1):
     if not in_corner(p1, la, la, 1, 2):
         raise CornerViolation("p1 must lie in lp(a)*R*(1 - lp(a))")
     e = la + p1
-    if not (e * e == e and _left_ann_equal(e, a)):
+    if not (e * e == e and _left_ann_matches(e, a)):
         raise InternalCheckError("lp family member failed verification")
     return e
 
@@ -184,7 +196,7 @@ def rp_family_member(a, q1):
     if not in_corner(q1, ra, ra, 2, 1):
         raise CornerViolation("q1 must lie in (1 - rp(a))*R*rp(a)")
     e = ra + q1
-    if not (e * e == e and _right_ann_equal(e, a)):
+    if not (e * e == e and _right_ann_matches(e, a)):
         raise InternalCheckError("rp family member failed verification")
     return e
 
@@ -279,26 +291,57 @@ def leq_1mp(a, b) -> OrderVerdict:
     dagger(a)*b == dagger(a)*a; the witness k*a*dagger(a) built from the
     minus witness is re-verified against the defining equations.  On
     opposite-ring views it is the MP1 order of the base elements.
+
+    The second condition is tested as star(a)*b == star(a)*a, which needs
+    no dagger(a) (see _one_mp_conditions).  On matrices the minus order is
+    decided first, by Hartwig's rank-subtractivity test, then that product
+    test, and dagger(a) is built only for the witness of a positive.  A
+    rejection still refuses an a with no Moore-Penrose inverse, by the rank
+    test of is_mp_invertible, with mp_inverse's NotMPInvertible.  Finite
+    rings build dagger(a) first, so a non-regular a raises NotMPInvertible.
     """
     if isinstance(a, OppositeView):
         return _via_opposite(leq_mp1, a, b, OneMPWitness)
-    _ring_of(a, b)
-    return _leq_1mp(a, b, dagger(a))
+    k, a_dag, reason = _one_mp_conditions(_ring_of(a, b), a, a, b)
+    if reason is not None:
+        return OrderVerdict(False, None, "minus-dagger", reason)
+    return OrderVerdict(True, _one_mp_witness(a, b, k, a_dag), "minus-dagger")
 
 
-def _leq_1mp(a, b, a_dag) -> OrderVerdict:
-    """The route of leq_1mp, given a_dag == dagger(a)."""
-    minus = leq_minus(a, b)
-    if not minus.holds:
-        return OrderVerdict(False, None, "minus-dagger", minus.reason)
-    if a_dag * b != a_dag * a:
-        return OrderVerdict(False, None, "minus-dagger", "dagger(a)*b != dagger(a)*a")
-    x = minus.witness.inner * a * a_dag
+def _one_mp_conditions(ring, a, x, y):
+    """The 1MP conditions on x <= y, for x == a or star(a): (k, dagger(a), reason).
+
+    The conditions are x <= y in the minus order and
+    dagger(x)*y == dagger(x)*x, tested as star(x)*y == star(x)*x: since
+    dagger(x) == dagger(x)*star(dagger(x))*star(x) and
+    star(x) == star(x)*x*dagger(x), dagger(x) and star(x) annihilate the
+    same elements.  reason is None when both hold; then k is the inner
+    inverse of the minus witness.  On matrices dagger(a) is built only then
+    (it is None otherwise), and a rejection checks is_mp_invertible(a)
+    instead; a finite ring builds dagger(a) before anything else.
+    """
+    a_dag = dagger(a) if ring is not None else None
+    minus = leq_minus(x, y)
+    reason = minus.reason
+    if minus.holds and not (x.star * (y - x)).is_zero:
+        reason = "dagger(a)*b != dagger(a)*a"
+    if reason is not None:
+        if a_dag is None:
+            mx.require_mp_invertible(a)
+        return None, a_dag, reason
+    if a_dag is None:
+        a_dag = dagger(a)
+    return minus.witness.inner, a_dag, None
+
+
+def _one_mp_witness(a, b, k, a_dag) -> OneMPWitness:
+    """k*a*dagger(a) for an inner inverse k identifying a and b, verified."""
+    x = k * a * a_dag
     xa, ax = x * a, a * x
     # 1MP membership (x*a*x == x, a*x == a*dagger(a)), then x identifies a and b
     if not (xa * x == x and ax == a * a_dag and xa == x * b and ax == b * x):
         raise InternalCheckError("1MP witness fails its equations")
-    return OrderVerdict(True, OneMPWitness(x), "minus-dagger")
+    return OneMPWitness(x)
 
 
 def leq_1mp_routes(a, b) -> dict:
@@ -337,7 +380,7 @@ def leq_1mp_routes(a, b) -> dict:
         if not route_definition:
             raise InternalCheckError("definition-route solution fails verification")
 
-    route_minus_dagger = _leq_1mp(a, b, a_dag).holds
+    route_minus_dagger = leq_1mp(a, b).holds
 
     route_shared_inner = False
     if a * a_dag * b == a:
@@ -361,16 +404,17 @@ def leq_mp1(a, b) -> OrderVerdict:
     """a <= b in the MP1 order iff star(a) <= star(b) in the 1MP order.
 
     The transported witness is re-verified.  On opposite-ring views it is
-    the 1MP order of the base elements.
+    the 1MP order of the base elements.  As in leq_1mp, matrices decide the
+    1MP conditions on star(a) and star(b) without dagger, and build
+    dagger(a) only for the witness of a positive; its transpose is
+    dagger(star(a)).
     """
     if isinstance(a, OppositeView):
         return _via_opposite(leq_1mp, a, b, MP1Witness)
-    _ring_of(a, b)
-    a_dag = dagger(a)
-    v = _leq_1mp(a.star, b.star, a_dag.star)
-    if not v.holds:
-        return OrderVerdict(False, None, "transpose-dual", v.reason)
-    x = v.witness.x.star
+    k, a_dag, reason = _one_mp_conditions(_ring_of(a, b), a, a.star, b.star)
+    if reason is not None:
+        return OrderVerdict(False, None, "transpose-dual", reason)
+    x = _one_mp_witness(a.star, b.star, k, a_dag.star).x.star
     xa, ax = x * a, a * x
     # MP1 membership (x*a*x == x, x*a == dagger(a)*a), then x identifies a and b
     if not (xa * x == x and xa == a_dag * a and xa == x * b and ax == b * x):
@@ -458,7 +502,7 @@ def _plus_rank_witness(a, b):
 def _verify_plus_witness(a, b, q_tilde, q):
     if not (q_tilde * q_tilde == q_tilde and q * q == q):
         raise InternalCheckError("plus witness pair not idempotent")
-    if not (_left_ann_equal(q_tilde, a) and _right_ann_equal(q, a)):
+    if not (_left_ann_matches(q_tilde, a) and _right_ann_matches(q, a)):
         raise InternalCheckError("plus witness pair fails annihilator matching")
     if q_tilde * b * q != a:
         raise InternalCheckError("plus witness fails a == q_tilde*b*q")
@@ -468,10 +512,19 @@ def leq_plus(a, b) -> OrderVerdict:
     """a <= b in the plus order.
 
     Matrices: the annihilator containments, then the canonical witness
-    (lp(a), rp(a)) when both projections exist, then a rank criterion that
-    decides every remaining pair over any field.  Write a = F*G and
-    b = F_b*G_b as full-rank factorisations of ranks r and r_b; the
-    containments give F = F_b*S and G = T*G_b.  LP(a) = {F*X : X*F = I_r}
+    (lp(a), rp(a)), then a rank criterion that decides every remaining pair
+    over any field.  lp(a) and rp(a) are built only when the canonical stage
+    can succeed, that is when a*b^* *a == a*a^* *a (the Baksalary-Hauke form
+    of the diamond order): with a = F*G, lp(a) = F*(F^T F)^{-1}*F^T and
+    rp(a) = G^T*(G G^T)^{-1}*G, cancelling F on the left and G on the right
+    turns lp(a)*b*rp(a) == a into F^T*b*G^T == F^T F*G G^T, whose transpose
+    is G*b^T*F == G G^T*F^T F, and that is a*b^* *a == a*a^* *a with F and
+    G cancelled.  A passed gate with both projections present is therefore
+    a canonical positive, and lp(a)*b*rp(a) == a is re-checked.
+
+    The rank stage: write a = F*G and b = F_b*G_b as full-rank
+    factorisations of ranks r and r_b; the containments give F = F_b*S and
+    G = T*G_b.  LP(a) = {F*X : X*F = I_r}
     and RP(a) = {Y*G : G*Y = I_r}, so a = (F*X)*b*(Y*G) for such X, Y
     exactly when U = X*F_b and V = G_b*Y satisfy U*S = T*V = U*V = I_r.
     Such U, V exist iff rank(I_r - T*S) <= r_b - r.  Necessity:
@@ -501,12 +554,15 @@ def leq_plus(a, b) -> OrderVerdict:
         method, found = "exhaustive", ring.plus_pair_i(i, ring.index[b])
         pair = None if found is None else tuple(ring.elements[x] for x in found)
     else:
-        try:
-            la, ra = lp(a), rp(a)
-        except NotRickart:
-            la = None
-        if la is not None and la * b * ra == a:
-            return OrderVerdict(True, PlusWitness(la, ra), "canonical")
+        if a * b.star * a == a * a.star * a:
+            try:
+                la, ra = lp(a), rp(a)
+            except NotRickart:
+                pass
+            else:
+                if la * b * ra != a:
+                    raise InternalCheckError("canonical plus witness fails a == lp(a)*b*rp(a)")
+                return OrderVerdict(True, PlusWitness(la, ra), "canonical")
         method, pair = "rank", _plus_rank_witness(a, b)
     if pair is None:
         return OrderVerdict(False, None, method, "no idempotent pair factors a through b")

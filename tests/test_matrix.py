@@ -470,6 +470,21 @@ class TestMoorePenrose:
             else:
                 assert not is_mp_invertible(a)
 
+    def test_is_mp_invertible_builds_no_inverse(self, monkeypatch):
+        # the rank test rank(a^T*a) == rank(a) == rank(a*a^T), no MacDuffee inverse
+        import starinv.matrix as matrix
+
+        def no_inverse(a):
+            raise AssertionError("is_mp_invertible built an inverse")
+
+        monkeypatch.setattr(matrix, "inverse", no_inverse)
+        gf5 = GF(5)
+        assert not is_mp_invertible(ExactMatrix.from_rows([[1, 2], [0, 0]], gf5))
+        assert not is_mp_invertible(ExactMatrix.from_rows([[1, 0], [2, 0]], gf5))
+        assert is_mp_invertible(ExactMatrix.from_rows([[1, 1], [0, 0]], gf5))
+        assert is_mp_invertible(ExactMatrix.zeros(2, 3, gf5))
+        assert is_mp_invertible(ExactMatrix.from_rows([[1, 2], [0, 0]]))
+
     def test_penrose_and_double_dagger_randomized(self):
         rng = random.Random(4242)
         for _ in range(300):

@@ -310,7 +310,9 @@ class TestMP1Order:
                 assert leq_mp1(a, b).holds == ring.rel_mp1(a, b)
 
     def test_one_dagger_per_decision(self, monkeypatch):
-        # the verdict equals the transposed 1MP decision, with dagger(a) reused
+        # the verdict equals the transposed 1MP decision; a positive builds
+        # dagger(a) once, a negative never (the minus order fails, or it holds
+        # and a*star(b) != a*star(a))
         import starinv.orders as orders
 
         rng = random.Random(89)
@@ -322,7 +324,9 @@ class TestMP1Order:
             p, q = a * d, d * a
             b4 = (eye - p) * random_rational_matrix(rng, 3, 3) * (eye - q)
             dd = q * random_rational_matrix(rng, 3, 3) * (eye - p)
-            pairs.append((a, above_mp1(a, OneMPAboveForm(b4, dd))))
+            above = above_mp1(a, OneMPAboveForm(b4, dd))
+            pairs.append((a, above))
+            pairs.append((a, above + a))  # rank(above) == rank(above + a): minus fails
             pairs.append((a, a + random_singular_matrix(rng, 3, 1)))
         expected = [leq_1mp(a.star, b.star) for a, b in pairs]
         calls = []
@@ -332,15 +336,22 @@ class TestMP1Order:
             return dagger(x)
 
         monkeypatch.setattr(orders, "dagger", counting_dagger)
-        outcomes = set()
+        reasons = set()
         for (a, b), old in zip(pairs, expected):
             del calls[:]
             v = leq_mp1(a, b)
-            assert calls == [a]
+            assert calls == ([a] if v.holds else [])
             assert (v.holds, v.reason) == (old.holds, old.reason)
             assert v.witness == (MP1Witness(old.witness.x.star) if old.holds else None)
-            outcomes.add(v.holds)
-        assert outcomes == {True, False}
+            reasons.add(v.reason)
+            del calls[:]
+            assert leq_1mp(a.star, b.star) == old
+            assert calls == ([a.star] if old.holds else [])
+        assert reasons == {
+            None,
+            "rank(b - a) != rank(b) - rank(a)",
+            "dagger(a)*b != dagger(a)*a",
+        }
 
 
 class TestRationalDecidePath:
@@ -393,6 +404,67 @@ class TestRationalDecidePath:
         for a, b in pairs:
             for relation in (leq_minus, leq_1mp, leq_mp1, leq_diamond, leq_plus):
                 relation(a, b)
+
+
+class TestLazyDerivedData:
+    """dagger(a), lp(a) and rp(a) are built only when the verdict uses them,
+    and refusals are those of building them."""
+
+    @pytest.mark.parametrize("relation", [leq_1mp, leq_mp1], ids=["1mp", "mp1"])
+    def test_no_mp_inverse_refused_whatever_b(self, relation):
+        # the row (1, 2) is isotropic over GF(5): a*a^T == 0, so no dagger(a)
+        a = M([[1, 2], [0, 0]], GF(5))
+        eye = ExactMatrix.identity(2, GF(5))
+        assert not leq_minus(a, a + a).holds
+        for b in (a, eye, a + a):
+            with pytest.raises(NotMPInvertible) as info:
+                relation(a, b)
+            assert str(info.value) == "no Moore-Penrose inverse over gf:5: singular Gram factor"
+
+    @pytest.mark.parametrize("relation", [leq_1mp, leq_mp1], ids=["1mp", "mp1"])
+    def test_non_regular_zn_refused_by_dagger(self, relation):
+        # a finite ring builds dagger(a) first: NotMPInvertible, never NotRegular
+        for b in (z(2, 12), z(1, 12), z(4, 12)):
+            with pytest.raises(NotMPInvertible) as info:
+                relation(z(2, 12), b)
+            assert str(info.value) == "2 (mod 12) has no Moore-Penrose inverse"
+
+    def test_rank_stage_probe_eliminations(self, monkeypatch):
+        # row_reduce plus rank calls of one 3x3 rank-stage decision (38 when
+        # lp(a) and rp(a) were built first and annihilators compared two ways)
+        field_cls = type(DIAG10.field)
+        count = []
+        for name in ("row_reduce", "rank"):
+            kernel = getattr(field_cls, name)
+
+            def counting(self, *args, _kernel=kernel):
+                count.append(None)
+                return _kernel(self, *args)
+
+            monkeypatch.setattr(field_cls, name, counting)
+        v = leq_plus(M([[1, 0, 0], [0, 0, 0], [0, 0, 0]]), M([[2, 0, 0], [0, 1, 0], [0, 0, 0]]))
+        assert (v.holds, v.method) == (True, "rank")
+        assert len(count) <= 22
+
+    def test_failed_gate_builds_no_projection(self, monkeypatch):
+        # containments pass, a*star(b)*a != a*star(a)*a: straight to the rank stage
+        import starinv.orders as orders
+
+        def no_projection(*args):
+            raise AssertionError("lp or rp built for a canonical stage that cannot succeed")
+
+        gf101 = GF(101)
+        pairs = [
+            (M([[1, 0, 0], [0, 0, 0], [0, 0, 0]]), M([[2, 0, 0], [0, 1, 0], [0, 0, 0]]), True),
+            (M([[1, 0, 0], [0, 0, 0], [0, 0, 0]]), M([[2, 0, 0], [0, 0, 0], [0, 0, 0]]), False),
+            (M([[1, 1], [0, 0]], gf101), M([[1, 0], [0, 1]], gf101), True),
+        ]
+        monkeypatch.setattr(orders, "_left_projection", no_projection)
+        for a, b, holds in pairs:
+            assert orders._containments(a, b)
+            assert a * b.star * a != a * a.star * a
+            v = leq_plus(a, b)
+            assert (v.holds, v.method) == (holds, "rank")
 
 
 class TestDiamondOrder:
