@@ -31,7 +31,6 @@ from .fields import GF, QQ, field_by_name
 from .finite import (
     FiniteStarRing,
     TheoremReport,
-    ZnElement,
     enumerate_class,
     enumerate_dagger,
     enumerate_regular,
@@ -90,7 +89,6 @@ from .orders import (
     leq_plus,
     lp,
     lp_family_member,
-    order_axiom_suite,
     plus_block_compose,
     rp,
     rp_family_member,
@@ -107,6 +105,7 @@ from .ring import (
     peirce_multiply,
     peirce_recompose,
 )
-from .theorems import theorem_ids, verify_all, verify_theorem
+from .theorems import order_axiom_suite, theorem_ids, verify_all, verify_theorem
+from .zn import ZnElement
 
 __version__ = "0.1.0"

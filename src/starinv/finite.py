@@ -18,15 +18,14 @@ once on indices (the `*_i` methods); the element-facing methods are thin
 wrappers over them.
 
 The five order relations exist twice.  `rel_<relation>_i(a, b)` decides one
-pair from the definition and is the reference; its scans (`identifying_i`,
-`plus_pair_i`) return the witnesses that orders.py gives Z_n verdicts.
-`rel_rows(relation)` holds the whole relation as one int per element (bit b
-of rows[a] set when a relates to b), built for every a at once and cached
-per ring.  The rows are ORs of fibre bitsets: `fibres()` returns
-left[x][c] = {b : x*b == c} and right[x][c] = {b : b*x == c}, so the minus
-row of a is the OR over inner inverses x of left[x][x*a] & right[x][a*x],
-and the 1MP and MP1 rows take the same OR over their families.  Fibres hold
-2 * |R|^2 ints and are rebuilt by each caller.
+pair from the definition and is the reference.  `rel_rows(relation)` holds
+the whole relation as one int per element (bit b of rows[a] set when a
+relates to b), built for every a at once and cached per ring.  The rows
+are ORs of fibre bitsets: `fibres()` returns left[x][c] = {b : x*b == c}
+and right[x][c] = {b : b*x == c}, so the minus row of a is the OR over
+inner inverses x of left[x][x*a] & right[x][a*x], and the 1MP and MP1 rows
+take the same OR over their families.  Fibres hold 2 * |R|^2 ints and are
+rebuilt by each caller.
 
 Everything in this module decides membership questions by raw enumeration
 against the defining equations.  It deliberately shares no code paths with
@@ -42,17 +41,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 
-from . import inverses as gi
-from .errors import (
-    CarrierTooLarge,
-    InternalCheckError,
-    NotMPInvertible,
-    RingMismatch,
-    UniquenessViolation,
-    UnknownRing,
-)
+from .errors import CarrierTooLarge, InternalCheckError, UniquenessViolation, UnknownRing
 from .fields import GF
 from .matrix import ExactMatrix
+from .zn import ZnElement
 
 # A ring keeps two |R|^2-entry int tables: at most 250,000 entries each for a
 # carrier of 500.  The registered matrix rings are built from a fixed list and
@@ -80,54 +72,6 @@ class TheoremReport:
     @property
     def passed(self) -> bool:
         return not self.violations
-
-
-@dataclass(frozen=True)
-class ZnElement:
-    """An element of Z_n; the involution is the identity map."""
-
-    value: int
-    modulus: int
-
-    def _check(self, other):
-        if not isinstance(other, ZnElement):
-            raise RingMismatch(f"cannot combine ZnElement with {type(other).__name__}")
-        if other.modulus != self.modulus:
-            raise RingMismatch(f"modulus mismatch: {self.modulus} vs {other.modulus}")
-
-    def __add__(self, other):
-        self._check(other)
-        return ZnElement((self.value + other.value) % self.modulus, self.modulus)
-
-    def __sub__(self, other):
-        self._check(other)
-        return ZnElement((self.value - other.value) % self.modulus, self.modulus)
-
-    def __neg__(self):
-        return ZnElement((-self.value) % self.modulus, self.modulus)
-
-    def __mul__(self, other):
-        self._check(other)
-        return ZnElement((self.value * other.value) % self.modulus, self.modulus)
-
-    @property
-    def star(self):
-        return self
-
-    @property
-    def is_zero(self):
-        return self.value == 0
-
-    def __repr__(self):
-        return f"{self.value} (mod {self.modulus})"
-
-
-@gi.dagger.register
-def _(x: ZnElement):
-    d = zn_ring(x.modulus).dagger_of(x)
-    if d is None:
-        raise NotMPInvertible(f"{x!r} has no Moore-Penrose inverse")
-    return d
 
 
 # Index data a ring shares with its opposite, where both answer alike;

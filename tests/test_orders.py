@@ -43,7 +43,7 @@ from starinv import (
     zn_ring,
 )
 from starinv.matrix import hstack
-from starinv.orders import TUPLE_CAP
+from starinv.theorems import TUPLE_CAP
 
 from conftest import M, random_rational_matrix, random_singular_matrix, z
 
@@ -588,6 +588,31 @@ class TestPlusOrder:
             decided.add((v.method, v.holds))
         assert {("rank", True), ("rank", False)} <= decided
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2)])
+    def test_rank_witness_on_rectangular_gf2(self, shape):
+        # the rank stage on its own, where the selector of b's pivot columns
+        # lives in M_cols, not M_rows; leq_plus still refuses non-square input
+        from starinv.orders import _containments, _plus_rank_witness, _verify_plus_witness
+
+        field = GF(2)
+        elements = [
+            ExactMatrix(*shape, ents, field)
+            for ents in itertools.product(range(2), repeat=shape[0] * shape[1])
+        ]
+        found = collections.Counter()
+        for a in elements:
+            if rank(a) == 0:
+                continue
+            for b in elements:
+                if not _containments(a, b):
+                    continue
+                pair = _plus_rank_witness(a, b)
+                if pair is not None:
+                    _verify_plus_witness(a, b, *pair)
+                found[pair is not None] += 1
+        # as rel_plus of the zero-padded pairs in m3gf2 says
+        assert found == {True: 441, False: 210}
+
     def test_zn_matches_oracle(self):
         ring = zn_ring(6)
         for a in ring.elements:
@@ -804,10 +829,10 @@ def plus_block_compose_helper(a, b22, y, x, w, zz):
 
 
 class TestZnWitnesses:
-    """On Z_n the witnesses are the first candidates in carrier order: the
-    first inner inverse of a that identifies a and b, and the first
-    (q_tilde, q) in LP(a) x RP(a) with a == q_tilde*b*q, found here by plain
-    loops over the elements."""
+    """On Z_n the minus witness is dagger(a), the one inner inverse x of a
+    with x*a*x == x, whenever some inner inverse identifies a and b; the plus
+    witness is the first (q_tilde, q) in LP(a) x RP(a) with
+    a == q_tilde*b*q.  Both are found here by plain loops over the elements."""
 
     @pytest.mark.parametrize("n", [6, 8, 12])
     def test_first_candidates(self, n):
@@ -823,6 +848,7 @@ class TestZnWitnesses:
         idempotents = [e for e in els if e * e == e]
         for a in els:
             inners = [x for x in els if a * x * a == a]
+            reflexive = [x for x in inners if x * a * x == x]
             lps = [e for e in idempotents if left_ann(e) == left_ann(a)]
             rps = [e for e in idempotents if right_ann(e) == right_ann(a)]
             for b in els:
@@ -832,7 +858,9 @@ class TestZnWitnesses:
                         leq_minus(a, b)
                 else:
                     v = leq_minus(a, b)
-                    assert (v.witness.inner if v.holds else None) == minus
+                    assert v.holds == (minus is not None) and v.method == "dagger"
+                    if v.holds:
+                        assert [v.witness.inner] == reflexive
                 contained = left_ann(b) <= left_ann(a) and right_ann(b) <= right_ann(a)
                 plus = next(
                     ((qt, q) for qt in lps for q in rps if contained and qt * b * q == a), None
@@ -843,6 +871,7 @@ class TestZnWitnesses:
                 else:
                     v = leq_plus(a, b)
                     assert (tuple(v.witness) if v.holds else None) == plus
+                    assert v.method in ("containment", "canonical")
 
 
 class TestGF3Calibration:
