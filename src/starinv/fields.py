@@ -272,7 +272,7 @@ class PrimeField:
     # -- packed matrices: the residues themselves, den 1 ------------------------
 
     def pack(self, values):
-        return tuple(values), 1
+        return tuple([v % self.p for v in values]), 1
 
     def unpack(self, nums, den):
         return nums

@@ -8,12 +8,13 @@ bases.  Minus, lp/rp, the annihilator tests and plus keep a matrix branch
 (rank arithmetic, one inner inverse of b, annihilator-matching
 projections, a rank criterion for plus) and a Z_n branch on the gcd
 closed forms of zn.py; exact linear solves remain only in leq_1mp_routes.
-Annihilator containment is decided in _left_ann_leq/_right_ann_leq and
-nowhere else; whether an idempotent has the annihilator of a is decided in
-_left_ann_matches/_right_ann_matches.  On matrices, dagger(a), lp(a) and
-rp(a) are built only when the verdict uses them.  Every positive verdict
-carries a witness checked against the defining equations of the relation,
-so a structural shortcut can never silently disagree with the definition.
+Annihilator containment is decided in _ann_leq and nowhere else (on
+matrices b*g*t == t, one inner inverse g of b per decision), whether an
+idempotent has the annihilator of a in _left_ann_matches; the right side
+of each is the left side on stars, as rp is lp.  On matrices, dagger(a),
+lp(a) and rp(a) are built only when the verdict uses them.  Every positive
+verdict carries a witness checked against the defining equations of the
+relation, so a structural shortcut can never silently disagree with it.
 
 Verdict method tags:
     minus    "rank" (matrices) | "dagger" (Z_n)
@@ -41,7 +42,7 @@ from .errors import (
     RingMismatch,
 )
 from .inverses import dagger, is_one_mp
-from .matrix import ExactMatrix, column_space_leq, row_space_leq, solve_matrix_equations
+from .matrix import ExactMatrix, solve_matrix_equations
 from .ring import OppositeView, in_corner
 
 
@@ -127,37 +128,31 @@ def _left_projection(modular, a, side):
     return e
 
 
-def _left_ann_leq(b, t) -> bool:
-    """Whether the left annihilator of b is contained in that of t."""
-    return zn.ann_leq(b, t) if _modular(b) else column_space_leq(t, b)
+def _ann_leq(b, g, t) -> bool:
+    """Whether the left annihilator of b is contained in that of t.
+
+    Matrices: t lies in b*R, that is b*g*t == t for an inner inverse g of
+    b; on the right pass stars, as star(g) is an inner inverse of star(b).
+    Z_n: g is None and zn.ann_leq decides.
+    """
+    return zn.ann_leq(b, t) if g is None else b * g * t == t
 
 
-def _right_ann_leq(b, t) -> bool:
-    """Whether the right annihilator of b is contained in that of t."""
-    return zn.ann_leq(b, t) if _modular(b) else row_space_leq(t, b)
-
-
-def _left_ann_matches(e, a) -> bool:
+def _left_ann_matches(e, a, rank_a=None) -> bool:
     """Whether the idempotent e has the left annihilator of a.
 
     Matrices: e*a == a puts the column space of a inside that of e, and
-    equal ranks make the two spaces equal.  Every caller checks e*e == e.
+    equal ranks make the two spaces equal; rank_a is rank(a) if known.
+    Every caller checks e*e == e.
     """
     if _modular(e):
-        return _left_ann_leq(e, a) and _left_ann_leq(a, e)
-    return e * a == a and mx.rank(e) == mx.rank(a)
+        return zn.ann_leq(e, a) and zn.ann_leq(a, e)
+    return e * a == a and mx.rank(e) == (mx.rank(a) if rank_a is None else rank_a)
 
 
-def _right_ann_matches(e, a) -> bool:
-    """Whether the idempotent e has the right annihilator of a (row spaces, dually)."""
-    if _modular(e):
-        return _right_ann_leq(e, a) and _right_ann_leq(a, e)
-    return a * e == a and mx.rank(e) == mx.rank(a)
-
-
-def _containments(a, b) -> bool:
-    """The annihilator containments of b inside those of a, on both sides."""
-    return _left_ann_leq(b, a) and _right_ann_leq(b, a)
+def _containments(a, b, g) -> bool:
+    """The annihilator containments of b inside those of a, on both sides; g as in _ann_leq."""
+    return _ann_leq(b, g, a) and _ann_leq(b.star, None if g is None else g.star, a.star)
 
 
 def lp_family_member(a, p1):
@@ -177,7 +172,7 @@ def rp_family_member(a, q1):
     if not in_corner(q1, ra, ra, 2, 1):
         raise CornerViolation("q1 must lie in (1 - rp(a))*R*rp(a)")
     e = ra + q1
-    if not (e * e == e and _right_ann_matches(e, a)):
+    if not (e * e == e and _left_ann_matches(e.star, a.star)):
         raise InternalCheckError("rp family member failed verification")
     return e
 
@@ -411,8 +406,8 @@ def leq_diamond(a, b) -> OrderVerdict:
     Purely equational; the witness pair (lp(a), rp(a)) is attached when those
     projections exist.
     """
-    _modular(a, b)
-    if not _containments(a, b):
+    g = None if _modular(a, b) else mx.inner_inverse(b)
+    if not _containments(a, b, g):
         return OrderVerdict(False, None, "equational", "annihilator containment fails")
     if a * b.star * a != a * a.star * a:
         return OrderVerdict(False, None, "equational", "a*star(b)*a != a*star(a)*a")
@@ -436,21 +431,23 @@ def _adds_rank(m, v):
     return mx.rank(mx.hstack(m, v)) > m.cols
 
 
-def _plus_rank_witness(a, b):
-    """The idempotent pair of the rank criterion in leq_plus, or None.
+def _plus_rank_witness(a, b, inner):
+    """The verified witness of the rank criterion in leq_plus, or None.
 
     Requires the containments and rank(a) > 0.  With a = F*G and
     b = F_b*G_b, G_b the nonzero rref rows of b: S = L_b*F for a left
     inverse L_b of F_b, T = G at b's pivot columns, D = I_r - T*S.  The
-    pair is (F*U*L_b, R_b*V*G), R_b the selector of b's pivot rows.
+    pair is (F*U*L_b, R_b*V*G), R_b the selector of b's pivot rows.  Those
+    pivots are the nonzero rows of inner = inner_inverse(b), and its rows
+    there are L_b = inner_inverse(F_b): both are the first r_b rows of the
+    E that puts [b | I] in RREF, so b is not reduced again.
     """
     field = a.field
     fa = mx.full_rank_factorize(a)
-    fb = mx.full_rank_factorize(b)
-    r, r_b = fa.r, fb.r
-    f, g = fa.f, fa.g
-    pivots = fb.pivots
-    l_b = mx.inner_inverse(fb.f)
+    r, f, g = fa.r, fa.f, fa.g
+    m = inner.cols
+    pivots = [i for i in range(inner.rows) if any(inner.nums[i * m : (i + 1) * m])]
+    r_b, l_b = len(pivots), mx.select(inner, pivots, range(m))
     s = l_b * f
     t = _columns(g, pivots)
     d = ExactMatrix.identity(r, field) - t * s
@@ -476,16 +473,20 @@ def _plus_rank_witness(a, b):
     p = eye_b - s * u
     v = s + p * mx.inner_inverse(t * p) * d
     r_b_sel = _columns(ExactMatrix.identity(a.cols, field), pivots)
-    return f * u * l_b, r_b_sel * v * g
+    return _verify_plus_witness(a, b, f * u * l_b, r_b_sel * v * g, r)
 
 
-def _verify_plus_witness(a, b, q_tilde, q):
+def _verify_plus_witness(a, b, q_tilde, q, rank_a=None) -> PlusWitness:
+    """The pair as a PlusWitness once its equations hold; rank_a as in _left_ann_matches."""
     if not (q_tilde * q_tilde == q_tilde and q * q == q):
         raise InternalCheckError("plus witness pair not idempotent")
-    if not (_left_ann_matches(q_tilde, a) and _right_ann_matches(q, a)):
+    if rank_a is None and not _modular(a):
+        rank_a = mx.rank(a)
+    if not (_left_ann_matches(q_tilde, a, rank_a) and _left_ann_matches(q.star, a.star, rank_a)):
         raise InternalCheckError("plus witness pair fails annihilator matching")
     if q_tilde * b * q != a:
         raise InternalCheckError("plus witness fails a == q_tilde*b*q")
+    return PlusWitness(q_tilde, q)
 
 
 def leq_plus(a, b) -> OrderVerdict:
@@ -529,7 +530,8 @@ def leq_plus(a, b) -> OrderVerdict:
     modular = _modular(a, b)
     if modular and not zn.is_regular(a):
         raise NotRickart(f"{a!r} has empty LP or RP family")
-    if not _containments(a, b):
+    g = None if modular else mx.inner_inverse(b)
+    if not _containments(a, b, g):
         return OrderVerdict(False, None, "containment", "annihilator containment fails")
     if a * b.star * a == a * a.star * a:
         try:
@@ -541,11 +543,10 @@ def leq_plus(a, b) -> OrderVerdict:
                 raise InternalCheckError("canonical plus witness fails a == lp(a)*b*rp(a)")
             return OrderVerdict(True, PlusWitness(la, ra), "canonical")
     method = "canonical" if modular else "rank"
-    pair = None if modular else _plus_rank_witness(a, b)
-    if pair is None:
+    witness = None if modular else _plus_rank_witness(a, b, g)
+    if witness is None:
         return OrderVerdict(False, None, method, "no idempotent pair factors a through b")
-    _verify_plus_witness(a, b, *pair)
-    return OrderVerdict(True, PlusWitness(*pair), method)
+    return OrderVerdict(True, witness, method)
 
 
 # -- block forms above an element -----------------------------------------------
@@ -672,15 +673,13 @@ def plus_block_compose(a, data: PlusBlockData):
     b12 = data.y * data.b22 + data.z
     b11 = a + data.y * b21 + data.z * data.x
     b = b11 + b12 + b21 + data.b22
-    t_left = data.y * data.w + data.w  # (y + 1)*w
-    t_right = data.z * data.x + data.z  # z*(x + 1)
-    if not _left_ann_leq(b, t_left):
+    g = None if _modular(b) else mx.inner_inverse(b)
+    if not _ann_leq(b, g, data.y * data.w + data.w):  # t_left = (y + 1)*w
         raise ConditionFailure("left")
-    if not _right_ann_leq(b, t_right):
+    t_right = data.z * data.x + data.z  # z*(x + 1)
+    if not _ann_leq(b.star, None if g is None else g.star, t_right.star):
         raise ConditionFailure("right")
-    q_tilde = la - data.y
-    q = ra - data.x
-    _verify_plus_witness(a, b, q_tilde, q)
-    if not _containments(a, b):
+    _verify_plus_witness(a, b, la - data.y, ra - data.x)
+    if not _containments(a, b, g):
         raise InternalCheckError("composed element fails the containments")
     return b

@@ -23,6 +23,11 @@ class ZnElement:
     value: int
     modulus: int
 
+    def __post_init__(self):
+        if self.modulus < 2:
+            raise ValueError(f"Z_n needs a modulus n >= 2, got {self.modulus}")
+        object.__setattr__(self, "value", self.value % self.modulus)
+
     def _check(self, other):
         if not isinstance(other, ZnElement):
             raise RingMismatch(f"cannot combine ZnElement with {type(other).__name__}")
@@ -31,18 +36,18 @@ class ZnElement:
 
     def __add__(self, other):
         self._check(other)
-        return ZnElement((self.value + other.value) % self.modulus, self.modulus)
+        return ZnElement(self.value + other.value, self.modulus)
 
     def __sub__(self, other):
         self._check(other)
-        return ZnElement((self.value - other.value) % self.modulus, self.modulus)
+        return ZnElement(self.value - other.value, self.modulus)
 
     def __neg__(self):
-        return ZnElement((-self.value) % self.modulus, self.modulus)
+        return ZnElement(-self.value, self.modulus)
 
     def __mul__(self, other):
         self._check(other)
-        return ZnElement((self.value * other.value) % self.modulus, self.modulus)
+        return ZnElement(self.value * other.value, self.modulus)
 
     @property
     def star(self):

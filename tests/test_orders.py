@@ -42,7 +42,7 @@ from starinv import (
     rp_family_member,
     zn_ring,
 )
-from starinv.matrix import hstack
+from starinv.matrix import hstack, inner_inverse
 from starinv.theorems import TUPLE_CAP
 
 from conftest import M, random_rational_matrix, random_singular_matrix, z
@@ -429,22 +429,48 @@ class TestLazyDerivedData:
                 relation(z(2, 12), b)
             assert str(info.value) == "2 (mod 12) has no Moore-Penrose inverse"
 
-    def test_rank_stage_probe_eliminations(self, monkeypatch):
-        # row_reduce plus rank calls of one 3x3 rank-stage decision (38 when
-        # lp(a) and rp(a) were built first and annihilators compared two ways)
-        field_cls = type(DIAG10.field)
+    @staticmethod
+    def _count_eliminations(monkeypatch, field):
+        """The list that gets the kernel name of each row_reduce and rank call over field."""
+        field_cls = type(field)
         count = []
         for name in ("row_reduce", "rank"):
             kernel = getattr(field_cls, name)
 
-            def counting(self, *args, _kernel=kernel):
-                count.append(None)
+            def counting(self, *args, _kernel=kernel, _name=name):
+                count.append(_name)
                 return _kernel(self, *args)
 
             monkeypatch.setattr(field_cls, name, counting)
+        return count
+
+    def test_rank_stage_probe_eliminations(self, monkeypatch):
+        # row_reduce plus rank calls of one 3x3 rank-stage decision
+        count = self._count_eliminations(monkeypatch, DIAG10.field)
         v = leq_plus(M([[1, 0, 0], [0, 0, 0], [0, 0, 0]]), M([[2, 0, 0], [0, 1, 0], [0, 0, 0]]))
         assert (v.holds, v.method) == (True, "rank")
-        assert len(count) <= 22
+        assert len(count) <= 15
+
+    def test_diamond_positive_eliminations(self, monkeypatch):
+        # one inner inverse of b for both containments, then lp(a) and rp(a)
+        count = self._count_eliminations(monkeypatch, DIAG10.field)
+        v = leq_diamond(M([[1, 0, 0], [0, 0, 0], [0, 0, 0]]), ExactMatrix.identity(3))
+        assert v.holds and v.witness is not None
+        assert len(count) <= 9
+
+    @pytest.mark.parametrize("field", [DIAG10.field, GF(3)], ids=["rational", "gf3"])
+    def test_failed_containment_reduces_b_once(self, monkeypatch, field):
+        # a diamond or plus negative on the containments: one row_reduce of [b | I], no rank
+        b = M([[1, 2, 0], [2, 4, 0], [0, 0, 0]], field)
+        a_col = M([[1, 0, 0], [0, 0, 0], [0, 0, 0]], field)  # a column outside those of b
+        a_row = M([[1, 0, 0], [2, 0, 0], [0, 0, 0]], field)  # only a row outside those of b
+        count = self._count_eliminations(monkeypatch, field)
+        for a in (a_col, a_row, M([[0, 0, 0], [0, 0, 0], [0, 0, 1]], field)):
+            for decide, method in ((leq_diamond, "equational"), (leq_plus, "containment")):
+                count.clear()
+                v = decide(a, b)
+                assert (v.holds, v.method, v.reason) == (False, method, "annihilator containment fails")
+                assert count == ["row_reduce"]
 
     def test_failed_gate_builds_no_projection(self, monkeypatch):
         # containments pass, a*star(b)*a != a*star(a)*a: straight to the rank stage
@@ -461,10 +487,41 @@ class TestLazyDerivedData:
         ]
         monkeypatch.setattr(orders, "_left_projection", no_projection)
         for a, b, holds in pairs:
-            assert orders._containments(a, b)
+            assert orders._containments(a, b, inner_inverse(b))
             assert a * b.star * a != a * a.star * a
             v = leq_plus(a, b)
             assert (v.holds, v.method) == (holds, "rank")
+
+
+class TestUnreducedEntries:
+    """The constructor packs unreduced GF(p) residues in the canonical form
+    that ==, hash and the self-checks of every decision rely on."""
+
+    @staticmethod
+    def _outcome(fn, *args):
+        try:
+            return fn(*args)
+        except NotMPInvertible as exc:
+            return type(exc), str(exc)
+
+    def test_unreduced_gf5_matrices_decide_like_reduced_ones(self):
+        f = GF(5)
+        rng = random.Random(17)
+        cases = [([7, 0, 0, 0], [2, 0, 0, 0]), ([5, -1, 13, 2], [0, 4, 3, 2])]
+        for _ in range(30):
+            ents = [rng.randrange(5) for _ in range(4)]
+            cases.append(([v + 5 * rng.randrange(-3, 4) for v in ents], ents))
+        others = [([6, 0, 0, 11], [1, 0, 0, 1]), ([1, 2, 7, -1], [1, 2, 2, 4])]
+        for raw, canonical in cases:
+            a, c = ExactMatrix(2, 2, raw, f), ExactMatrix(2, 2, canonical, f)
+            assert a == c and hash(a) == hash(c) and a.nums == tuple(canonical)
+            assert self._outcome(dagger, a) == self._outcome(dagger, c)
+            assert inner_inverse(a) == inner_inverse(c)
+            for b_raw, b_canonical in [(raw, canonical)] + others:
+                b, bc = ExactMatrix(2, 2, b_raw, f), ExactMatrix(2, 2, b_canonical, f)
+                for decide in (leq_minus, leq_1mp, leq_mp1, leq_diamond, leq_plus):
+                    assert self._outcome(decide, a, b) == self._outcome(decide, c, bc)
+                    assert self._outcome(decide, b, a) == self._outcome(decide, bc, c)
 
 
 class TestDiamondOrder:
@@ -604,9 +661,10 @@ class TestPlusOrder:
             if rank(a) == 0:
                 continue
             for b in elements:
-                if not _containments(a, b):
+                g = inner_inverse(b)
+                if not _containments(a, b, g):
                     continue
-                pair = _plus_rank_witness(a, b)
+                pair = _plus_rank_witness(a, b, g)
                 if pair is not None:
                     _verify_plus_witness(a, b, *pair)
                 found[pair is not None] += 1

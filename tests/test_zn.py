@@ -129,3 +129,33 @@ def test_modulus_far_above_the_carrier_guard():
 
     assert time.perf_counter() - start < 1.0
     assert zn_ring.cache_info() == before
+
+
+def _outcome(decide, a, b):
+    """A verdict, or the type and message of the refusal."""
+    try:
+        return decide(a, b)
+    except StarInvError as exc:
+        return type(exc), str(exc)
+
+
+def test_unreduced_values_are_canonical():
+    # every representative of a residue is that residue: ==, hash, dagger, lp, rp and all five relations
+    n = 12
+    for v in range(n):
+        x = ZnElement(v, n)
+        for w in (v + n, v - n, v + 5 * n, v - 7 * n):
+            y = ZnElement(w, n)
+            assert y == x and hash(y) == hash(x) and y.value == v and repr(y) == repr(x)
+            for decide in (*DECIDERS.values(), lambda a, b: (dagger(a), lp(a), rp(a))):
+                for u in (3, 9 + 2 * n):
+                    assert _outcome(decide, y, ZnElement(u, n)) == _outcome(decide, x, ZnElement(u, n))
+                    assert _outcome(decide, ZnElement(u, n), y) == _outcome(decide, ZnElement(u, n), x)
+    assert ZnElement(7, 5) + ZnElement(4, 5) == ZnElement(1, 5)
+    assert -ZnElement(1, 5) == ZnElement(4, 5) and ZnElement(3, 5) * ZnElement(4, 5) == ZnElement(2, 5)
+
+
+@pytest.mark.parametrize("modulus", [1, 0, -5])
+def test_modulus_below_two_refused(modulus):
+    with pytest.raises(ValueError, match="modulus n >= 2"):
+        ZnElement(1, modulus)
