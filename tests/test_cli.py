@@ -253,6 +253,35 @@ class TestPlumbing:
         assert time.perf_counter() - start < 1.0
         assert code == 2 and rep == {"status": "error", "error": "carrier of z501 has 501 elements"}
 
+    @pytest.mark.parametrize("ring, theorems", [("m3gf2", "nope"), ("z500", ",")])
+    def test_bad_theorem_ids_exit_2_before_the_ring_is_built(
+        self, capsys, monkeypatch, ring, theorems
+    ):
+        import time
+
+        def unreachable(name):
+            raise AssertionError(f"ring {name} built before the theorem ids were checked")
+
+        monkeypatch.setattr("starinv.finite.ring_by_name", unreachable)
+        start = time.perf_counter()
+        code, rep = run_cli(capsys, "verify", "--ring", ring, "--theorems", theorems)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and rep["status"] == "error"
+
+    def test_bad_theorem_id_wins_over_bad_ring(self, capsys):
+        code, rep = run_cli(capsys, "verify", "--ring", "octonions", "--theorems", "zorn")
+        assert code == 2 and rep == {"status": "error", "error": "unknown theorem id 'zorn'"}
+
+    def test_unwritable_output_exit_2(self, tmp_path, capsys):
+        a = write_doc(tmp_path, "a.mat", M([[1, 0], [0, 0]]))
+        b = write_doc(tmp_path, "b.mat", ExactMatrix.identity(2))
+        out = tmp_path / "missing" / "report.json"
+        for argv in (("mp", a), ("order", "minus", a, b), ("order", "1mp", b, a)):
+            code, rep = run_cli(capsys, *argv, "--output", str(out))
+            assert code == 2, argv
+            assert rep["status"] == "error" and rep["error"].startswith(f"cannot write {out}: ")
+        assert not out.parent.exists()
+
     def test_ring_with_non_ascii_size_digit_exit_2(self, capsys):
         code, rep = run_cli(capsys, "verify", "--ring", "m\u00b2gf2")
         assert code == 2 and rep == {"status": "error", "error": "bad ring id 'm\u00b2gf2'"}
