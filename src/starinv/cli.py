@@ -353,7 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_order.set_defaults(func=cmd_order)
 
     p_verify = sub.add_parser("verify", help="run exhaustive theorem sweeps on a finite ring")
-    p_verify.add_argument("--ring", required=True, help="ring id: z<n>, m2gf2, m2gf3, or m3gf2")
+    p_verify.add_argument(
+        "--ring", required=True, help="ring id: z<n>, m2gf2, m2gf3, m2gf5, or m3gf2"
+    )
     p_verify.add_argument(
         "--theorems",
         default="all",

@@ -2,10 +2,12 @@
 
 Three families are registered: Z_n with the identity involution (valid because
 those rings are commutative), the 2x2 matrices over GF(p) with transpose for
-p in {2, 3}, and the 3x3 matrices over GF(2) with transpose (m3gf2, 512
-elements).  Construction verifies the full ring and involution axiom set over
-the carrier; associativity and distributivity are checked through a
-generating set of (R, +), not over triples (`_verify_axioms` has the argument).
+p in {2, 3, 5} (m2gf5, 625 elements, is the odd characteristic where
+1 + 2^2 == 0, so the involution is not proper), and the 3x3 matrices over
+GF(2) with transpose (m3gf2, 512 elements).  Construction verifies the full
+ring and involution axiom set over the carrier; associativity and
+distributivity are checked through a generating set of (R, +), not over
+triples (`_verify_axioms` has the argument).
 
 A ring is stored by index: `elements[i]` is the i-th element and `index` maps
 an element back to i.  Sum and product are flat int tables
@@ -15,7 +17,10 @@ elements[x] lies in them, so a containment is `a & ~b == 0`.  Everything
 derived (the dagger, inner inverses, the 1MP/MP1 families, LP/RP members,
 corners) is computed on first use and cached per index.  Each scan is written
 once on indices (the `*_i` methods); the element-facing methods are thin
-wrappers over them.
+wrappers over them.  The registered rings fill their tables from integer
+codes (Z_n from residues, matrices from base-p digit tuples) and keep the
+element objects only as the carrier and `index`; a ring built from a list of
+elements fills them through element arithmetic.
 
 The five order relations exist twice.  `rel_<relation>_i(a, b)` decides one
 pair from the definition and is the reference.  `rel_rows(relation)` holds
@@ -36,9 +41,10 @@ tautology.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 from operator import itemgetter
 
 from .errors import CarrierTooLarge, InternalCheckError, UniquenessViolation, UnknownRing
@@ -48,9 +54,9 @@ from .zn import ZnElement
 
 # A ring keeps two |R|^2-entry int tables: at most 250,000 entries each for a
 # carrier of 500.  The registered matrix rings are built from a fixed list and
-# are exempt, so m3gf2 (512 elements) is admitted.
+# are exempt, so m3gf2 (512 elements) and m2gf5 (625) are admitted.
 CARRIER_GUARD = 500
-MATRIX_RINGS = {(2, 2), (2, 3), (3, 2)}  # (size, p) of the registered m<size>gf<p>
+MATRIX_RINGS = {(2, 2), (2, 3), (2, 5), (3, 2)}  # (size, p) of the registered m<size>gf<p>
 
 
 @dataclass(frozen=True)
@@ -110,7 +116,10 @@ def fibre_row(products, bits) -> list:
 class FiniteStarRing:
     """A finite *-ring on flat int operation tables with lazily cached derived data."""
 
-    def __init__(self, name, elements, zero, one, registered=False):
+    def __init__(self, name, elements, zero, one, registered=False, *, _tables=None):
+        # The tables come from element arithmetic unless a registered builder
+        # passes them prebuilt as `_tables` (mul, add, neg, star) from integer
+        # codes; either way `_verify_axioms` checks them.
         if not registered and len(elements) > CARRIER_GUARD:
             raise CarrierTooLarge(f"carrier of {name} has {len(elements)} elements")
         self.name = name
@@ -124,14 +133,18 @@ class FiniteStarRing:
         try:
             self.zero_i = index[zero]
             self.one_i = index[one]
-            self.mul_table = [index[a * b] for a in els for b in els]
-            self.add_table = [index[a + b] for a in els for b in els]
-            self.neg_table = [index[-a] for a in els]
-            self.star_table = [index[a.star] for a in els]
+            if _tables is None:
+                _tables = (
+                    [index[a * b] for a in els for b in els],
+                    [index[a + b] for a in els for b in els],
+                    [index[-a] for a in els],
+                    [index[a.star] for a in els],
+                )
         except KeyError:
             raise InternalCheckError(
                 f"{name}: carrier not closed under the ring operations"
             ) from None
+        self.mul_table, self.add_table, self.neg_table, self.star_table = _tables
         n = self.n
         # Per-index caches, filled on first use; `opposite()` shares some of
         # them.  The structure sits in a one-slot list so a scan run by either
@@ -721,27 +734,80 @@ def zn_ring(n: int) -> FiniteStarRing:
     if n > CARRIER_GUARD:
         raise CarrierTooLarge(f"carrier of z{n} has {n} elements")
     els = [ZnElement(v, n) for v in range(n)]
-    return FiniteStarRing(f"z{n}", els, els[0], els[1])
+    # Element i is the residue i, so the tables are integer arithmetic mod n;
+    # entries are read from `ids` so that equal entries share one int object.
+    ids = list(range(n))
+    add = []
+    for i in range(n):
+        add += ids[i:]
+        add += ids[:i]
+    mul = [ids[i * j % n] for i in range(n) for j in range(n)]
+    tables = (mul, add, [ids[-i] for i in range(n)], ids)
+    return FiniteStarRing(f"z{n}", els, els[0], els[1], _tables=tables)
 
 
 @lru_cache(maxsize=None)
 def _matrix_ring(size: int, p: int) -> FiniteStarRing:
     if (size, p) not in MATRIX_RINGS:
         raise UnknownRing(
-            f"m{size}gf{p} is not a registered backend (m2gf2, m2gf3 and m3gf2 are)"
+            f"m{size}gf{p} is not a registered backend (m2gf2, m2gf3, m2gf5 and m3gf2 are)"
         )
     field = GF(p)
-    els = [
-        ExactMatrix(size, size, entries, field)
-        for entries in itertools.product(range(p), repeat=size * size)
-    ]
+    digits = list(itertools.product(range(p), repeat=size * size))
+    els = [ExactMatrix(size, size, entries, field) for entries in digits]
     zero = ExactMatrix.zeros(size, size, field)
     one = ExactMatrix.identity(size, field)
-    return FiniteStarRing(f"m{size}gf{p}", els, zero, one, registered=True)
+    tables = _matrix_tables(size, p, digits)
+    return FiniteStarRing(f"m{size}gf{p}", els, zero, one, registered=True, _tables=tables)
+
+
+def _matrix_tables(size, p, digits) -> tuple:
+    """The (mul, add, neg, star) tables of M_size(GF(p)) from integer codes alone.
+
+    Element i is the matrix whose row-major entries are digits[i], the base-p
+    digits of i (most significant first, as `itertools.product` lists them),
+    so i is the sum over rows r of code(row r) * w[r] with w[r] = q**(size-1-r)
+    and q = p**size row vectors.  Row r of a*b is (row r of a)*b and row r of
+    a+b is (row r of a)+(row r of b), so each table row i is a sum over r of
+    one precomputed list over j: the index contribution of row r of
+    elements[i] combined with elements[j].
+    """
+    n, q = len(digits), p**size
+    w = [q ** (size - 1 - r) for r in range(size)]
+    vectors = list(itertools.product(range(p), repeat=size))  # vectors[v] has code v
+
+    def code(vec):
+        c = 0
+        for d in vec:
+            c = c * p + d
+        return c
+
+    row_codes = [[code(m[r * size : r * size + size]) for r in range(size)] for m in digits]
+    columns = [[m[k::size] for k in range(size)] for m in digits]
+    # v_times[v][j]: the code of the row vector v times elements[j]
+    v_times = [
+        [code([sum(map(operator.mul, v, col)) % p for col in cols]) for cols in columns]
+        for v in vectors
+    ]
+    v_plus = [[code([(x + y) % p for x, y in zip(v, u)]) for u in vectors] for v in vectors]
+    mul_parts = [[[wr * c for c in row] for row in v_times] for wr in w]
+    add_parts = [
+        [[wr * v_plus_v[codes[r]] for codes in row_codes] for v_plus_v in v_plus]
+        for r, wr in enumerate(w)
+    ]
+    total = partial(reduce, partial(map, operator.add))  # elementwise sum of lists
+    shared = list(range(n)).__getitem__  # so that equal entries share one int object
+    mul_table, add_table = [], []
+    for codes in row_codes:
+        mul_table += map(shared, total([part[v] for part, v in zip(mul_parts, codes)]))
+        add_table += map(shared, total([part[v] for part, v in zip(add_parts, codes)]))
+    neg_table = [code([-d % p for d in m]) for m in digits]
+    star_table = [code(m[c * size + r] for r in range(size) for c in range(size)) for m in digits]
+    return mul_table, add_table, neg_table, star_table
 
 
 def matrix_star_ring(p: int, size: int = 2) -> FiniteStarRing:
-    """All size x size matrices over GF(p) with transpose involution: m2gf2, m2gf3, m3gf2."""
+    """All size x size matrices over GF(p) with transpose: m2gf2, m2gf3, m2gf5, m3gf2."""
     return _matrix_ring(size, p)
 
 
@@ -749,7 +815,7 @@ matrix_star_ring.cache_clear = _matrix_ring.cache_clear  # drops every cached ma
 
 
 def ring_by_name(name: str) -> FiniteStarRing:
-    """Resolve a ring id: z<n>, m2gf<p> or m3gf2."""
+    """Resolve a ring id: z<n>, m2gf2, m2gf3, m2gf5 or m3gf2."""
     if name.startswith("z"):
         try:
             n = int(name[1:])

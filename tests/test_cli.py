@@ -345,8 +345,8 @@ class TestGoldenOutput:
     `tests/golden/*.json` holds the reports as written when these documents
     were first decided; a change to the arithmetic kernels must reproduce
     them byte for byte (witnesses, digests, key order and formatting).
-    `verify_<ring>.json` pins the theorem reports of z12, m2gf2, m2gf3 and
-    m3gf2 the same way, with the timings dropped; `verify_m3gf2_axioms.json`
+    `verify_<ring>.json` pins the theorem reports of z12, m2gf2, m2gf3, m2gf5
+    and m3gf2 the same way, with the timings dropped; `verify_m3gf2_axioms.json`
     pins the order-axiom and plus block-form sweeps of m3gf2 on their own.
     """
 
@@ -384,7 +384,7 @@ class TestGoldenOutput:
         assert code == 0
         assert json.dumps(rep, indent=2) + "\n" == (GOLDEN / f"verify_{golden}.json").read_text()
 
-    @pytest.mark.parametrize("ring", ["z12", "m2gf2", "m2gf3", "m3gf2"])
+    @pytest.mark.parametrize("ring", ["z12", "m2gf2", "m2gf3", "m2gf5", "m3gf2"])
     def test_verify_report(self, capsys, ring):
         self.check_verify(capsys, ring, "--ring", ring)
 

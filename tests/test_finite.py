@@ -7,6 +7,7 @@ import pytest
 
 from starinv import (
     CarrierTooLarge,
+    ExactMatrix,
     FiniteStarRing,
     InternalCheckError,
     UnknownRing,
@@ -24,6 +25,8 @@ from starinv import (
     zn_ring,
 )
 
+from starinv.finite import MATRIX_RINGS, bit_indices
+
 from conftest import M, z
 
 
@@ -37,7 +40,7 @@ class TestRegistry:
         with pytest.raises(UnknownRing):
             ring_by_name("q7")
         with pytest.raises(UnknownRing):
-            ring_by_name("m2gf5")
+            ring_by_name("m2gf7")
         with pytest.raises(UnknownRing):
             ring_by_name("m3gf3")
         with pytest.raises(UnknownRing):
@@ -223,7 +226,9 @@ class TestTableConsistency:
     """The flat int tables, bitsets and cached families against element arithmetic."""
 
     def test_operations_match_element_arithmetic(self, name):
-        ring = _fresh(ring_by_name(name))
+        # the registered ring, whose tables come from integer codes; a _fresh
+        # copy would fill them through the very arithmetic compared here
+        ring = ring_by_name(name)
         opp = ring.opposite()
         els = ring.elements
         for a in els:
@@ -453,6 +458,148 @@ class TestM3GF2:
             for rel, value in decided.items():
                 holds[rel] += value
         assert all(holds.values()), holds
+
+
+def _check_witness(ring, relation, a, b, witness):
+    """A positive verdict's witness against the oracle's own sets and the definition."""
+    if relation == "minus":
+        assert a * witness.inner * a == a
+        assert witness.inner * a == witness.inner * b and a * witness.inner == b * witness.inner
+        assert witness.p * b == a and b * witness.q == a
+    elif relation in ("1mp", "mp1"):
+        family = ring.one_mp_set(a) if relation == "1mp" else ring.mp_one_set(a)
+        assert witness.x in family
+        assert witness.x * a == witness.x * b and a * witness.x == b * witness.x
+    elif relation == "diamond":
+        if witness is not None:
+            assert tuple(witness) == (ring.lp(a), ring.rp(a))
+    else:
+        assert witness.q_tilde in ring.lp_members(a) and witness.q in ring.rp_members(a)
+        assert witness.q_tilde * b * witness.q == a
+
+
+class TestM2GF5:
+    """2x2 matrices over GF(5): 625 elements; 1 + 2^2 == 0, so transpose is not proper."""
+
+    def test_build_and_structure_counts(self):
+        ring = ring_by_name("m2gf5")
+        assert ring is matrix_star_ring(5)
+        assert len(ring.elements) == 625
+        assert len(ring.mp_invertible) == 545
+        assert len(ring.regular) == 625
+        without = [i for i in range(ring.n) if ring.lp_i(i) < 0 or ring.rp_i(i) < 0]
+        assert len(without) == 80
+        assert not ring.is_rickart_star
+
+    def test_decisions_match_the_oracle_on_a_seeded_slice(self):
+        # 60 seeded a and all 80 without canonical projections, each with one
+        # random b and one b above a in the minus order; those 80 also get a
+        # b above a in the plus order, which only the rank stage can decide
+        ring = matrix_star_ring(5)
+        rng = random.Random(625)
+        els = ring.elements
+        mp_set = set(ring.mp_invertible)
+        minus_rows, plus_rows = ring.rel_rows("minus"), ring.rel_rows("plus")
+        without = [i for i in range(ring.n) if ring.lp_i(i) < 0 or ring.rp_i(i) < 0]
+        pairs = []
+        for i in rng.sample(range(ring.n), 60) + without:
+            a = els[i]
+            pairs.append((a, rng.choice(els)))
+            pairs.append((a, els[rng.choice(list(bit_indices(minus_rows[i])))]))
+            if i in without:
+                pairs.append((a, els[rng.choice(list(bit_indices(plus_rows[i])))]))
+        holds = {"minus": 0, "1mp": 0, "mp1": 0, "diamond": 0, "plus": 0}
+        rank_positives = 0
+        for a, b in pairs:
+            decided = {"minus": leq_minus(a, b), "diamond": leq_diamond(a, b)}
+            oracle = {"minus": ring.rel_minus(a, b), "diamond": ring.rel_diamond(a, b)}
+            if a in mp_set:
+                decided.update({"1mp": leq_1mp(a, b), "mp1": leq_mp1(a, b)})
+                oracle.update({"1mp": ring.rel_1mp(a, b), "mp1": ring.rel_mp1(a, b)})
+            decided["plus"] = leq_plus(a, b)
+            oracle["plus"] = ring.rel_plus(a, b)
+            assert {rel: v.holds for rel, v in decided.items()} == oracle, (a, b)
+            for rel, v in decided.items():
+                if v.holds:
+                    holds[rel] += 1
+                    _check_witness(ring, rel, a, b, v.witness)
+            if decided["plus"].holds and ring.lp(a) is None:
+                rank_positives += decided["plus"].method == "rank"
+        assert all(holds.values()), holds
+        assert rank_positives > 0
+
+
+class TestIntegerCodedTables:
+    """The registered rings' tables come from integer codes; element arithmetic checks them.
+
+    `_verify_axioms` cannot tell a ring from its opposite (a transposed
+    product table meets every axiom), so only this comparison pins the
+    orientation of the product.
+    """
+
+    @staticmethod
+    def mismatch(ring, rows):
+        """The first (table, i) where row i disagrees with element arithmetic, or None."""
+        els, index, n = ring.elements, ring.index, ring.n
+        for i in rows:
+            a = els[i]
+            if ring.neg_table[i] != index[-a]:
+                return "neg", i
+            if ring.star_table[i] != index[a.star]:
+                return "star", i
+            if ring.mul_table[i * n : i * n + n] != [index[a * b] for b in els]:
+                return "mul", i
+            if ring.add_table[i * n : i * n + n] != [index[a + b] for b in els]:
+                return "add", i
+        return None
+
+    @staticmethod
+    def rows_of(ring):
+        if ring.n <= 81:
+            return range(ring.n)
+        return random.Random(ring.n).sample(range(ring.n), 12)
+
+    def test_every_entry_of_the_small_rings(self):
+        for name in [f"z{n}" for n in range(2, 61)] + ["m2gf2", "m2gf3"]:
+            ring = ring_by_name(name)
+            assert self.mismatch(ring, range(ring.n)) is None, name
+
+    @pytest.mark.parametrize("name", ["m3gf2", "m2gf5"])
+    def test_seeded_rows_of_the_large_rings(self, name):
+        ring = ring_by_name(name)
+        assert self.mismatch(ring, self.rows_of(ring)) is None
+
+    @pytest.mark.parametrize("name", ["m2gf2", "m2gf3", "m3gf2", "m2gf5"])
+    def test_a_transposed_product_table_is_caught(self, name):
+        opp = ring_by_name(name).opposite()
+        opp._verify_axioms()
+        assert self.mismatch(opp, self.rows_of(opp))[0] == "mul"
+
+    def test_building_uses_no_element_arithmetic(self, monkeypatch):
+        calls = []
+
+        def counted(cls, attr):
+            original = getattr(cls, attr)
+            if isinstance(original, property):
+                replacement = property(lambda self: calls.append(attr) or original.fget(self))
+            else:
+                def replacement(self, *args):
+                    calls.append(attr)
+                    return original(self, *args)
+            monkeypatch.setattr(cls, attr, replacement)
+
+        for cls in (ExactMatrix, ZnElement):
+            for attr in ("__mul__", "__add__", "__sub__", "__neg__", "star"):
+                counted(cls, attr)
+        zn_ring.cache_clear()
+        matrix_star_ring.cache_clear()
+        names = [f"m{size}gf{p}" for size, p in sorted(MATRIX_RINGS)] + ["z500"]
+        for name in names:
+            assert ring_by_name(name).n > 0
+        assert calls == []
+        residues, one = ring_by_name("z500").elements, ring_by_name("m2gf2").one
+        residues[2] * residues[3], one + one  # the counters are live
+        assert calls == ["__mul__", "__add__"]
 
 
 def test_zn_element_repr():
