@@ -29,8 +29,9 @@ relates to b), built for every a at once and cached per ring.  The rows
 are ORs of fibre bitsets: `fibres()` returns left[x][c] = {b : x*b == c}
 and right[x][c] = {b : b*x == c}, so the minus row of a is the OR over
 inner inverses x of left[x][x*a] & right[x][a*x], and the 1MP and MP1 rows
-take the same OR over their families.  Fibres hold 2 * |R|^2 ints and are
-rebuilt by each caller.
+take the same OR over their families.  Fibres hold 2 * |R|^2 ints; they are
+built once per ring on first use and kept (a singleton fibre is the shared
+`1 << b`, so the table holds few distinct ints: about 7 MB for m2gf5).
 
 Everything in this module decides membership questions by raw enumeration
 against the defining equations.  It deliberately shares no code paths with
@@ -102,15 +103,17 @@ def bit_indices(bits):
         bits ^= low
 
 
-def fibre_row(products, bits) -> list:
+def fibre_row(products, bits) -> tuple:
     """row[c] = the bitset of positions b with products[b] == c.
 
-    `bits[b]` is 1 << b, passed in so a caller splitting many rows builds it once.
+    `bits[b]` is 1 << b, passed in so a caller splitting many rows builds it
+    once; a singleton fibre is that very object, not a copy of it.
     """
     row = [0] * len(bits)
     for c, bit in zip(products, bits):
-        row[c] |= bit
-    return row
+        old = row[c]
+        row[c] = old | bit if old else bit
+    return tuple(row)
 
 
 class FiniteStarRing:
@@ -162,6 +165,7 @@ class FiniteStarRing:
         self._rp = [None] * n
         self._corners = {}  # p*n + q -> corner (p, q), in the unflipped ring's orientation
         self._rows = {}  # relation tag -> rel_rows
+        self._fibres = None
         self._flipped = False
         self._opposite = None
         self._verify_axioms()
@@ -200,9 +204,9 @@ class FiniteStarRing:
         so are the annihilators and corners with their sides swapped: a left
         annihilator of the opposite is a right annihilator here, and its
         corner (p, q) is the corner (q, p) here.  The 1MP/MP1 families, the
-        Penrose-equation bitsets, LP/RP data and relation rows are not shared:
-        the opposite scans its own table for them, so the duality sweep
-        compares two computations, not one cache.
+        Penrose-equation bitsets, LP/RP data, fibres and relation rows are not
+        shared: the opposite scans its own table for them, so the duality
+        sweep compares two computations, not one cache.
         """
         if self._opposite is None:
             n, m = self.n, self.mul_table
@@ -215,6 +219,7 @@ class FiniteStarRing:
             ):
                 setattr(opp, attr, [None] * n)
             opp._rows = {}
+            opp._fibres = None
             opp._flipped = not self._flipped
             opp._opposite = self
             self._opposite = opp
@@ -526,15 +531,18 @@ class FiniteStarRing:
     def fibres(self) -> tuple:
         """(left, right): bit b of left[x][c] is set when x*b == c, of right[x][c] when b*x == c.
 
-        Not cached: the two tables hold 2 * |R|^2 ints, so a caller builds them
-        for one scan and drops them.
+        Built on first use and kept for the ring's lifetime, so every sweep
+        and relation row reads one table; it is tuples all the way down, so
+        no caller can change it for the others.
         """
-        n, mul = self.n, self.mul_table
-        bits = [1 << b for b in range(n)]
-        return (
-            [fibre_row(mul[x * n : x * n + n], bits) for x in range(n)],
-            [fibre_row(mul[x::n], bits) for x in range(n)],
-        )
+        if self._fibres is None:
+            n, mul = self.n, self.mul_table
+            bits = [1 << b for b in range(n)]
+            self._fibres = (
+                tuple(fibre_row(mul[x * n : x * n + n], bits) for x in range(n)),
+                tuple(fibre_row(mul[x::n], bits) for x in range(n)),
+            )
+        return self._fibres
 
     def rel_rows(self, relation) -> tuple:
         """Row bitsets of an oracle order: bit b of rows[a] is set when rel_<relation>_i(a, b).

@@ -21,7 +21,7 @@ pairwise loop; `checked` still counts every pair.
 Sweeps over triples avoid the per-triple loop the same way.  The seven 1MP
 conditions are one bitset over x per (a, a_minus): each condition is an AND
 or OR of the fibre rows of a alone ({x : a*x == c} and {x : x*a == c},
-split by `fibre_row`, not the whole `ring.fibres()`), and the violations
+`left[a]` and `right[a]` of the ring's cached `fibres()`), and the violations
 are walked upward in x and then over a_minus, in the order of the triple
 loop.  The inner-inverse block form depends on h only through
 (h*a*h, a*h, h*a), so each image is built once per such key in a dict local
@@ -41,7 +41,7 @@ import time
 from itertools import islice
 
 from .errors import UnknownTheorem
-from .finite import FiniteStarRing, TheoremReport, bit_indices, bitset, fibre_row
+from .finite import FiniteStarRing, TheoremReport, bit_indices
 
 MAX_STORED_VIOLATIONS = 20
 TUPLE_CAP = 1_000_000  # the most transitivity violations an order axiom suite stores
@@ -96,10 +96,10 @@ def _one_mp_characterization(ring, label="one_mp_characterization"):
     name = _namer(ring)
     violations = []
     notes = _regularity_note(ring)
+    left = ring.fibres()[0]
     for a in s.mp_invertible:
-        an = a * n
         family = sum(1 << z for z in ring.one_mp_i(a))
-        fibre = bitset(mul[an : an + n], mul[an + s.dagger[a]])  # {z : a*z == a*dagger(a)}
+        fibre = left[a][mul[a * n + s.dagger[a]]]  # {z : a*z == a*dagger(a)}
         solves = sum(1 << z for z in bit_indices(fibre) if mul[mul[z * n + a] * n + z] == z)
         eq1, eq2, eq3, _ = ring.penrose_bits(a)
         klass = eq1 & eq2 & eq3
@@ -178,6 +178,7 @@ def _one_mp_condition_equivalences(ring, label="one_mp_condition_equivalences"):
     n, mul, star = ring.n, ring.mul_table, ring.star_table
     name = _namer(ring)
     bits = [1 << x for x in range(n)]
+    fibres_left, fibres_right = ring.fibres()
     violations = []
     checked = 0
     literal_gap = 0
@@ -187,8 +188,7 @@ def _one_mp_condition_equivalences(ring, label="one_mp_condition_equivalences"):
         an = a * n
         astar = star[a]
         asn = astar * n
-        left = fibre_row(mul[an : an + n], bits)
-        right = fibre_row(mul[a::n], bits)
+        left, right = fibres_left[a], fibres_right[a]
         ax_values = [(y, xs) for y, xs in enumerate(left) if xs]
         xa_values = [(v, xs) for v, xs in enumerate(right) if xs]
         axad = left[mul[an + d]]  # a*x == a*dagger(a)

@@ -245,6 +245,29 @@ class TestPlumbing:
         assert code == 2 and rep["status"] == "error"
         assert "exponents are not accepted" in rep["error"] and "line 4" in rep["error"]
 
+    @pytest.mark.parametrize("key, line", [("rows", 2), ("cols", 3)])
+    def test_dimension_beyond_the_limit_exit_2_before_any_entry(
+        self, tmp_path, capsys, key, line
+    ):
+        from starinv.cli import MAX_DIMENSION
+
+        dims = {"rows": 1, "cols": 1, key: MAX_DIMENSION + 1}
+        path = tmp_path / "a.mat"
+        # entry rows that would fail to parse: the header is refused first
+        body = "x\n" * dims["rows"]
+        path.write_text(f"field rational\nrows {dims['rows']}\ncols {dims['cols']}\n{body}")
+        code, rep = run_cli(capsys, "mp", str(path))
+        assert code == 2 and rep["status"] == "error"
+        assert f"'{key}' exceeds the limit of {MAX_DIMENSION}" in rep["error"]
+        assert f"line {line}" in rep["error"]
+
+    def test_dimension_at_the_limit_is_accepted(self):
+        from starinv.cli import MAX_DIMENSION
+
+        wide = ExactMatrix(1, MAX_DIMENSION, list(range(MAX_DIMENSION)), GF(3))
+        for a in (wide, wide.star):
+            assert parse_matrix_document(serialize_matrix_document(a)) == a
+
     def test_ring_beyond_carrier_guard_exit_2_fast(self, capsys):
         import time
 

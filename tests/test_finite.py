@@ -22,9 +22,11 @@ from starinv import (
     leq_plus,
     matrix_star_ring,
     ring_by_name,
+    verify_all,
     zn_ring,
 )
 
+from starinv import finite
 from starinv.finite import MATRIX_RINGS, bit_indices
 
 from conftest import M, z
@@ -334,15 +336,71 @@ class TestRelationRows:
 
     def test_fibres_partition_the_carrier(self, name):
         ring = ring_by_name(name)
-        n, mul = ring.n, ring.mul_table
+        _assert_fibres_partition(ring, range(ring.n))
+
+
+def _assert_fibres_partition(ring, xs):
+    """The fibres of each x in xs split the carrier by x*b and by b*x."""
+    n, mul = ring.n, ring.mul_table
+    fibres = left, right = ring.fibres()
+    assert ring.fibres() is fibres
+    full = (1 << n) - 1
+    for x in xs:
+        for fibre in (left[x], right[x]):
+            assert isinstance(fibre, tuple) and len(fibre) == n
+            assert sum(fibre) == full and sum(f.bit_count() for f in fibre) == n
+        for b in range(n):
+            assert left[x][mul[x * n + b]] >> b & 1
+            assert right[x][mul[b * n + x]] >> b & 1
+
+
+class TestFibreCache:
+    """One fibre table per ring, built on first use and read by every sweep."""
+
+    def test_a_full_registry_builds_one_table_per_ring_and_opposite(self, monkeypatch):
+        calls = []
+        split = finite.fibre_row
+
+        def counted(products, bits):
+            calls.append(None)
+            return split(products, bits)
+
+        monkeypatch.setattr(finite, "fibre_row", counted)
+        ring = _fresh(ring_by_name("m2gf3"))
+        assert all(report.passed for report in verify_all(ring))
+        # left and right rows of every x, once for the ring and once for its opposite
+        assert len(calls) == 4 * ring.n
+
+    def test_the_opposite_builds_its_own_fibres_after_warm_caches(self):
+        ring = _fresh(ring_by_name("m2gf3"))
         left, right = ring.fibres()
-        full = (1 << n) - 1
-        for x in range(n):
-            for fibre in (left[x], right[x]):
-                assert sum(fibre) == full and sum(f.bit_count() for f in fibre) == n
-            for b in range(n):
-                assert left[x][mul[x * n + b]] >> b & 1
-                assert right[x][mul[b * n + x]] >> b & 1
+        mp1 = ring.rel_rows("mp1")
+        opp = ring.opposite()
+        fibres = opp.fibres()
+        assert fibres is not ring.fibres() and opp.fibres() is fibres
+        assert fibres[0] is not right and fibres[1] is not left
+        assert left != right and fibres == (right, left)
+        assert opp.rel_rows("1mp") == mp1
+
+    @pytest.mark.parametrize("name", ["m3gf2", "m2gf5"])
+    def test_fibres_partition_the_carrier_on_seeded_rows(self, name):
+        ring = ring_by_name(name)
+        _assert_fibres_partition(ring, random.Random(ring.n).sample(range(ring.n), 12))
+
+    def test_m2gf5_fibres_hold_under_12_mb(self):
+        ring = ring_by_name("m2gf5")
+        tables = (ring.mul_table, ring.add_table, ring.neg_table, ring.star_table)
+        copy = FiniteStarRing(
+            ring.name, ring.elements, ring.zero, ring.one, registered=True, _tables=tables
+        )
+        tracemalloc.start()
+        try:
+            fibres = copy.fibres()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 12_000_000
+        assert copy.fibres() is fibres
 
 
 @dataclass(frozen=True)
