@@ -1,7 +1,7 @@
 """Exact generalized inverses and induced partial orders in *-rings.
 
 Backends: matrices over the rationals or GF(p) with transpose involution,
-and enumerable finite *-rings (Z_n, 2x2 matrices over GF(2)/GF(3), 3x3
+and enumerable finite *-rings (Z_n, 2x2 matrices over GF(2)/GF(3)/GF(5), 3x3
 matrices over GF(2)) that act as brute-force oracles for every identity the
 formula layer computes.
 

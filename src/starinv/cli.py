@@ -27,7 +27,7 @@ from .errors import (
     StarInvError,
     UnknownTheorem,
 )
-from .fields import QQ, field_by_name
+from .fields import QQ, _canonical_int, field_by_name
 from .matrix import ExactMatrix, embed_square
 
 EXIT_OK = 0
@@ -62,7 +62,7 @@ def parse_matrix_document(text: str, default_field=None) -> ExactMatrix:
         raise DocumentError("empty matrix document", line=1)
     pos = 0
     field = default_field
-    if lines[pos][1].startswith("field"):
+    if lines[pos][1].split()[0] == "field":
         lineno, header = lines[pos]
         parts = header.split()
         if len(parts) != 2:
@@ -80,10 +80,9 @@ def parse_matrix_document(text: str, default_field=None) -> ExactMatrix:
         parts = content.split()
         if len(parts) != 2 or parts[0] != key:
             raise DocumentError(f"expected '{key} <n>'", line=lineno)
-        try:
-            value = int(parts[1])
-        except ValueError:
-            raise DocumentError(f"bad integer in '{key}' line", line=lineno) from None
+        value = _canonical_int(parts[1])
+        if value is None:
+            raise DocumentError(f"bad integer in '{key}' line", line=lineno)
         if value <= 0:
             raise DocumentError(f"'{key}' must be positive", line=lineno)
         if value > MAX_DIMENSION:
@@ -204,14 +203,9 @@ def _hybrid_command(args, kind: str) -> int:
         "inputs": {"a": _input_payload(a), "a_minus": _input_payload(a_minus)},
     }
     try:
-        if kind == "onemp":
-            x = gi.one_mp(a, a_minus)
-            a_dag = gi.dagger(a)
-            system = [x * a * x == x, a * x == a * a_dag]
-        else:
-            x = gi.mp_one(a, a_minus)
-            a_dag = gi.dagger(a)
-            system = [x * a * x == x, x * a == a_dag * a]
+        x = (gi.one_mp if kind == "onemp" else gi.mp_one)(a, a_minus)
+        a_dag = gi.dagger(a)
+        system = [x * a * x == x, a * x == a * a_dag if kind == "onemp" else x * a == a_dag * a]
     except (DimensionMismatch, RingMismatch) as exc:
         raise DocumentError(str(exc)) from None
     except InternalCheckError:

@@ -351,15 +351,23 @@ def GF(p: int) -> PrimeField:
     return _GF_CACHE[p]
 
 
+def _canonical_int(text: str):
+    """The int that str() spells as text, or None ('+', ' ', '_', leading 0, non-ASCII digit)."""
+    try:
+        n = int(text)
+    except ValueError:
+        return None
+    return n if str(n) == text else None
+
+
 def field_by_name(name: str):
     """Resolve a field tag: "rational" or "gf:<p>"."""
     if name == "rational":
         return QQ
     if name.startswith("gf:"):
-        try:
-            p = int(name[3:])
-        except ValueError:
-            raise DocumentError(f"bad field tag {name!r}") from None
+        p = _canonical_int(name[3:])
+        if p is None:
+            raise DocumentError(f"bad field tag {name!r}")
         try:
             return GF(p)
         except ValueError as exc:

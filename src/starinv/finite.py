@@ -49,7 +49,7 @@ from functools import lru_cache, partial, reduce
 from operator import itemgetter
 
 from .errors import CarrierTooLarge, InternalCheckError, UniquenessViolation, UnknownRing
-from .fields import GF
+from .fields import GF, _canonical_int
 from .matrix import ExactMatrix
 from .zn import ZnElement
 
@@ -823,20 +823,16 @@ matrix_star_ring.cache_clear = _matrix_ring.cache_clear  # drops every cached ma
 
 
 def ring_by_name(name: str) -> FiniteStarRing:
-    """Resolve a ring id: z<n>, m2gf2, m2gf3, m2gf5 or m3gf2."""
+    """Resolve a ring id: z<n>, m2gf2, m2gf3, m2gf5 or m3gf2, each size spelled as str(n)."""
     if name.startswith("z"):
-        try:
-            n = int(name[1:])
-        except ValueError:
-            raise UnknownRing(f"bad ring id {name!r}") from None
-        return zn_ring(n)
-    if name[:1] == "m" and name[2:4] == "gf":
-        try:
-            size, p = int(name[1]), int(name[4:])
-        except ValueError:
-            raise UnknownRing(f"bad ring id {name!r}") from None
-        return _matrix_ring(size, p)
-    raise UnknownRing(f"unknown ring id {name!r}")
+        sizes = [_canonical_int(name[1:])]
+    elif name[:1] == "m" and name[2:4] == "gf":
+        sizes = [_canonical_int(name[1]), _canonical_int(name[4:])]
+    else:
+        raise UnknownRing(f"unknown ring id {name!r}")
+    if None in sizes:
+        raise UnknownRing(f"bad ring id {name!r}")
+    return zn_ring(*sizes) if len(sizes) == 1 else _matrix_ring(*sizes)
 
 
 # -- module-level enumeration API ---------------------------------------------

@@ -9,7 +9,9 @@ either family is decided purely equationally:
 
 which also coincide with the {1,2,3}- and {1,2,4}-inverse classes.  The
 equational tests are used everywhere instead of searching for a generating
-inner inverse.
+inner inverse.  The MP1 side is the star transport of the 1MP side (x is an
+MP1-inverse of a iff star(x) is a 1MP-inverse of star(a)): mp_one and
+is_mp_one are one_mp and is_one_mp on stars.
 """
 
 from __future__ import annotations
@@ -103,9 +105,7 @@ def is_one_mp(a, x, a_dagger=None) -> bool:
 
 def is_mp_one(a, x, a_dagger=None) -> bool:
     """Equational MP1 membership: x*a*x == x and x*a == dagger(a)*a."""
-    if a_dagger is None:
-        a_dagger = dagger(a)
-    return x * a * x == x and x * a == a_dagger * a
+    return is_one_mp(a.star, x.star, None if a_dagger is None else a_dagger.star)
 
 
 def one_mp(a, a_minus):
@@ -120,12 +120,7 @@ def one_mp(a, a_minus):
 
 def mp_one(a, a_minus):
     """The MP1-inverse dagger(a) * a * a_minus, verified before returning."""
-    _require_inner(a, a_minus)
-    a_dagger = dagger(a)
-    x = a_dagger * a * a_minus
-    if not (x * a * x == x and x * a == a_dagger * a and a * x * a == a):
-        raise InternalCheckError("MP1 product fails its defining system")
-    return x
+    return one_mp(a.star, a_minus.star).star
 
 
 @dataclass(frozen=True)

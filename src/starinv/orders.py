@@ -2,19 +2,23 @@
 
 Operand types are checked once, in _modular, which tells a Z_n element
 from a matrix.  The 1MP order takes one route in every ring (a <= b in the
-minus order and dagger(a)*b == dagger(a)*a), the MP1 order is its star
-dual, and opposite-ring views are decided by the dual relation on their
-bases.  Minus, lp/rp, the annihilator tests and plus keep a matrix branch
-(rank arithmetic, one inner inverse of b, annihilator-matching
-projections, a rank criterion for plus) and a Z_n branch on the gcd
-closed forms of zn.py; exact linear solves remain only in leq_1mp_routes.
-Annihilator containment is decided in _ann_leq and nowhere else (on
-matrices b*g*t == t, one inner inverse g of b per decision), whether an
-idempotent has the annihilator of a in _left_ann_matches; the right side
-of each is the left side on stars, as rp is lp.  On matrices, dagger(a),
-lp(a) and rp(a) are built only when the verdict uses them.  Every positive
-verdict carries a witness checked against the defining equations of the
-relation, so a structural shortcut can never silently disagree with it.
+minus order and dagger(a)*b == dagger(a)*a), and opposite-ring views are
+decided by the dual relation on their bases.  The MP1 side is the star
+transport of the 1MP side: leq_mp1, above_mp1 and rp_family_member are
+leq_1mp, above_1mp and lp_family_member on stars, starred back, and keep
+their own refusal texts.  Star is an injective anti-automorphism, so each
+MP1 equation is the star of a verified 1MP one.  Minus, lp/rp, the
+annihilator tests and plus keep a matrix branch (rank arithmetic, one
+inner inverse of b, annihilator-matching projections, a rank criterion for
+plus) and a Z_n branch on the gcd closed forms of zn.py; exact linear
+solves remain only in leq_1mp_routes.  Annihilator containment is decided
+in _ann_leq and nowhere else (on matrices b*g*t == t, one inner inverse g
+of b per decision), whether an idempotent has the annihilator of a in
+_left_ann_matches; the right side of each is the left side on stars, as rp
+is lp.  On matrices, dagger(a), lp(a) and rp(a) are built only when the
+verdict uses them.  Every positive verdict carries a witness checked
+against the defining equations of the relation, so a structural shortcut
+can never silently disagree with it.
 
 Verdict method tags:
     minus    "rank" (matrices) | "dagger" (Z_n)
@@ -167,14 +171,18 @@ def lp_family_member(a, p1):
 
 
 def rp_family_member(a, q1):
-    """rp(a) + q1 for q1 in the lower-left corner: an idempotent in RP(a)."""
-    ra = rp(a)
-    if not in_corner(q1, ra, ra, 2, 1):
-        raise CornerViolation("q1 must lie in (1 - rp(a))*R*rp(a)")
-    e = ra + q1
-    if not (e * e == e and _left_ann_matches(e.star, a.star)):
-        raise InternalCheckError("rp family member failed verification")
-    return e
+    """rp(a) + q1 for q1 in the lower-left corner: an idempotent in RP(a).
+
+    rp(a) is lp(star(a)), and star maps the lower-left corner of rp(a) onto
+    the upper-right corner of lp(star(a)).
+    """
+    _modular(a)
+    try:
+        return lp_family_member(a.star, q1.star).star
+    except CornerViolation:
+        raise CornerViolation("q1 must lie in (1 - rp(a))*R*rp(a)") from None
+    except NotRickart as e:
+        raise NotRickart(str(e).replace("left", "right")) from None
 
 
 # -- shared helpers -------------------------------------------------------------
@@ -264,59 +272,37 @@ def leq_1mp(a, b) -> OrderVerdict:
 
     In every ring: a <= b in the minus order together with
     dagger(a)*b == dagger(a)*a; the witness k*a*dagger(a) built from the
-    minus witness is re-verified against the defining equations.  On
+    minus witness k is re-verified against the defining equations.  On
     opposite-ring views it is the MP1 order of the base elements.
 
     The second condition is tested as star(a)*b == star(a)*a, which needs
-    no dagger(a) (see _one_mp_conditions).  On matrices the minus order is
-    decided first, by Hartwig's rank-subtractivity test, then that product
-    test, and dagger(a) is built only for the witness of a positive.  A
-    rejection still refuses an a with no Moore-Penrose inverse, by the rank
-    test of is_mp_invertible, with mp_inverse's NotMPInvertible.  Z_n
-    builds dagger(a) first, so a non-regular a raises NotMPInvertible.
+    no dagger(a): since dagger(a) == dagger(a)*star(dagger(a))*star(a) and
+    star(a) == star(a)*a*dagger(a), dagger(a) and star(a) annihilate the
+    same elements.  On matrices the minus order is decided first, by
+    Hartwig's rank-subtractivity test, then that product test, and
+    dagger(a) is built only for the witness of a positive.  A rejection
+    still refuses an a with no Moore-Penrose inverse, by the rank test of
+    is_mp_invertible, with mp_inverse's NotMPInvertible.  Z_n builds
+    dagger(a) first, so a non-regular a raises NotMPInvertible.
     """
     if isinstance(a, OppositeView):
         return _via_opposite(leq_mp1, a, b, OneMPWitness)
-    k, a_dag, reason = _one_mp_conditions(_modular(a, b), a, a, b)
-    if reason is not None:
-        return OrderVerdict(False, None, "minus-dagger", reason)
-    return OrderVerdict(True, _one_mp_witness(a, b, k, a_dag), "minus-dagger")
-
-
-def _one_mp_conditions(modular, a, x, y):
-    """The 1MP conditions on x <= y, for x == a or star(a): (k, dagger(a), reason).
-
-    The conditions are x <= y in the minus order and
-    dagger(x)*y == dagger(x)*x, tested as star(x)*y == star(x)*x: since
-    dagger(x) == dagger(x)*star(dagger(x))*star(x) and
-    star(x) == star(x)*x*dagger(x), dagger(x) and star(x) annihilate the
-    same elements.  reason is None when both hold; then k is the inner
-    inverse of the minus witness.  On matrices dagger(a) is built only then
-    (it is None otherwise), and a rejection checks is_mp_invertible(a)
-    instead; Z_n builds dagger(a) before anything else.
-    """
-    a_dag = dagger(a) if modular else None
-    minus = leq_minus(x, y)
+    a_dag = dagger(a) if _modular(a, b) else None
+    minus = leq_minus(a, b)
     reason = minus.reason
-    if minus.holds and not (x.star * (y - x)).is_zero:
+    if minus.holds and not (a.star * (b - a)).is_zero:
         reason = "dagger(a)*b != dagger(a)*a"
     if reason is not None:
         if a_dag is None:
             mx.require_mp_invertible(a)
-        return None, a_dag, reason
-    if a_dag is None:
-        a_dag = dagger(a)
-    return minus.witness.inner, a_dag, None
-
-
-def _one_mp_witness(a, b, k, a_dag) -> OneMPWitness:
-    """k*a*dagger(a) for an inner inverse k identifying a and b, verified."""
-    x = k * a * a_dag
+        return OrderVerdict(False, None, "minus-dagger", reason)
+    a_dag = dagger(a) if a_dag is None else a_dag
+    x = minus.witness.inner * a * a_dag
     xa, ax = x * a, a * x
     # 1MP membership (x*a*x == x, a*x == a*dagger(a)), then x identifies a and b
     if not (xa * x == x and ax == a * a_dag and xa == x * b and ax == b * x):
         raise InternalCheckError("1MP witness fails its equations")
-    return OneMPWitness(x)
+    return OrderVerdict(True, OneMPWitness(x), "minus-dagger")
 
 
 def leq_1mp_routes(a, b) -> dict:
@@ -378,23 +364,16 @@ def leq_1mp_routes(a, b) -> dict:
 def leq_mp1(a, b) -> OrderVerdict:
     """a <= b in the MP1 order iff star(a) <= star(b) in the 1MP order.
 
-    The transported witness is re-verified.  On opposite-ring views it is
-    the 1MP order of the base elements.  As in leq_1mp, matrices decide the
-    1MP conditions on star(a) and star(b) without dagger, and build
-    dagger(a) only for the witness of a positive; its transpose is
-    dagger(star(a)).
+    The operands are checked before they are starred, so an unsupported or
+    mixed pair is refused as leq_1mp refuses it.  On opposite-ring views it
+    is the 1MP order of the base elements.
     """
     if isinstance(a, OppositeView):
         return _via_opposite(leq_1mp, a, b, MP1Witness)
-    k, a_dag, reason = _one_mp_conditions(_modular(a, b), a, a.star, b.star)
-    if reason is not None:
-        return OrderVerdict(False, None, "transpose-dual", reason)
-    x = _one_mp_witness(a.star, b.star, k, a_dag.star).x.star
-    xa, ax = x * a, a * x
-    # MP1 membership (x*a*x == x, x*a == dagger(a)*a), then x identifies a and b
-    if not (xa * x == x and xa == a_dag * a and xa == x * b and ax == b * x):
-        raise InternalCheckError("MP1 witness fails its equations")
-    return OrderVerdict(True, MP1Witness(x), "transpose-dual")
+    _modular(a, b)
+    v = leq_1mp(a.star, b.star)
+    witness = MP1Witness(v.witness.x.star) if v.holds else None
+    return OrderVerdict(v.holds, witness, "transpose-dual", v.reason)
 
 
 # -- diamond order -----------------------------------------------------------------
@@ -584,18 +563,14 @@ def above_mp1(a, form: OneMPAboveForm):
 
     Corners live relative to the swapped projection pair: b4 in
     (1 - a*dagger(a))*R*(1 - dagger(a)*a) and d in (dagger(a)*a)*R*(1 - a*dagger(a)).
+    Star swaps a*dagger(a) and dagger(a)*a between a and star(a).
     """
-    a_dag = dagger(a)
-    p = a * a_dag
-    q = a_dag * a
-    if not ((p * form.b4).is_zero and (form.b4 * q).is_zero):
-        raise CornerViolation("b4 must lie in (1 - a*dagger(a))*R*(1 - dagger(a)*a)")
-    if not (q * form.d == form.d and (form.d * p).is_zero):
-        raise CornerViolation("d must lie in (dagger(a)*a)*R*(1 - a*dagger(a))")
-    b = a - a * form.d * form.b4 + form.b4
-    if not leq_mp1(a, b).holds:
-        raise InternalCheckError("constructed element is not above a in the MP1 order")
-    return b
+    try:
+        return above_1mp(a.star, OneMPAboveForm(form.b4.star, form.d.star)).star
+    except CornerViolation as e:
+        if str(e).startswith("b4"):
+            raise CornerViolation("b4 must lie in (1 - a*dagger(a))*R*(1 - dagger(a)*a)") from None
+        raise CornerViolation("d must lie in (dagger(a)*a)*R*(1 - a*dagger(a))") from None
 
 
 def b_1mp_inverse_check(a, b, x) -> bool:

@@ -309,6 +309,35 @@ class TestPlumbing:
         code, rep = run_cli(capsys, "verify", "--ring", "m\u00b2gf2")
         assert code == 2 and rep == {"status": "error", "error": "bad ring id 'm\u00b2gf2'"}
 
+    @pytest.mark.parametrize(
+        "kind, text, error",
+        [
+            ("ring", r, f"bad ring id {r!r}")
+            for r in ("z1_2", "z+12", "z\u0661\u0662", "z 12", "m2gf\u0663", "m2gf0_3")
+        ]
+        + [
+            ("field", f, f"bad field tag {f!r}")
+            for f in ("gf:+3", "gf:\u0663", "gf:0_3", "gf: 3")
+        ]
+        + [
+            ("document", "fieldz gf:3\nrows 1\ncols 1\n1\n", "expected 'rows <n>' (line 1)"),
+            ("document", "field gf:\u0663\nrows 1\ncols 1\n1\n", "bad field tag 'gf:\u0663'"),
+            ("document", "rows \u0662\ncols 1\n1\n1\n", "bad integer in 'rows' line (line 1)"),
+            ("document", "rows 1\ncols 0_2\n1 1\n", "bad integer in 'cols' line (line 2)"),
+        ],
+    )
+    def test_non_canonical_identifier_exit_2(self, tmp_path, capsys, kind, text, error):
+        # ids, field tags and sizes are read only in their ASCII spelling str(n)
+        path = tmp_path / "a.mat"
+        path.write_text(text if kind == "document" else "rows 1\ncols 1\n1\n")
+        argv = {
+            "ring": ("verify", "--ring", text),
+            "field": ("mp", str(path), "--field", text),
+            "document": ("mp", str(path)),
+        }[kind]
+        code, rep = run_cli(capsys, *argv)
+        assert code == 2 and rep == {"status": "error", "error": error}
+
     def test_failed_self_check_exit_3(self, tmp_path, capsys, monkeypatch):
         from starinv import InternalCheckError
 

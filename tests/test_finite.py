@@ -51,7 +51,12 @@ class TestRegistry:
             zn_ring(1)
 
     def test_size_must_be_an_int_literal(self):
-        for name in ("m\u00b2gf2", "mxgf2", "m3gf", "m3gfx"):
+        # only the ASCII spelling str(n) names a size: no '_', sign, space,
+        # leading zero or non-ASCII digit
+        for name in (
+            "m\u00b2gf2", "mxgf2", "m3gf", "m3gfx", "z1_2", "z+12", "z\u0661\u0662",
+            "z 12", "z012", "m2gf\u0663", "m2gf0_3", "m\u0662gf3",
+        ):
             with pytest.raises(UnknownRing, match="bad ring id"):
                 ring_by_name(name)
 

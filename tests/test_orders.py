@@ -42,6 +42,7 @@ from starinv import (
     rp_family_member,
     zn_ring,
 )
+from starinv.finite import bit_indices
 from starinv.matrix import hstack, inner_inverse
 from starinv.theorems import TUPLE_CAP
 
@@ -311,8 +312,8 @@ class TestMP1Order:
 
     def test_one_dagger_per_decision(self, monkeypatch):
         # the verdict equals the transposed 1MP decision; a positive builds
-        # dagger(a) once, a negative never (the minus order fails, or it holds
-        # and a*star(b) != a*star(a))
+        # dagger(star(a)) once, a negative never (the minus order fails, or it
+        # holds and a*star(b) != a*star(a))
         import starinv.orders as orders
 
         rng = random.Random(89)
@@ -340,7 +341,7 @@ class TestMP1Order:
         for (a, b), old in zip(pairs, expected):
             del calls[:]
             v = leq_mp1(a, b)
-            assert calls == ([a] if v.holds else [])
+            assert calls == ([a.star] if v.holds else [])
             assert (v.holds, v.reason) == (old.holds, old.reason)
             assert v.witness == (MP1Witness(old.witness.x.star) if old.holds else None)
             reasons.add(v.reason)
@@ -774,6 +775,28 @@ class TestAboveMP1:
             # same construction through the transpose anti-isomorphism
             b_t = above_1mp(a.star, OneMPAboveForm(b4.star, dd.star))
             assert b == b_t.star
+
+    def test_forms_sweep_the_oracle_rows_on_m2gf3(self):
+        # the corners come from the oracle's dagger and the elements above a
+        # from its own MP1 table, so the star transport is checked, not restated
+        ring = matrix_star_ring(3)
+        rows, one = ring.rel_rows("mp1"), ring.one
+        for a in ring.mp_invertible:
+            d = ring.dagger_of(a)
+            p, q = a * d, d * a
+            above = {
+                ring.index[above_mp1(a, OneMPAboveForm(b4, dd))]
+                for b4 in ring.corner(one - p, one - q)
+                for dd in ring.corner(q, one - p)
+            }
+            assert above == set(bit_indices(rows[ring.index[a]])), a
+
+    def test_rp_family_sweeps_the_oracle_on_m2gf3(self):
+        ring = matrix_star_ring(3)
+        for a in ring.elements:
+            ra = ring.rp(a)  # no nonzero x*x + y*y is 0 mod 3, so every rp(a) exists
+            members = {rp_family_member(a, q1) for q1 in ring.corner(ring.one - ra, ra)}
+            assert members == set(ring.rp_members(a)), a
 
     def test_corner_violation(self):
         with pytest.raises(CornerViolation):
