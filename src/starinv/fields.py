@@ -31,6 +31,8 @@ from .errors import DocumentError
 _WITNESS_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_CHECK_LIMIT = 3_317_044_064_679_887_385_961_981
 
+_NOT_PLAIN = "'_' and non-ASCII characters are not accepted"
+
 
 def _is_prime(n: int) -> bool:
     """Exact primality for n < PRIME_CHECK_LIMIT."""
@@ -87,6 +89,8 @@ class RationalField:
             # takes seconds and each further digit multiplies that.
             if "e" in value or "E" in value:
                 raise DocumentError(f"bad rational literal {value!r}: exponents are not accepted")
+            if "_" in value or not value.isascii():  # Fraction reads "1_0" as 10 and "٣" as 3
+                raise DocumentError(f"bad rational literal {value!r}: {_NOT_PLAIN}")
             try:
                 return Fraction(value)
             except (ValueError, ZeroDivisionError) as exc:
@@ -242,6 +246,8 @@ class PrimeField:
             return value % self.p
         if isinstance(value, str):
             text = value.strip()
+            if "_" in text or not text.isascii():
+                raise DocumentError(f"bad GF({self.p}) literal {value!r}: {_NOT_PLAIN}")
             try:
                 n = int(text)
             except ValueError:

@@ -44,9 +44,9 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import CarrierTooLarge, InternalCheckError, UniquenessViolation, UnknownRing
 from .fields import GF, _canonical_int
@@ -60,8 +60,7 @@ CARRIER_GUARD = 500
 MATRIX_RINGS = {(2, 2), (2, 3), (2, 5), (3, 2)}  # (size, p) of the registered m<size>gf<p>
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     """Result of one exhaustive verification sweep over a finite ring.
 
     `sampled` is always False: every sweep enumerates its whole domain.  The

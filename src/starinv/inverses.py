@@ -16,7 +16,6 @@ is_mp_one are one_mp and is_one_mp on stars.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import singledispatch
 from typing import NamedTuple, Optional
 
@@ -55,8 +54,7 @@ def try_dagger(x):
         return None
 
 
-@dataclass(frozen=True)
-class PenroseProfile:
+class PenroseProfile(NamedTuple):
     """Which of the four Penrose equations the pair (a, x) satisfies."""
 
     eq1: bool  # a*x*a == a
@@ -123,8 +121,7 @@ def mp_one(a, a_minus):
     return one_mp(a.star, a_minus.star).star
 
 
-@dataclass(frozen=True)
-class InverseFamily:
+class InverseFamily(NamedTuple):
     """A parametrized solution family {instantiate(w) : w arbitrary}.
 
     kind "one-mp": w |-> base + (1 - base*a)*w*(a*base)

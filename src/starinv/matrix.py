@@ -17,9 +17,8 @@ residues over GF(p)); it is built on first read and cached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     DimensionMismatch,
@@ -260,8 +259,7 @@ def inner_inverse(a: ExactMatrix) -> ExactMatrix:
     return ExactMatrix._packed(n, m, *lowest_terms(nums, red.den), a.field)
 
 
-@dataclass(frozen=True)
-class RankFactorization:
+class RankFactorization(NamedTuple):
     """a = F*G with F of full column rank r and G of full row rank r.
 
     F is the columns of a at the pivots of its RREF and G the nonzero RREF

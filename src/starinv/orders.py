@@ -30,7 +30,6 @@ Verdict method tags:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from . import matrix as mx
@@ -50,8 +49,7 @@ from .matrix import ExactMatrix, solve_matrix_equations
 from .ring import OppositeView, in_corner
 
 
-@dataclass(frozen=True)
-class OrderVerdict:
+class OrderVerdict(NamedTuple):
     """Outcome of an order query: verdict, certifying witness, deciding route."""
 
     holds: bool
@@ -115,6 +113,7 @@ def _left_projection(modular, a, side):
         if not zn.is_regular(a):
             raise NotRickart(f"no projection matches the {side} annihilator of {a!r}")
         e = a * dagger(a)
+        rank_a = None
     else:
         fact = mx.full_rank_factorize(a)
         if fact.r == 0:
@@ -127,7 +126,8 @@ def _left_projection(modular, a, side):
                 f"no projection matches the {side} annihilator over {a.field.name}"
             ) from None
         e = f * gram_inv * f.star
-    if not (e * e == e and e.star == e and _left_ann_matches(e, a)):
+        rank_a = fact.r
+    if not (e * e == e and e.star == e and _left_ann_matches(e, a, rank_a)):
         raise InternalCheckError(f"{side[0]}p construction failed verification")
     return e
 
@@ -297,7 +297,7 @@ def leq_1mp(a, b) -> OrderVerdict:
             mx.require_mp_invertible(a)
         return OrderVerdict(False, None, "minus-dagger", reason)
     a_dag = dagger(a) if a_dag is None else a_dag
-    x = minus.witness.inner * a * a_dag
+    x = minus.witness.q * a_dag  # q == k*a for the minus witness k
     xa, ax = x * a, a * x
     # 1MP membership (x*a*x == x, a*x == a*dagger(a)), then x identifies a and b
     if not (xa * x == x and ax == a * a_dag and xa == x * b and ax == b * x):
@@ -531,8 +531,7 @@ def leq_plus(a, b) -> OrderVerdict:
 # -- block forms above an element -----------------------------------------------
 
 
-@dataclass(frozen=True)
-class OneMPAboveForm:
+class OneMPAboveForm(NamedTuple):
     """Free data (b4, d) describing one element above a in the 1MP order."""
 
     b4: object
@@ -609,8 +608,7 @@ def b_1mp_inverse_check(a, b, x) -> bool:
 # -- plus-order block form ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PlusBlockData:
+class PlusBlockData(NamedTuple):
     """Free corner data for one element above a in the plus order."""
 
     b22: object

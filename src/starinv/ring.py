@@ -9,7 +9,7 @@ code run on rectangular matrix shapes where no single identity exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CornerViolation, IdempotentViolation, RingMismatch
 
@@ -22,18 +22,51 @@ def is_projection(p) -> bool:
     return p * p == p and p.star == p
 
 
-@dataclass(frozen=True)
-class IdempotentPair:
+class SlottedRecord:
+    """A read-only record of the fields in `__slots__`, validated in `__init__`.
+
+    It equals only its own class and hashes and pickles as its field tuple;
+    it is no tuple, so `3 * x` is no repetition.
+    """
+
+    __slots__ = ()
+
+    def _astuple(self):
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return self.__class__, self._astuple()
+
+    def __repr__(self):
+        fields = ", ".join(map("{}={!r}".format, self.__slots__, self._astuple()))
+        return f"{self.__class__.__name__}({fields})"
+
+
+class IdempotentPair(SlottedRecord):
     """A left idempotent p and right idempotent q for corner decompositions."""
 
-    p: object
-    q: object
+    __slots__ = ("p", "q")
 
-    def __post_init__(self):
-        if not is_idempotent(self.p):
+    def __init__(self, p, q):
+        if not is_idempotent(p):
             raise IdempotentViolation("left element p is not idempotent")
-        if not is_idempotent(self.q):
+        if not is_idempotent(q):
             raise IdempotentViolation("right element q is not idempotent")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
 
 # Corner membership tests, with (1 - p) factors expanded away:
@@ -66,8 +99,7 @@ def corner(x, p, q, i: int, j: int):
     raise ValueError("corner indices must be 1 or 2")
 
 
-@dataclass(frozen=True)
-class PeirceBlocks:
+class PeirceBlocks(NamedTuple):
     """The four corner components of an element relative to an IdempotentPair.
 
     Blocks are full ring elements (zero outside their corner), so corner

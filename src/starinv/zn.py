@@ -9,24 +9,23 @@ of a, the multiples of m.  No carrier is enumerated: any modulus decides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .errors import InternalCheckError, NotMPInvertible, RingMismatch
 from .inverses import dagger
+from .ring import SlottedRecord
 
 
-@dataclass(frozen=True)
-class ZnElement:
+class ZnElement(SlottedRecord):
     """An element of Z_n; the involution is the identity map."""
 
-    value: int
-    modulus: int
+    __slots__ = ("value", "modulus")
 
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise ValueError(f"Z_n needs a modulus n >= 2, got {self.modulus}")
-        object.__setattr__(self, "value", self.value % self.modulus)
+    def __init__(self, value: int, modulus: int):
+        if modulus < 2:
+            raise ValueError(f"Z_n needs a modulus n >= 2, got {modulus}")
+        object.__setattr__(self, "value", value % modulus)
+        object.__setattr__(self, "modulus", modulus)
 
     def _check(self, other):
         if not isinstance(other, ZnElement):

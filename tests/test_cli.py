@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -337,6 +338,23 @@ class TestPlumbing:
         }[kind]
         code, rep = run_cli(capsys, *argv)
         assert code == 2 and rep == {"status": "error", "error": error}
+
+    @pytest.mark.parametrize("field", ["rational", "gf:7"])
+    @pytest.mark.parametrize("cell", ["1_0", "\u0663", "\uff11", "\u0661\u0662"])
+    def test_entry_cell_in_another_integer_spelling_exit_2(self, tmp_path, capsys, field, cell):
+        # int() and Fraction() read these as 10, 3, 1 and 12; a cell is read only in ASCII
+        path = tmp_path / "a.mat"
+        path.write_text(f"field {field}\nrows 1\ncols 2\n3 {cell}\n", encoding="utf-8")
+        code, rep = run_cli(capsys, "mp", str(path))
+        kind = "rational" if field == "rational" else "GF(7)"
+        error = f"bad {kind} literal {cell!r}: '_' and non-ASCII characters are not accepted"
+        assert code == 2 and rep == {"status": "error", "error": f"{error} (line 4, column 2)"}
+
+    def test_plain_entry_spellings_still_accepted(self):
+        a = parse_matrix_document("rows 1\ncols 5\n-7/2 0.25 .5 +3 -0\n")
+        assert a.row_list(0) == [Fraction(-7, 2), Fraction(1, 4), Fraction(1, 2), 3, 0]
+        a = parse_matrix_document("field gf:7\nrows 1\ncols 3\n+3 -0 -1\n")
+        assert a.row_list(0) == [3, 0, 6]
 
     def test_failed_self_check_exit_3(self, tmp_path, capsys, monkeypatch):
         from starinv import InternalCheckError

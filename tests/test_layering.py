@@ -36,3 +36,15 @@ def test_formula_module_does_not_import_the_oracle(module):
         name for name in _imported_names(tree) if ORACLE & set(name.split("."))
     )
     assert not offending, f"{module}.py imports {offending}"
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(starinv.__file__).parent.glob("*.py")), ids=lambda p: p.name
+)
+def test_no_module_imports_dataclasses(path):
+    # records are NamedTuples or slotted classes: importing dataclasses costs a CLI child ~10 ms
+    tree = ast.parse(path.read_text(), filename=str(path))
+    offending = sorted(
+        name for name in _imported_names(tree) if name.split(".")[0] == "dataclasses"
+    )
+    assert not offending, f"{path.name} imports {offending}"
