@@ -342,23 +342,23 @@ def _not_mp_invertible(a: ExactMatrix) -> NotMPInvertible:
     return NotMPInvertible(f"no Moore-Penrose inverse over {a.field.name}: singular Gram factor")
 
 
-def is_mp_invertible(a: ExactMatrix) -> bool:
+def is_mp_invertible(a: ExactMatrix, rank_a: Optional[int] = None) -> bool:
     """Whether a has a Moore-Penrose inverse: rank(a^T*a) == rank(a) == rank(a*a^T).
 
     With a = F*G of full rank r, rank(a^T*a) = rank(F^T*F) and
     rank(a*a^T) = rank(G*G^T), so this holds exactly when both Gram factors
     of MacDuffee's formula in mp_inverse are nonsingular.  No inverse is built,
-    and over an anisotropic field (the rationals) nothing is computed.
+    and over an anisotropic field (the rationals) nothing is computed; rank_a is rank(a) if known.
     """
     if a.field.anisotropic:
         return True
-    r = rank(a)
+    r = rank(a) if rank_a is None else rank_a
     return rank(a.star * a) == r and rank(a * a.star) == r
 
 
-def require_mp_invertible(a: ExactMatrix) -> None:
-    """Raise mp_inverse's NotMPInvertible unless is_mp_invertible(a)."""
-    if not is_mp_invertible(a):
+def require_mp_invertible(a: ExactMatrix, rank_a: Optional[int] = None) -> None:
+    """Raise mp_inverse's NotMPInvertible unless is_mp_invertible(a, rank_a)."""
+    if not is_mp_invertible(a, rank_a):
         raise _not_mp_invertible(a)
 
 

@@ -16,9 +16,10 @@ in _ann_leq and nowhere else (on matrices b*g*t == t, one inner inverse g
 of b per decision), whether an idempotent has the annihilator of a in
 _left_ann_matches; the right side of each is the left side on stars, as rp
 is lp.  On matrices, dagger(a), lp(a) and rp(a) are built only when the
-verdict uses them.  Every positive verdict carries a witness checked
-against the defining equations of the relation, so a structural shortcut
-can never silently disagree with it.
+verdict uses them, lp and rp from one factorisation of a, and a 1MP or MP1
+query builds the minus witness only for a positive.  Every positive
+verdict carries a witness checked against the defining equations of the
+relation, so a structural shortcut can never silently disagree with it.
 
 Verdict method tags:
     minus    "rank" (matrices) | "dagger" (Z_n)
@@ -30,6 +31,7 @@ Verdict method tags:
 
 from __future__ import annotations
 
+from math import gcd
 from typing import NamedTuple, Optional
 
 from . import matrix as mx
@@ -88,48 +90,50 @@ class DiamondWitness(NamedTuple):
 def lp(a):
     """The unique projection whose left annihilator matches that of a.
 
-    Matrices: built from a column basis F as F*(F^T F)^{-1}*F^T; exists iff
-    that Gram matrix is nonsingular (always over the rationals).  Z_n:
+    Matrices: F*(F^T F)^{-1}*F^T for a = F*G of full rank; exists iff that
+    Gram matrix is nonsingular (always over the rationals).  Z_n:
     a*dagger(a), which exists iff a is regular.
 
     Raises:
         NotRickart: no such projection exists.
     """
-    return _left_projection(_modular(a), a, "left")
+    return _projections(a, ("left",))[0]
 
 
 def rp(a):
     """The unique projection whose right annihilator matches that of a.
 
     It is lp(star(a)): the right annihilator of a is the star of the left
-    annihilator of star(a), and projections are self-adjoint.
+    annihilator of star(a), and projections are self-adjoint.  Matrices:
+    G^T*(G G^T)^{-1}*G for the a = F*G of lp, G^T a column basis of star(a).
     """
-    return _left_projection(_modular(a), a.star, "right")
+    return _projections(a, ("right",))[0]
 
 
-def _left_projection(modular, a, side):
-    """lp(a); `side` names the caller's annihilator in errors."""
-    if modular:
-        if not zn.is_regular(a):
-            raise NotRickart(f"no projection matches the {side} annihilator of {a!r}")
-        e = a * dagger(a)
-        rank_a = None
-    else:
-        fact = mx.full_rank_factorize(a)
-        if fact.r == 0:
-            return ExactMatrix.zeros(a.rows, a.rows, a.field)
-        f = fact.f
-        try:
-            gram_inv = mx.inverse(f.star * f)
-        except ZeroDivisionError:
-            raise NotRickart(
-                f"no projection matches the {side} annihilator over {a.field.name}"
-            ) from None
-        e = f * gram_inv * f.star
-        rank_a = fact.r
-    if not (e * e == e and e.star == e and _left_ann_matches(e, a, rank_a)):
-        raise InternalCheckError(f"{side[0]}p construction failed verification")
-    return e
+def _projections(a, sides=("left", "right")):
+    """[lp(a), rp(a)], or those that sides names (also in errors); one factorisation of a matrix."""
+    fact = None if _modular(a) else mx.full_rank_factorize(a)
+    out = []
+    for side in sides:
+        x = a if side == "left" else a.star
+        if fact is None:
+            if not zn.is_regular(x):
+                raise NotRickart(f"no projection matches the {side} annihilator of {x!r}")
+            e = x * dagger(x)
+        elif fact.r == 0:
+            e = ExactMatrix.zeros(x.rows, x.rows, x.field)
+        else:
+            c = fact.f if side == "left" else fact.g.star
+            try:
+                e = c * mx.inverse(c.star * c) * c.star
+            except ZeroDivisionError:
+                msg = f"no projection matches the {side} annihilator over {x.field.name}"
+                raise NotRickart(msg) from None
+        rank_x = None if fact is None else fact.r
+        if not (e * e == e and e.star == e and _left_ann_matches(e, x, rank_x)):
+            raise InternalCheckError(f"{side[0]}p construction failed verification")
+        out.append(e)
+    return out
 
 
 def _ann_leq(b, g, t) -> bool:
@@ -240,20 +244,33 @@ def leq_minus(a, b) -> OrderVerdict:
     and b iff x*(b - a) == 0; then a*(b - a) == a*a*x*(b - a) == 0, and so
     dagger(a)*(b - a) == dagger(a)*dagger(a)*a*(b - a) == 0.
     """
-    if _modular(a, b):
-        if not zn.is_regular(a):
-            raise NotRegular(f"{a!r} has no inner inverse")
-        k = dagger(a)
-        if not (k * (b - a)).is_zero:
-            return OrderVerdict(False, None, "dagger", "no inner inverse identifies a and b")
-        return OrderVerdict(True, _minus_witness(a, b, k), "dagger")
-    if mx.rank(b - a) != mx.rank(b) - mx.rank(a):
-        return OrderVerdict(False, None, "rank", "rank(b - a) != rank(b) - rank(a)")
-    g = mx.inner_inverse(b)
-    return OrderVerdict(True, _minus_witness(a, b, g * a * g), "rank")
+    modular = _modular(a, b)
+    if modular and not zn.is_regular(a):
+        raise NotRegular(f"{a!r} has no inner inverse")
+    k = dagger(a) if modular else None
+    reason = _minus_reason(a, b, k)[1]
+    witness = None if reason else _minus_witness(a, b, k)
+    return OrderVerdict(reason is None, witness, "dagger" if modular else "rank", reason)
+
+
+def _minus_reason(a, b, k):
+    """rank(a) on matrices, and why a <= b fails in the minus order (None if it holds).
+
+    Z_n: k = dagger(a) identifies a and b or none does.  Matrices (k None):
+    Hartwig's rank test, which builds no inverse.
+    """
+    if k is not None:
+        return None, None if (k * (b - a)).is_zero else "no inner inverse identifies a and b"
+    rank_a = mx.rank(a)
+    holds = mx.rank(b - a) == mx.rank(b) - rank_a
+    return rank_a, None if holds else "rank(b - a) != rank(b) - rank(a)"
 
 
 def _minus_witness(a, b, k) -> MinusWitness:
+    """The verified minus witness k; k None on matrices stands for g*a*g, g = inner_inverse(b)."""
+    if k is None:
+        g = mx.inner_inverse(b)
+        k = g * a * g
     p = a * k
     q = k * a
     # a*k*a == a, k*a == k*b and a*k == b*k
@@ -279,25 +296,27 @@ def leq_1mp(a, b) -> OrderVerdict:
     no dagger(a): since dagger(a) == dagger(a)*star(dagger(a))*star(a) and
     star(a) == star(a)*a*dagger(a), dagger(a) and star(a) annihilate the
     same elements.  On matrices the minus order is decided first, by
-    Hartwig's rank-subtractivity test, then that product test, and
-    dagger(a) is built only for the witness of a positive.  A rejection
-    still refuses an a with no Moore-Penrose inverse, by the rank test of
-    is_mp_invertible, with mp_inverse's NotMPInvertible.  Z_n builds
-    dagger(a) first, so a non-regular a raises NotMPInvertible.
+    Hartwig's rank-subtractivity test, then that product test; the minus
+    witness and dagger(a) are built only for the witness of a positive.  A
+    rejection still refuses an a with no Moore-Penrose inverse, by the rank
+    test of is_mp_invertible (given the rank(a) of the minus test), with
+    mp_inverse's NotMPInvertible.  Z_n builds dagger(a) first, so a
+    non-regular a raises NotMPInvertible.
     """
     if isinstance(a, OppositeView):
         return _via_opposite(leq_mp1, a, b, OneMPWitness)
-    a_dag = dagger(a) if _modular(a, b) else None
-    minus = leq_minus(a, b)
-    reason = minus.reason
-    if minus.holds and not (a.star * (b - a)).is_zero:
+    modular = _modular(a, b)
+    a_dag = dagger(a) if modular else None
+    rank_a, reason = _minus_reason(a, b, a_dag)
+    if reason is None and not (a.star * (b - a)).is_zero:
         reason = "dagger(a)*b != dagger(a)*a"
     if reason is not None:
-        if a_dag is None:
-            mx.require_mp_invertible(a)
+        if not modular:
+            mx.require_mp_invertible(a, rank_a)
         return OrderVerdict(False, None, "minus-dagger", reason)
+    q = _minus_witness(a, b, a_dag).q  # k*a for the minus witness k
     a_dag = dagger(a) if a_dag is None else a_dag
-    x = minus.witness.q * a_dag  # q == k*a for the minus witness k
+    x = q * a_dag
     xa, ax = x * a, a * x
     # 1MP membership (x*a*x == x, a*x == a*dagger(a)), then x identifies a and b
     if not (xa * x == x and ax == a * a_dag and xa == x * b and ax == b * x):
@@ -391,7 +410,7 @@ def leq_diamond(a, b) -> OrderVerdict:
     if a * b.star * a != a * a.star * a:
         return OrderVerdict(False, None, "equational", "a*star(b)*a != a*star(a)*a")
     try:
-        witness = DiamondWitness(lp(a), rp(a))
+        witness = DiamondWitness(*_projections(a))
     except NotRickart:
         witness = None
     return OrderVerdict(True, witness, "equational")
@@ -400,14 +419,25 @@ def leq_diamond(a, b) -> OrderVerdict:
 # -- plus order ---------------------------------------------------------------------
 
 
-def _columns(m, cols):
-    """The columns of m at the given indices, in that order."""
-    return mx.select(m, range(m.rows), cols)
+def _column_sum(m, js):
+    """The sum of the columns js of m, as ints: m.den times that column."""
+    return [sum(m.nums[i * m.cols + j] for j in js) for i in range(m.rows)]
 
 
-def _adds_rank(m, v):
-    """Whether column v lies outside the column space of m (independent columns)."""
-    return mx.rank(mx.hstack(m, v)) > m.cols
+def _residue(field, basis, v):
+    """(pivot, int vector v reduced against an echelon basis), or None if v lies in its span.
+
+    basis holds (pivot, row) pairs, each row zero at the pivots before it.  Dividing
+    out the gcd keeps rational rows small, and scales residues mod p by a unit.
+    """
+    v = field.pack(v)[0]
+    for c, y in basis:
+        f = v[c]
+        if f:
+            v = field.pack([y[c] * x - f * z for x, z in zip(v, y)])[0]
+            g = gcd(*v)
+            v = [x // g for x in v] if g > 1 else v
+    return next(((c, v) for c, x in enumerate(v) if x), None)
 
 
 def _plus_rank_witness(a, b, inner):
@@ -428,30 +458,41 @@ def _plus_rank_witness(a, b, inner):
     pivots = [i for i in range(inner.rows) if any(inner.nums[i * m : (i + 1) * m])]
     r_b, l_b = len(pivots), mx.select(inner, pivots, range(m))
     s = l_b * f
-    t = _columns(g, pivots)
+    t = mx.select(g, range(r), pivots)
     d = ExactMatrix.identity(r, field) - t * s
     rank_d = mx.rank(d)
     if rank_d > r_b - r:
         return None
     # Extend S by rank_d columns V with [S V] independent and D*T*V of rank
     # rank_d.  Each pick avoids two proper subspaces: a unit vector avoids
-    # each one, and when neither avoids both their sum does.
+    # each one, and when neither avoids both their sum does.  Candidates are
+    # reduced against growing echelon bases of [S V] and of H*V (H = D*T, so
+    # H*c sums columns of H); as spans grow, the first unit outside never moves back.
     h = d * t
     eye_b = ExactMatrix.identity(r_b, field)
-    units = [_columns(eye_b, [j]) for j in range(r_b)]
-    sv, hv = s, ExactMatrix(r, 0, [], field)
+    s_basis, h_basis = [], []
+    for j in range(r):  # S has independent columns
+        s_basis.append(_residue(field, s_basis, _column_sum(s, (j,))))
+    sv, u, w = s, 0, 0
     for _ in range(rank_d):
-        u = next(e for e in units if _adds_rank(sv, e))
-        w = next(e for e in units if _adds_rank(hv, h * e))
-        pick = next(c for c in (u, w, u + w) if _adds_rank(sv, c) and _adds_rank(hv, h * c))
-        sv, hv = mx.hstack(sv, pick), mx.hstack(hv, h * pick)
+        u = next(j for j in range(u, r_b) if _residue(field, s_basis, _column_sum(eye_b, (j,))))
+        w = next(j for j in range(w, r_b) if _residue(field, h_basis, _column_sum(h, (j,))))
+        for js in ((u,), (w,), (u, w)):
+            in_s = _residue(field, s_basis, _column_sum(eye_b, js))
+            in_h = in_s and _residue(field, h_basis, _column_sum(h, js))
+            if in_h:
+                break
+        else:
+            raise InternalCheckError("no pick extends both column spaces")
+        s_basis, h_basis = s_basis + [in_s], h_basis + [in_h]
+        sv = mx.hstack(sv, ExactMatrix(r_b, 1, _column_sum(eye_b, js), field))
     # L*S == I and L*V == 0, so U*S == I; with V = S + P*inner(T*P)*D,
     # U*P == 0 gives U*V == I and col(T*P) == col(D) gives T*V == I.
     l_sv = mx.select(mx.inner_inverse(sv), range(r), range(r_b))
     u = t + d * l_sv
     p = eye_b - s * u
     v = s + p * mx.inner_inverse(t * p) * d
-    r_b_sel = _columns(ExactMatrix.identity(a.cols, field), pivots)
+    r_b_sel = mx.select(ExactMatrix.identity(a.cols, field), range(a.cols), pivots)
     return _verify_plus_witness(a, b, f * u * l_b, r_b_sel * v * g, r)
 
 
@@ -514,7 +555,7 @@ def leq_plus(a, b) -> OrderVerdict:
         return OrderVerdict(False, None, "containment", "annihilator containment fails")
     if a * b.star * a == a * a.star * a:
         try:
-            la, ra = lp(a), rp(a)
+            la, ra = _projections(a)
         except NotRickart:
             pass
         else:
@@ -630,8 +671,7 @@ def plus_block_compose(a, data: PlusBlockData):
         CornerViolation: a data element escapes its corner.
         ConditionFailure: an annihilator side condition fails (.side tells which).
     """
-    la = lp(a)
-    ra = rp(a)
+    la, ra = _projections(a)
     checks = (
         (data.b22, la, ra, 2, 2, "b22"),
         (data.y, la, la, 1, 2, "y"),

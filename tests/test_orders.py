@@ -1,11 +1,13 @@
 import collections
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from starinv import (
     GF,
+    QQ,
     ConditionFailure,
     CornerViolation,
     DimensionMismatch,
@@ -446,18 +448,54 @@ class TestLazyDerivedData:
         return count
 
     def test_rank_stage_probe_eliminations(self, monkeypatch):
-        # row_reduce plus rank calls of one 3x3 rank-stage decision
+        # row_reduce plus rank calls of one 3x3 rank-stage decision; the
+        # candidate columns are reduced against running echelon bases
         count = self._count_eliminations(monkeypatch, DIAG10.field)
         v = leq_plus(M([[1, 0, 0], [0, 0, 0], [0, 0, 0]]), M([[2, 0, 0], [0, 1, 0], [0, 0, 0]]))
         assert (v.holds, v.method) == (True, "rank")
-        assert len(count) <= 15
+        assert len(count) <= 12
+
+    def test_rank_stage_eliminations_do_not_grow_with_the_picks(self, monkeypatch):
+        # a 24x24 pair, a a rank-12 product of [-9, 9] integer matrices and
+        # b = a + a random one: several picks, each testing several candidate
+        # columns, and still no elimination per candidate
+        rng = random.Random(0)
+
+        def integer_matrix(rows, cols):
+            return ExactMatrix(rows, cols, [rng.randint(-9, 9) for _ in range(rows * cols)], QQ)
+
+        a = integer_matrix(24, 12) * integer_matrix(12, 24)
+        b = a + integer_matrix(24, 24)
+        count = self._count_eliminations(monkeypatch, QQ)
+        v = leq_plus(a, b)
+        assert (v.holds, v.method) == (True, "rank")
+        # [b | I], a, D, [S V] and T*P reduced, two ranks verifying the pair
+        # (187 with a fresh rank per candidate column)
+        assert len(count) <= 7
 
     def test_diamond_positive_eliminations(self, monkeypatch):
         # one inner inverse of b for both containments, then lp(a) and rp(a)
+        # from one factorisation of a
         count = self._count_eliminations(monkeypatch, DIAG10.field)
         v = leq_diamond(M([[1, 0, 0], [0, 0, 0], [0, 0, 0]]), ExactMatrix.identity(3))
         assert v.holds and v.witness is not None
-        assert len(count) <= 7
+        assert len(count) <= 6
+
+    @pytest.mark.parametrize(
+        "field, kernels", [(QQ, ["rank"] * 3), (GF(101), ["rank"] * 5)], ids=["rational", "gf101"]
+    )
+    @pytest.mark.parametrize("relation", [leq_1mp, leq_mp1], ids=["1mp", "mp1"])
+    def test_product_test_rejection_eliminations(self, monkeypatch, field, kernels, relation):
+        # the minus order holds by the rank test and star(a)*(b - a) != 0: the
+        # three forward ranks, no minus witness (no row_reduce of [b | I]);
+        # over GF(p) the Moore-Penrose check reuses rank(a), two more ranks
+        a, b = M([[1, 0], [0, 0]], field), M([[1, 1], [0, 1]], field)
+        if relation is leq_mp1:
+            a, b = a.star, b.star
+        count = self._count_eliminations(monkeypatch, field)
+        v = relation(a, b)
+        assert (v.holds, v.reason) == (False, "dagger(a)*b != dagger(a)*a")
+        assert count == kernels
 
     @pytest.mark.parametrize("field", [DIAG10.field, GF(3)], ids=["rational", "gf3"])
     def test_failed_containment_reduces_b_once(self, monkeypatch, field):
@@ -486,7 +524,7 @@ class TestLazyDerivedData:
             (M([[1, 0, 0], [0, 0, 0], [0, 0, 0]]), M([[2, 0, 0], [0, 0, 0], [0, 0, 0]]), False),
             (M([[1, 1], [0, 0]], gf101), M([[1, 0], [0, 1]], gf101), True),
         ]
-        monkeypatch.setattr(orders, "_left_projection", no_projection)
+        monkeypatch.setattr(orders, "_projections", no_projection)
         for a, b, holds in pairs:
             assert orders._containments(a, b, inner_inverse(b))
             assert a * b.star * a != a * a.star * a
@@ -701,6 +739,140 @@ class TestPlusOrder:
             assert leq_1mp(zero, b).holds
             assert leq_mp1(zero, b).holds
             assert leq_diamond(zero, b).holds
+
+
+def _reference_plus_rank_witness(a, b, inner):
+    """The rank stage as it was with one exact rank per candidate column.
+
+    Kept as a reference: orders._plus_rank_witness must pick the same
+    columns, so its verdicts and witnesses are byte-identical to these.
+    """
+    from starinv.matrix import full_rank_factorize, select
+    from starinv.orders import _verify_plus_witness
+
+    def columns(m, cols):
+        return select(m, range(m.rows), cols)
+
+    def adds_rank(m, v):
+        return rank(hstack(m, v)) > m.cols
+
+    field = a.field
+    fa = full_rank_factorize(a)
+    r, f, g = fa.r, fa.f, fa.g
+    m = inner.cols
+    pivots = [i for i in range(inner.rows) if any(inner.nums[i * m : (i + 1) * m])]
+    r_b, l_b = len(pivots), select(inner, pivots, range(m))
+    s = l_b * f
+    t = columns(g, pivots)
+    d = ExactMatrix.identity(r, field) - t * s
+    rank_d = rank(d)
+    if rank_d > r_b - r:
+        return None
+    h = d * t
+    eye_b = ExactMatrix.identity(r_b, field)
+    units = [columns(eye_b, [j]) for j in range(r_b)]
+    sv, hv = s, ExactMatrix(r, 0, [], field)
+    for _ in range(rank_d):
+        u = next(e for e in units if adds_rank(sv, e))
+        w = next(e for e in units if adds_rank(hv, h * e))
+        pick = next(c for c in (u, w, u + w) if adds_rank(sv, c) and adds_rank(hv, h * c))
+        sv, hv = hstack(sv, pick), hstack(hv, h * pick)
+    l_sv = select(inner_inverse(sv), range(r), range(r_b))
+    u = t + d * l_sv
+    p = eye_b - s * u
+    v = s + p * inner_inverse(t * p) * d
+    r_b_sel = columns(ExactMatrix.identity(a.cols, field), pivots)
+    return _verify_plus_witness(a, b, f * u * l_b, r_b_sel * v * g, r)
+
+
+class TestRankStageAgainstReference:
+    """The running-echelon rank stage against the per-candidate rank loop."""
+
+    @staticmethod
+    def _matrix(rng, n, m, field):
+        if field is QQ:
+            ents = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n * m)]
+        else:
+            ents = [rng.randrange(field.p) for _ in range(n * m)]
+        return ExactMatrix(n, m, ents, field)
+
+    def _plus_kind(self, rng, a, field):
+        """b = plus_block_compose(a, data) on random corner data, or None."""
+        n = a.rows
+        eye = ExactMatrix.identity(n, field)
+        la, ra = lp(a), rp(a)
+
+        def rand():
+            return self._matrix(rng, n, n, field)
+
+        data = PlusBlockData(
+            b22=(eye - la) * rand() * (eye - ra),
+            y=la * rand() * (eye - la),
+            x=(eye - ra) * rand() * ra,
+            w=(eye - la) * rand() * ra,
+            z=la * rand() * (eye - ra),
+        )
+        try:
+            return plus_block_compose(a, data)
+        except ConditionFailure:
+            return None
+
+    @pytest.mark.parametrize("field", [QQ, GF(3), GF(101)], ids=["rational", "gf3", "gf101"])
+    def test_same_verdicts_and_witnesses(self, field):
+        from starinv.orders import _containments, _plus_rank_witness
+
+        rng = random.Random(53)
+        outcomes = collections.Counter()
+        for n in range(2, 9):
+            for _ in range(4):
+                a = self._matrix(rng, n, rng.randint(1, n - 1), field)
+                a = a * self._matrix(rng, a.cols, n, field)
+                if rank(a) == 0:
+                    continue
+                candidates = [a + self._matrix(rng, n, n, field)]
+                try:
+                    candidates.append(self._plus_kind(rng, a, field))
+                except (NotMPInvertible, NotRickart):
+                    pass  # no lp(a) or rp(a) to build corners from
+                for b in filter(None, candidates):
+                    g = inner_inverse(b)
+                    if not _containments(a, b, g):
+                        continue
+                    new, old = _plus_rank_witness(a, b, g), _reference_plus_rank_witness(a, b, g)
+                    assert new == old
+                    if new is not None:
+                        assert all((x.nums, x.den) == (y.nums, y.den) for x, y in zip(new, old))
+                    outcomes[new is not None] += 1
+        assert outcomes[True] >= 20 and outcomes[False] >= 1, outcomes
+
+
+class TestRightProjectionFromG:
+    """rp(a) from the factorisation of a equals lp(star(a)), refusals included."""
+
+    @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)], ids=["rational", "gf2", "gf3", "gf5"])
+    def test_rp_is_lp_of_the_star(self, field):
+        rng = random.Random(61)
+        seen = collections.Counter()
+        for _ in range(150):
+            rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+            inner = rng.randint(1, min(rows, cols))
+            a = TestRankStageAgainstReference._matrix(rng, rows, inner, field)
+            a = a * TestRankStageAgainstReference._matrix(rng, inner, cols, field)
+            try:
+                expected = lp(a.star)
+            except NotRickart as exc:
+                with pytest.raises(NotRickart) as info:
+                    rp(a)
+                message = f"no projection matches the right annihilator over {field.name}"
+                assert str(info.value) == str(exc).replace("left", "right") == message
+                seen["refused"] += 1
+                continue
+            got = rp(a)
+            assert (got.shape, got.nums, got.den) == (expected.shape, expected.nums, expected.den)
+            seen["built"] += 1
+        assert seen["built"] >= 50
+        if field.name in ("gf:2", "gf:3"):
+            assert seen["refused"] >= 5
 
 
 class TestAbove1MP:
