@@ -17,7 +17,8 @@ of b per decision), whether an idempotent has the annihilator of a in
 _left_ann_matches; the right side of each is the left side on stars, as rp
 is lp.  On matrices, dagger(a), lp(a) and rp(a) are built only when the
 verdict uses them, lp and rp from one factorisation of a, and a 1MP or MP1
-query builds the minus witness only for a positive.  Every positive
+query builds no minus witness and no dagger(a): its witness is
+inner_inverse(b)*lp(a), built only for a positive.  Every positive
 verdict carries a witness checked against the defining equations of the
 relation, so a structural shortcut can never silently disagree with it.
 
@@ -288,20 +289,26 @@ def leq_1mp(a, b) -> OrderVerdict:
     """a <= b in the 1MP order: some 1MP-inverse of a identifies a and b.
 
     In every ring: a <= b in the minus order together with
-    dagger(a)*b == dagger(a)*a; the witness k*a*dagger(a) built from the
-    minus witness k is re-verified against the defining equations.  On
-    opposite-ring views it is the MP1 order of the base elements.
+    dagger(a)*b == dagger(a)*a; the witness x is re-verified against the
+    defining equations.  On opposite-ring views it is the MP1 order of the
+    base elements.
 
     The second condition is tested as star(a)*b == star(a)*a, which needs
     no dagger(a): since dagger(a) == dagger(a)*star(dagger(a))*star(a) and
     star(a) == star(a)*a*dagger(a), dagger(a) and star(a) annihilate the
     same elements.  On matrices the minus order is decided first, by
-    Hartwig's rank-subtractivity test, then that product test; the minus
-    witness and dagger(a) are built only for the witness of a positive.  A
-    rejection still refuses an a with no Moore-Penrose inverse, by the rank
-    test of is_mp_invertible (given the rank(a) of the minus test), with
+    Hartwig's rank-subtractivity test, then that product test.  Every
+    verdict refuses an a with no Moore-Penrose inverse, by the rank test of
+    is_mp_invertible (given the rank(a) of the minus test), with
     mp_inverse's NotMPInvertible.  Z_n builds dagger(a) first, so a
     non-regular a raises NotMPInvertible.
+
+    A matrix positive builds no dagger(a): its witness is x = g*lp(a) for
+    g = inner_inverse(b).  When a <= b in the minus order, a*g*a == a and
+    a*g*b == a == b*g*a (Hartwig 1980), and lp(a) == a*dagger(a), the one
+    self-adjoint idempotent with the column space of a.  So x = g*a*dagger(a)
+    is a 1MP-inverse of a that identifies a and b, equal to k*a*dagger(a)
+    for the minus witness k = g*a*g.  On Z_n x is dagger(a) (k = dagger(a)).
     """
     if isinstance(a, OppositeView):
         return _via_opposite(leq_mp1, a, b, OneMPWitness)
@@ -310,16 +317,15 @@ def leq_1mp(a, b) -> OrderVerdict:
     rank_a, reason = _minus_reason(a, b, a_dag)
     if reason is None and not (a.star * (b - a)).is_zero:
         reason = "dagger(a)*b != dagger(a)*a"
+    if not modular:
+        mx.require_mp_invertible(a, rank_a)
     if reason is not None:
-        if not modular:
-            mx.require_mp_invertible(a, rank_a)
         return OrderVerdict(False, None, "minus-dagger", reason)
-    q = _minus_witness(a, b, a_dag).q  # k*a for the minus witness k
-    a_dag = dagger(a) if a_dag is None else a_dag
-    x = q * a_dag
+    la = a * a_dag if modular else lp(a)
+    x = a_dag if modular else mx.inner_inverse(b) * la
     xa, ax = x * a, a * x
-    # 1MP membership (x*a*x == x, a*x == a*dagger(a)), then x identifies a and b
-    if not (xa * x == x and ax == a * a_dag and xa == x * b and ax == b * x):
+    # 1MP membership (x*a*x == x, a*x == lp(a)), then x identifies a and b
+    if not (xa * x == x and ax == la and xa == x * b and ax == b * x):
         raise InternalCheckError("1MP witness fails its equations")
     return OrderVerdict(True, OneMPWitness(x), "minus-dagger")
 

@@ -18,6 +18,8 @@ from starinv import (
     NotRegular,
     NotRickart,
     OneMPAboveForm,
+    OneMPWitness,
+    OrderVerdict,
     OrderViolation,
     PlusBlockData,
     RingMismatch,
@@ -312,9 +314,9 @@ class TestMP1Order:
             for b in ring.elements:
                 assert leq_mp1(a, b).holds == ring.rel_mp1(a, b)
 
-    def test_one_dagger_per_decision(self, monkeypatch):
-        # the verdict equals the transposed 1MP decision; a positive builds
-        # dagger(star(a)) once, a negative never (the minus order fails, or it
+    def test_no_dagger_per_matrix_decision(self, monkeypatch):
+        # the verdict equals the transposed 1MP decision; no matrix decision
+        # builds dagger, positive or negative (the minus order fails, or it
         # holds and a*star(b) != a*star(a))
         import starinv.orders as orders
 
@@ -343,18 +345,142 @@ class TestMP1Order:
         for (a, b), old in zip(pairs, expected):
             del calls[:]
             v = leq_mp1(a, b)
-            assert calls == ([a.star] if v.holds else [])
+            assert calls == []
             assert (v.holds, v.reason) == (old.holds, old.reason)
             assert v.witness == (MP1Witness(old.witness.x.star) if old.holds else None)
             reasons.add(v.reason)
             del calls[:]
             assert leq_1mp(a.star, b.star) == old
-            assert calls == ([a.star] if old.holds else [])
+            assert calls == []
         assert reasons == {
             None,
             "rank(b - a) != rank(b) - rank(a)",
             "dagger(a)*b != dagger(a)*a",
         }
+
+
+def _reference_1mp(a, b):
+    """leq_1mp by the earlier matrix route: the minus witness k = g*a*g for
+    g = inner_inverse(b), then x = k*a*dagger(a)."""
+    a_dag = dagger(a)
+    if rank(b - a) != rank(b) - rank(a):
+        return OrderVerdict(False, None, "minus-dagger", "rank(b - a) != rank(b) - rank(a)")
+    if not (a.star * (b - a)).is_zero:
+        return OrderVerdict(False, None, "minus-dagger", "dagger(a)*b != dagger(a)*a")
+    g = inner_inverse(b)
+    k = g * a * g
+    return OrderVerdict(True, OneMPWitness(k * a * a_dag), "minus-dagger")
+
+
+def _reference_mp1(a, b):
+    v = _reference_1mp(a.star, b.star)
+    witness = MP1Witness(v.witness.x.star) if v.holds else None
+    return OrderVerdict(v.holds, witness, "transpose-dual", v.reason)
+
+
+def _packed_outcome(decide, a, b):
+    """A decision as (holds, method, reason, packed witness), or its NotMPInvertible text."""
+    try:
+        v = decide(a, b)
+    except NotMPInvertible as e:
+        return str(e)
+    x = v.witness.x if v.holds else None
+    return v.holds, v.method, v.reason, None if x is None else (tuple(x.nums), x.den)
+
+
+def _random_matrix(rng, rows, cols, field):
+    if field is QQ:
+        ents = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rows * cols)]
+    else:
+        ents = [rng.randrange(field.p) for _ in range(rows * cols)]
+    return ExactMatrix(rows, cols, ents, field)
+
+
+def _constructed_pairs(rng, field, n):
+    """b above a by the 1mp, mp1 and diamond constructions (a nonzero, singular,
+    with dagger(a)), each followed by its b + a perturbation, on which minus fails."""
+    eye = ExactMatrix.identity(n, field)
+    pairs = []
+    for kind in ("1mp", "mp1", "diamond"):
+        while True:
+            r = rng.randint(1, n - 1)
+            a = _random_matrix(rng, n, r, field) * _random_matrix(rng, r, n, field)
+            try:
+                a_dag = dagger(a)
+            except NotMPInvertible:
+                continue
+            if not a.is_zero:
+                break
+        p, q = a * a_dag, a_dag * a
+        b4 = (eye - p) * _random_matrix(rng, n, n, field) * (eye - q)
+        if kind == "1mp":
+            b = a - b4 * ((eye - q) * _random_matrix(rng, n, n, field) * p) * a + b4
+        elif kind == "mp1":
+            b = a - a * (q * _random_matrix(rng, n, n, field) * (eye - p)) * b4 + b4
+        else:
+            b = a + b4
+        pairs += [(a, b), (a, b + a)]
+    return pairs
+
+
+class TestOneMPWitnessRoute:
+    """A matrix 1MP positive takes x = inner_inverse(b)*lp(a): the same
+    verdicts, witnesses and refusals as the route through the minus witness
+    and dagger(a), and no Moore-Penrose inverse."""
+
+    @staticmethod
+    def _assert_matches_reference(pairs):
+        holds = set()
+        for a, b in pairs:
+            for decide, reference in ((leq_1mp, _reference_1mp), (leq_mp1, _reference_mp1)):
+                outcome = _packed_outcome(decide, a, b)
+                assert outcome == _packed_outcome(reference, a, b), (decide.__name__, a, b)
+                holds.add(outcome[0] if isinstance(outcome, tuple) else outcome)
+        return holds
+
+    def test_every_m2gf3_pair(self):
+        gf3 = GF(3)
+        elements = [
+            ExactMatrix(2, 2, list(digits), gf3) for digits in itertools.product(range(3), repeat=4)
+        ]
+        holds = self._assert_matches_reference(itertools.product(elements, elements))
+        assert holds == {True, False}
+
+    @pytest.mark.parametrize("field", [QQ, GF(3), GF(101)], ids=["rational", "gf3", "gf101"])
+    def test_constructed_pairs(self, field):
+        rng = random.Random(24)
+        pairs = []
+        for n in range(2, 9):
+            pairs += _constructed_pairs(rng, field, n)
+            a = _random_matrix(rng, n, 1, field) * _random_matrix(rng, 1, n, field)
+            pairs.append((a, a))  # a positive, or a refused a with no dagger(a)
+        holds = self._assert_matches_reference(pairs)
+        assert {True, False} <= holds
+
+    @pytest.mark.parametrize("field, most", [(QQ, 13), (GF(101), 15)], ids=["rational", "gf101"])
+    @pytest.mark.parametrize("relation", [leq_1mp, leq_mp1], ids=["1mp", "mp1"])
+    def test_positive_products_and_no_mp_inverse(self, monkeypatch, field, most, relation):
+        # minus rank test, star(a)*(b - a), over GF(p) the two Gram products of
+        # the Moore-Penrose check, lp(a) and its checks, g*lp(a), four
+        # equations (26 products and one mp_inverse through the minus witness)
+        import starinv.matrix as matrix
+
+        pairs = _constructed_pairs(random.Random(3), field, 3)
+        a, b = pairs[0] if relation is leq_1mp else pairs[2]
+        calls = []
+        mul = ExactMatrix.__mul__
+
+        def counting_mul(x, y):
+            calls.append(None)
+            return mul(x, y)
+
+        def no_mp_inverse(*args):
+            raise AssertionError("mp_inverse called on a 1MP or MP1 decision")
+
+        monkeypatch.setattr(ExactMatrix, "__mul__", counting_mul)
+        monkeypatch.setattr(matrix, "mp_inverse", no_mp_inverse)
+        assert relation(a, b).holds
+        assert len(calls) <= most
 
 
 class TestRationalDecidePath:
