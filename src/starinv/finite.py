@@ -385,9 +385,12 @@ class FiniteStarRing:
 
     def inverse_class_i(self, a, classes) -> frozenset:
         """The {classes}-inverses of a: the AND of the requested Penrose bitsets."""
+        cs = frozenset(classes)
+        if not cs or not cs <= {1, 2, 3, 4}:
+            raise ValueError(f"inverse class must be a nonempty subset of {{1,2,3,4}}: {classes}")
         eqs = self.penrose_bits(a)
         bits = (1 << self.n) - 1
-        for c in frozenset(classes):
+        for c in cs:
             bits &= eqs[c - 1]
         return frozenset(bit_indices(bits))
 

@@ -85,20 +85,6 @@ def in_corner(x, p, q, i: int, j: int) -> bool:
     return left_ok and right_ok
 
 
-def corner(x, p, q, i: int, j: int):
-    """The (i, j) Peirce corner component of x relative to (p, q)."""
-    pxq = p * x * q
-    if (i, j) == (1, 1):
-        return pxq
-    if (i, j) == (1, 2):
-        return p * x - pxq
-    if (i, j) == (2, 1):
-        return x * q - pxq
-    if (i, j) == (2, 2):
-        return x - p * x - x * q + pxq
-    raise ValueError("corner indices must be 1 or 2")
-
-
 class PeirceBlocks(NamedTuple):
     """The four corner components of an element relative to an IdempotentPair.
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import tracemalloc
 from dataclasses import dataclass
 
@@ -9,6 +10,7 @@ from starinv import (
     CarrierTooLarge,
     ExactMatrix,
     FiniteStarRing,
+    GF,
     InternalCheckError,
     UnknownRing,
     ZnElement,
@@ -309,6 +311,31 @@ class TestPenroseBitsets:
             b1, b2, b3, b4 = ring.penrose_bits(a)
             assert opp.penrose_bits(a) == (b1, b2, b4, b3)
         assert opp._penrose_bits is not ring._penrose_bits
+
+
+BAD_CLASS_LABELS = [{0}, {-1}, set(), {5}, {1, 5}]
+BAD_CLASS_MESSAGE = re.escape("inverse class must be a nonempty subset of {1,2,3,4}")
+
+
+@pytest.mark.parametrize("classes", BAD_CLASS_LABELS, ids=repr)
+class TestInverseClassLabels:
+    """A label outside {1,2,3,4} raises the formula layer's ValueError at every entry point."""
+
+    def element(self):
+        return M([[0, 0], [0, 1]], GF(2))
+
+    def test_index_scan(self, classes):
+        ring = matrix_star_ring(2)
+        with pytest.raises(ValueError, match=BAD_CLASS_MESSAGE):
+            ring.inverse_class_i(ring.index[self.element()], classes)
+
+    def test_element_scan(self, classes):
+        with pytest.raises(ValueError, match=BAD_CLASS_MESSAGE):
+            matrix_star_ring(2).inverse_class(self.element(), classes)
+
+    def test_enumerate_class(self, classes):
+        with pytest.raises(ValueError, match=BAD_CLASS_MESSAGE):
+            enumerate_class(matrix_star_ring(2), self.element(), classes)
 
 
 @pytest.mark.parametrize("name", ["z12", "m2gf2", "m2gf3"])

@@ -20,6 +20,7 @@ from starinv.theorems import (
     _finish,
     _namer,
     _regularity_note,
+    order_axiom_suite,
 )
 
 
@@ -70,6 +71,35 @@ class TestReportNotes:
         rep = verify_theorem(matrix_star_ring(2), "one_mp_existence_projections")
         assert rep.passed
         assert any("{1,4}" in n for n in rep.notes)
+
+
+# MP1 rows and the 1MP rows whose sweeps they run on the opposite ring
+MP1_TWINS = {
+    "mp_one_characterization": "one_mp_characterization",
+    "mp_one_family_completeness": "one_mp_family_completeness",
+    "order_mp1_above_form": "order_1mp_above_form",
+    "order_mp1_upper_inverses": "order_1mp_upper_inverses",
+}
+AXIOM_RELATIONS = {
+    "order_1mp_axioms": "1mp",
+    "order_mp1_axioms": "mp1",
+    "order_minus_axioms": "minus",
+    "order_plus_axioms": "plus",
+}
+
+
+@pytest.mark.parametrize("ring_name", ["z6", "z12", "m2gf2"])
+def test_registry_rows_run_as_declared(ring_name):
+    ring = ring_by_name(ring_name)
+    reports = verify_all(ring)
+    assert [r.theorem for r in reports] == list(theorem_ids())
+    by_id = {r.theorem: r for r in reports}
+    for tid, twin in MP1_TWINS.items():
+        expected = verify_theorem(ring.opposite(), twin)
+        assert by_id[tid]._replace(elapsed=0) == expected._replace(theorem=tid, elapsed=0), tid
+    for tid, relation in AXIOM_RELATIONS.items():
+        expected = order_axiom_suite(ring, relation, tid)
+        assert by_id[tid]._replace(elapsed=0) == expected._replace(elapsed=0), tid
 
 
 def test_verify_all_subset():
