@@ -2,19 +2,21 @@
 
 Rational scalars are `fractions.Fraction` (always in lowest terms with a
 positive denominator); GF(p) scalars are plain ints in [0, p).  A field
-object bundles the scalar arithmetic, parsing and formatting of the exact
-string form used by the CLI ("-7/2", "3"), and the matrix kernels that
-`matrix.py` is built on.
+object parses the exact string form used by the CLI ("-7/2", "3"; `str`
+writes it back) and holds the matrix kernels that `matrix.py` is built on.
+It has no scalar arithmetic: scalars add and multiply with their own
+operators, and a GF(p) sum is reduced when a matrix packs it.
 
 The kernels work on a matrix's packed form: a row-major tuple of ints
 `nums` and one int `den > 0`, the matrix being nums / den.  Each field owns
-its format.  `RationalField` keeps it canonical: `gcd(den, *nums) == 1`, so
-the zero matrix has den 1 and equal matrices have equal packed forms.
-`PrimeField` keeps the residues themselves with den 1.  Every field has
-`pack(values)` and `unpack(nums, den)` between scalars and packed form, the
-matrix kernels `matmul`, `matadd`, `matsub` and `matneg`, and the
-elimination kernels `row_reduce` and `rank`; no kernel builds a scalar
-object.
+its format, and only this module and `matrix.py` read it.
+`RationalField` keeps it canonical: `gcd(den, *nums) == 1`, so the zero
+matrix has den 1 and equal matrices have equal packed forms.  `PrimeField`
+keeps the residues themselves with den 1.  Every field has `pack(values)`
+and `unpack(nums, den)` between scalars and packed form, the matrix kernels
+`matmul`, `matadd`, `matsub` and `matneg`, the elimination kernels
+`row_reduce` and `rank`, and `residue(basis, v)`, one step of a running
+echelon form; no kernel builds a scalar object.
 """
 
 from __future__ import annotations
@@ -66,12 +68,34 @@ def lowest_terms(nums, den):
     return tuple([v // g for v in nums]), den // g
 
 
-class RationalField:
+class _Field:
+    """The kernels both fields write the same way, over their own `_eliminate` and `_normal`."""
+
+    def rank(self, nums, nrows, ncols):
+        """Rank of a packed matrix: forward elimination only, no RREF built."""
+        return len(self._eliminate(nums, nrows, ncols, False)[1])
+
+    def residue(self, basis, v):
+        """(pivot, int vector v reduced against an echelon basis), or None if v lies in its span.
+
+        v is a packed row or column: any nonzero multiple of the vector
+        serves.  basis holds earlier results, (pivot, row) pairs, each row
+        zero at the pivots before it.  Each step is `_eliminate`'s
+        pv*x - f*y, kept small by `_normal`.
+        """
+        v = self._normal(v)
+        for c, y in basis:
+            f = v[c]
+            if f:
+                v = self._normal([y[c] * x - f * z for x, z in zip(v, y)])
+        return next(((c, v) for c, x in enumerate(v) if x), None)
+
+
+class RationalField(_Field):
     """The field of rationals with arbitrary-precision Fraction scalars."""
 
     name = "rational"
     zero = Fraction(0)
-    one = Fraction(1)
     # A sum of squares is 0 only when every term is, so x^T*x == 0 forces
     # x == 0: transpose has no isotropic vector and every matrix is
     # Moore-Penrose invertible.  Over GF(p) there are isotropic vectors in
@@ -96,26 +120,6 @@ class RationalField:
             except (ValueError, ZeroDivisionError) as exc:
                 raise DocumentError(f"bad rational literal {value!r}: {exc}") from None
         raise DocumentError(f"cannot interpret {value!r} as a rational scalar")
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
-
-    def to_str(self, a) -> str:
-        return str(a)
 
     # -- packed matrices: nums / den, canonical --------------------------------
 
@@ -211,9 +215,11 @@ class RationalField:
         out += [0] * ((nrows - len(pivots)) * ncols)
         return tuple(out), den, pivots
 
-    def rank(self, nums, nrows, ncols):
-        """Rank of a packed matrix: forward elimination only, no RREF built."""
-        return len(self._eliminate(nums, nrows, ncols, False)[1])
+    @staticmethod
+    def _normal(v):
+        """The int vector v divided by the gcd of its entries."""
+        g = gcd(*v)
+        return [x // g for x in v] if g > 1 else v
 
     def __reduce__(self):
         # Unpickle to the module singleton QQ: fields compare by identity.
@@ -223,7 +229,7 @@ class RationalField:
         return "RationalField()"
 
 
-class PrimeField:
+class PrimeField(_Field):
     """GF(p) for a prime p; scalars are canonical residues in [0, p)."""
 
     def __init__(self, p: int):
@@ -237,7 +243,6 @@ class PrimeField:
         self.name = f"gf:{p}"
         self.anisotropic = False
         self.zero = 0
-        self.one = 1 % p
 
     def of(self, value) -> int:
         if isinstance(value, bool):
@@ -254,26 +259,6 @@ class PrimeField:
                 raise DocumentError(f"bad GF({self.p}) literal {value!r}") from None
             return n % self.p
         raise DocumentError(f"cannot interpret {value!r} as a GF({self.p}) scalar")
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, -1, self.p)
-
-    def to_str(self, a) -> str:
-        return str(a % self.p)
 
     # -- packed matrices: the residues themselves, den 1 ------------------------
 
@@ -331,9 +316,10 @@ class PrimeField:
         m, pivots = self._eliminate(nums, nrows, ncols, True)
         return tuple([v for row in m for v in row]), 1, pivots
 
-    def rank(self, nums, nrows, ncols):
-        """Rank of a packed matrix: forward elimination only."""
-        return len(self._eliminate(nums, nrows, ncols, False)[1])
+    def _normal(self, v):
+        """The int vector v reduced mod p."""
+        p = self.p
+        return [x % p for x in v]
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

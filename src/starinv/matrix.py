@@ -9,8 +9,9 @@ tuple `nums` and an int `den > 0`, the matrix being nums / den.  Over the
 rationals it is canonical (`gcd(den, *nums) == 1`), so `==` and `hash`
 compare ints; over GF(p), `nums` are the residues and den is 1.  Products,
 sums and row reduction are the field's kernels (`matmul`, `matadd`,
-`matsub`, `matneg`, `row_reduce`, `rank`); this module carries shapes and
-does the structural work (transpose, stacking, selection) on packed forms.
+`matsub`, `matneg`, `row_reduce`, `rank`, `residue`); this module carries
+shapes and does the structural work (transpose, stacking, selection, column
+sums, nonzero rows) on packed forms.  No other module reads them.
 `entries` gives the scalars (canonical `Fraction`s over the rationals,
 residues over GF(p)); it is built on first read and cached.
 """
@@ -174,7 +175,7 @@ class ExactMatrix:
 
     def __repr__(self):
         rows = "; ".join(
-            " ".join(self.field.to_str(self[i, j]) for j in range(self.cols))
+            " ".join(str(self[i, j]) for j in range(self.cols))
             for i in range(self.rows)
         )
         return f"ExactMatrix[{self.field.name}]({rows})"
@@ -202,6 +203,18 @@ def select(a: ExactMatrix, rows, cols) -> ExactMatrix:
     nums, n = a.nums, a.cols
     sub = [nums[i * n + j] for i in rows for j in cols]
     return ExactMatrix._packed(len(rows), len(cols), *lowest_terms(sub, a.den), a.field)
+
+
+def column_sum(a: ExactMatrix, js):
+    """The sum of the columns js of a as ints, a.den times that column: a field's `residue` input."""
+    nums, n = a.nums, a.cols
+    return [sum(nums[i * n + j] for j in js) for i in range(a.rows)]
+
+
+def nonzero_rows(a: ExactMatrix):
+    """The indices of the nonzero rows of a, in order."""
+    nums, n = a.nums, a.cols
+    return [i for i in range(a.rows) if any(nums[i * n : (i + 1) * n])]
 
 
 def embed_square(a: ExactMatrix) -> ExactMatrix:
@@ -400,8 +413,7 @@ def solve_matrix_equations(terms, shape, field) -> Optional[ExactMatrix]:
     """
     xr, xc = shape
     nunk = xr * xc
-    rows = []
-    rhs = []
+    aug = []  # the augmented system [coefficients | c], row-major
     for products, c in terms:
         for (l_mat, r_mat) in products:
             if l_mat.cols != xr or r_mat.rows != xc:
@@ -417,19 +429,12 @@ def solve_matrix_equations(terms, shape, field) -> Optional[ExactMatrix]:
                         if lsu == field.zero:
                             continue
                         for v in range(xc):
-                            coeff[u * xc + v] = field.add(
-                                coeff[u * xc + v], field.mul(lsu, r_mat[v, t])
-                            )
-                rows.append(coeff)
-                rhs.append(c[s, t])
-    if not rows:
+                            coeff[u * xc + v] += lsu * r_mat[v, t]
+                aug += coeff
+                aug.append(c[s, t])
+    if not aug:
         return ExactMatrix.zeros(xr, xc, field)
-    aug_ents = []
-    for coeff, b in zip(rows, rhs):
-        aug_ents.extend(coeff)
-        aug_ents.append(b)
-    aug = ExactMatrix(len(rows), nunk + 1, aug_ents, field)
-    red, pivots = rref(aug)
+    red, pivots = rref(ExactMatrix(len(aug) // (nunk + 1), nunk + 1, aug, field))
     if nunk in pivots:
         return None
     sol = [field.zero] * nunk

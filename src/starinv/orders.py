@@ -32,7 +32,6 @@ Verdict method tags:
 
 from __future__ import annotations
 
-from math import gcd
 from typing import NamedTuple, Optional
 
 from . import matrix as mx
@@ -425,27 +424,6 @@ def leq_diamond(a, b) -> OrderVerdict:
 # -- plus order ---------------------------------------------------------------------
 
 
-def _column_sum(m, js):
-    """The sum of the columns js of m, as ints: m.den times that column."""
-    return [sum(m.nums[i * m.cols + j] for j in js) for i in range(m.rows)]
-
-
-def _residue(field, basis, v):
-    """(pivot, int vector v reduced against an echelon basis), or None if v lies in its span.
-
-    basis holds (pivot, row) pairs, each row zero at the pivots before it.  Dividing
-    out the gcd keeps rational rows small, and scales residues mod p by a unit.
-    """
-    v = field.pack(v)[0]
-    for c, y in basis:
-        f = v[c]
-        if f:
-            v = field.pack([y[c] * x - f * z for x, z in zip(v, y)])[0]
-            g = gcd(*v)
-            v = [x // g for x in v] if g > 1 else v
-    return next(((c, v) for c, x in enumerate(v) if x), None)
-
-
 def _plus_rank_witness(a, b, inner):
     """The verified witness of the rank criterion in leq_plus, or None.
 
@@ -460,9 +438,8 @@ def _plus_rank_witness(a, b, inner):
     field = a.field
     fa = mx.full_rank_factorize(a)
     r, f, g = fa.r, fa.f, fa.g
-    m = inner.cols
-    pivots = [i for i in range(inner.rows) if any(inner.nums[i * m : (i + 1) * m])]
-    r_b, l_b = len(pivots), mx.select(inner, pivots, range(m))
+    pivots = mx.nonzero_rows(inner)
+    r_b, l_b = len(pivots), mx.select(inner, pivots, range(inner.cols))
     s = l_b * f
     t = mx.select(g, range(r), pivots)
     d = ExactMatrix.identity(r, field) - t * s
@@ -475,28 +452,31 @@ def _plus_rank_witness(a, b, inner):
     # reduced against growing echelon bases of [S V] and of H*V (H = D*T, so
     # H*c sums columns of H); as spans grow, the first unit outside never moves back.
     h = d * t
-    eye_b = ExactMatrix.identity(r_b, field)
+
+    def unit(js):  # the sum of the columns js of I_{r_b}
+        return [int(i in js) for i in range(r_b)]
+
     s_basis, h_basis = [], []
     for j in range(r):  # S has independent columns
-        s_basis.append(_residue(field, s_basis, _column_sum(s, (j,))))
+        s_basis.append(field.residue(s_basis, mx.column_sum(s, (j,))))
     sv, u, w = s, 0, 0
     for _ in range(rank_d):
-        u = next(j for j in range(u, r_b) if _residue(field, s_basis, _column_sum(eye_b, (j,))))
-        w = next(j for j in range(w, r_b) if _residue(field, h_basis, _column_sum(h, (j,))))
+        u = next(j for j in range(u, r_b) if field.residue(s_basis, unit((j,))))
+        w = next(j for j in range(w, r_b) if field.residue(h_basis, mx.column_sum(h, (j,))))
         for js in ((u,), (w,), (u, w)):
-            in_s = _residue(field, s_basis, _column_sum(eye_b, js))
-            in_h = in_s and _residue(field, h_basis, _column_sum(h, js))
+            in_s = field.residue(s_basis, unit(js))
+            in_h = in_s and field.residue(h_basis, mx.column_sum(h, js))
             if in_h:
                 break
         else:
             raise InternalCheckError("no pick extends both column spaces")
         s_basis, h_basis = s_basis + [in_s], h_basis + [in_h]
-        sv = mx.hstack(sv, ExactMatrix(r_b, 1, _column_sum(eye_b, js), field))
+        sv = mx.hstack(sv, ExactMatrix(r_b, 1, unit(js), field))
     # L*S == I and L*V == 0, so U*S == I; with V = S + P*inner(T*P)*D,
     # U*P == 0 gives U*V == I and col(T*P) == col(D) gives T*V == I.
     l_sv = mx.select(mx.inner_inverse(sv), range(r), range(r_b))
     u = t + d * l_sv
-    p = eye_b - s * u
+    p = ExactMatrix.identity(r_b, field) - s * u
     v = s + p * mx.inner_inverse(t * p) * d
     r_b_sel = mx.select(ExactMatrix.identity(a.cols, field), range(a.cols), pivots)
     return _verify_plus_witness(a, b, f * u * l_b, r_b_sel * v * g, r)

@@ -1,9 +1,14 @@
-"""The formula layer imports nothing from the brute-force oracle.
+"""The formula layer imports nothing from the brute-force oracle, and exact
+arithmetic stays in its two modules.
 
 fields, matrix, inverses, ring, orders and zn decide by formulas; finite and
 theorems enumerate carriers.  Agreement between the two layers is evidence
 only while no formula reads an oracle scan, so an import of `finite` or
 `theorems` from a formula module, at any level, fails here.
+
+A matrix's packed form (int `nums` over one `den`) belongs to fields.py and
+matrix.py: any other module that reads `.nums` or `.den`, or calls `pack` or
+`unpack`, fails here.
 """
 
 import ast
@@ -15,6 +20,9 @@ import starinv
 
 FORMULA_LAYER = ("fields", "matrix", "inverses", "ring", "orders", "zn")
 ORACLE = {"finite", "theorems"}
+PACKED_OWNERS = {"fields.py", "matrix.py"}
+PACKED_READS = {"nums", "den"}
+PACKED_CALLS = {"pack", "unpack"}
 
 
 def _imported_names(tree):
@@ -48,3 +56,26 @@ def test_no_module_imports_dataclasses(path):
         name for name in _imported_names(tree) if name.split(".")[0] == "dataclasses"
     )
     assert not offending, f"{path.name} imports {offending}"
+
+
+def _packed_uses(tree):
+    """(line, text) for every read of a packed field and every pack/unpack call in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in PACKED_READS:
+            yield node.lineno, f".{node.attr}"
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in PACKED_CALLS:
+                yield node.lineno, f"{name}()"
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in Path(starinv.__file__).parent.glob("*.py") if p.name not in PACKED_OWNERS),
+    ids=lambda p: p.name,
+)
+def test_only_fields_and_matrix_read_the_packed_form(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    offending = sorted(_packed_uses(tree))
+    assert not offending, f"{path.name} reads the packed form at {offending}"

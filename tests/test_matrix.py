@@ -33,6 +33,7 @@ from starinv.matrix import (
     inverse,
     penrose_equations,
     rref,
+    select,
     solve_matrix_equations,
 )
 
@@ -154,41 +155,46 @@ class TestElimination:
             inverse(M([[1, 1], [1, 1]]))
 
 
+def _reduce(field, x):
+    """x as a scalar of field: a Fraction over Q, its residue mod p over GF(p)."""
+    return Fraction(x) if field is QQ else x % field.p
+
+
+def _inv(field, x):
+    return 1 / Fraction(x) if field is QQ else pow(x, -1, field.p)
+
+
 def _textbook_product(a, b):
-    """Entries of a*b by the triple loop over the field's scalar operations."""
-    f = a.field
-    out = []
-    for i in range(a.rows):
-        for j in range(b.cols):
-            s = f.zero
-            for t in range(a.cols):
-                s = f.add(s, f.mul(a[i, t], b[t, j]))
-            out.append(s)
-    return out
+    """Entries of a*b by the triple loop over Fraction or mod-p scalar arithmetic."""
+    return [
+        _reduce(a.field, sum(a[i, t] * b[t, j] for t in range(a.cols)))
+        for i in range(a.rows)
+        for j in range(b.cols)
+    ]
 
 
 def _textbook_rref(a):
-    """Gauss-Jordan over the field's scalar operations: (row-major entries, pivots)."""
+    """Gauss-Jordan over Fraction or mod-p scalar arithmetic: (row-major entries, pivots)."""
     f = a.field
     m = a.to_rows()
     pivots = []
     for c in range(a.cols):
         r = len(pivots)
-        pr = next((i for i in range(r, a.rows) if m[i][c] != f.zero), None)
+        pr = next((i for i in range(r, a.rows) if m[i][c] != 0), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = f.inv(m[r][c])
-        m[r] = [f.mul(inv, v) for v in m[r]]
+        inv = _inv(f, m[r][c])
+        m[r] = [_reduce(f, inv * v) for v in m[r]]
         for i in range(a.rows):
             if i != r:
-                m[i] = [f.sub(x, f.mul(m[i][c], y)) for x, y in zip(m[i], m[r])]
+                m[i] = [_reduce(f, x - m[i][c] * y) for x, y in zip(m[i], m[r])]
         pivots.append(c)
     return [v for row in m for v in row], pivots
 
 
 class TestKernels:
-    """The fields' matmul and row_reduce against textbook loops."""
+    """The fields' matmul, row_reduce and residue against textbook loops."""
 
     # (rows, inner, cols); inner 0 is the empty product that _plus_rank_witness forms
     SHAPES = [(1, 1, 1), (3, 5, 2), (2, 7, 1), (4, 4, 4), (5, 3, 6), (6, 6, 6), (3, 0, 4)]
@@ -252,6 +258,41 @@ class TestKernels:
             assert red.shape == a.shape
             self._assert_canonical(red)
             assert rank(a) == len(pivots)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+    def test_residue_grows_an_echelon_basis(self, field):
+        # residue reads packed int rows: here the rows of a.nums, a.den times a's rows
+        rng = random.Random(47)
+        assert field.residue([], [0, 0, 0]) is None
+        if field is not QQ:
+            assert field.residue([], [field.p, 0, -2 * field.p]) is None
+        for rows, _, cols in self.SHAPES * 4:
+            a = self._low_rank(rng, field, rows + 2, cols)
+            packed = [list(a.nums[i * cols : (i + 1) * cols]) for i in range(a.rows)]
+            # empty basis: v itself up to a unit, pivot at its first nonzero entry
+            v = packed[0]
+            res = field.residue([], v)
+            nonzero = [c for c, x in enumerate(v) if _reduce(field, x)]
+            if res is None:
+                assert not nonzero
+            else:
+                assert res[0] == nonzero[0]
+                assert rank(ExactMatrix(2, cols, v + res[1], field)) == 1
+            # outside the span: the basis grows with the rank of the stacked rows
+            basis = []
+            for i, v in enumerate(packed):
+                res = field.residue(basis, v)
+                if res is not None:
+                    c, row = res
+                    assert row[c] and not any(row[:c])
+                    assert all(row[b] == 0 for b, _ in basis)
+                    basis.append(res)
+                assert len(basis) == rank(select(a, range(i + 1), range(cols)))
+            # in the span: integer combinations of the rows leave no residue
+            for _ in range(3):
+                ks = [rng.randint(-5, 5) for _ in packed]
+                w = [sum(k * v[j] for k, v in zip(ks, packed)) for j in range(cols)]
+                assert field.residue(basis, w) is None
 
 
 def _assert_packed(m):

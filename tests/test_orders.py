@@ -488,7 +488,7 @@ class TestRationalDecidePath:
     product once, and no Fraction is built."""
 
     @pytest.mark.parametrize(
-        "relation, most", [(leq_minus, 9), (leq_1mp, 28), (leq_mp1, 34)], ids=["minus", "1mp", "mp1"]
+        "relation, most", [(leq_minus, 9), (leq_1mp, 13), (leq_mp1, 13)], ids=["minus", "1mp", "mp1"]
     )
     def test_products_per_positive_decision(self, monkeypatch, relation, most):
         # ExactMatrix.__mul__ calls per positive n = 8 decision, dagger(a) included
