@@ -15,8 +15,8 @@ matrix has den 1 and equal matrices have equal packed forms.  `PrimeField`
 keeps the residues themselves with den 1.  Every field has `pack(values)`
 and `unpack(nums, den)` between scalars and packed form, the matrix kernels
 `matmul`, `matadd`, `matsub` and `matneg`, the elimination kernels
-`row_reduce` and `rank`, and `residue(basis, v)`, one step of a running
-echelon form; no kernel builds a scalar object.
+`row_reduce`, `pivots` and `rank`, and `residue(basis, v)`, one step of a
+running echelon form; no kernel builds a scalar object.
 """
 
 from __future__ import annotations
@@ -70,6 +70,10 @@ def lowest_terms(nums, den):
 
 class _Field:
     """The kernels both fields write the same way, over their own `_eliminate` and `_normal`."""
+
+    def pivots(self, nums, nrows, ncols):
+        """Pivot columns of a packed matrix, those of its RREF: forward elimination only."""
+        return self._eliminate(nums, nrows, ncols, False)[1]
 
     def rank(self, nums, nrows, ncols):
         """Rank of a packed matrix: forward elimination only, no RREF built."""

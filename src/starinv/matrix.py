@@ -9,10 +9,10 @@ tuple `nums` and an int `den > 0`, the matrix being nums / den.  Over the
 rationals it is canonical (`gcd(den, *nums) == 1`), so `==` and `hash`
 compare ints; over GF(p), `nums` are the residues and den is 1.  Products,
 sums and row reduction are the field's kernels (`matmul`, `matadd`,
-`matsub`, `matneg`, `row_reduce`, `rank`, `residue`); this module carries
-shapes and does the structural work (transpose, stacking, selection, column
-sums, nonzero rows) on packed forms.  No other module reads them.
-`entries` gives the scalars (canonical `Fraction`s over the rationals,
+`matsub`, `matneg`, `row_reduce`, `pivots`, `rank`, `residue`); this
+module carries shapes and does the structural work (transpose, stacking,
+selection, column sums, nonzero rows) on packed forms.  No other module
+reads them.  `entries` gives the scalars (canonical `Fraction`s over the rationals,
 residues over GF(p)); it is built on first read and cached.
 """
 
@@ -244,6 +244,11 @@ def rank(a: ExactMatrix) -> int:
     return a.field.rank(a.nums, a.rows, a.cols)
 
 
+def pivot_columns(a: ExactMatrix):
+    """The pivot columns of rref(a), from forward elimination alone; there are rank(a) of them."""
+    return a.field.pivots(a.nums, a.rows, a.cols)
+
+
 def inverse(a: ExactMatrix) -> ExactMatrix:
     """Inverse of a square matrix; ZeroDivisionError if singular."""
     if not a.is_square:
@@ -255,21 +260,34 @@ def inverse(a: ExactMatrix) -> ExactMatrix:
     return select(red, range(n), range(n, 2 * n))
 
 
+def inner_solve(b: ExactMatrix, c: ExactMatrix):
+    """(pivot columns of b, g*c, whether col(c) lies in col(b)) from one rref of [b | c].
+
+    g = inner_inverse(b).  Every E that puts [b | c] in RREF has
+    E*b = rref(b).  When c = b*z, E*c = rref(b)*z is the same for every
+    such E, the E that reduces [b | I] and defines g among them; so the top
+    rank(b) rows of the right block, carried to b's pivot rows as g carries
+    E's, are g*c.  A pivot in the right block means c leaves col(b), and
+    then only c = I gives g*c (it is g).
+    """
+    n, k = b.cols, c.cols
+    red, pivots = rref(hstack(b, c))
+    pivots_b = [p for p in pivots if p < n]
+    width = n + k
+    nums = [0] * (n * k)
+    for i, p in enumerate(pivots_b):
+        nums[p * k : (p + 1) * k] = red.nums[i * width + n : (i + 1) * width]
+    gc = ExactMatrix._packed(n, k, *lowest_terms(nums, red.den), b.field)
+    return pivots_b, gc, len(pivots_b) == len(pivots)
+
+
 def inner_inverse(a: ExactMatrix) -> ExactMatrix:
-    """One inner inverse g of a (a*g*a == a) from a single rref of [a | I].
+    """One inner inverse g of a (a*g*a == a): inner_solve's c = I case, one rref of [a | I].
 
     The right block is an invertible E with E*a == rref(a); g carries row i
     of E at row pivots[i] and zeros elsewhere.  Exists over any field.
     """
-    m, n = a.shape
-    red, pivots = rref(hstack(a, ExactMatrix.identity(m, a.field)))
-    width = n + m
-    nums = [0] * (n * m)
-    for i, c in enumerate(pivots):
-        if c >= n:
-            break
-        nums[c * m : (c + 1) * m] = red.nums[i * width + n : (i + 1) * width]
-    return ExactMatrix._packed(n, m, *lowest_terms(nums, red.den), a.field)
+    return inner_solve(a, ExactMatrix.identity(a.rows, a.field))[1]
 
 
 class RankFactorization(NamedTuple):

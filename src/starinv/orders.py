@@ -16,11 +16,15 @@ in _ann_leq and nowhere else (on matrices b*g*t == t, one inner inverse g
 of b per decision), whether an idempotent has the annihilator of a in
 _left_ann_matches; the right side of each is the left side on stars, as rp
 is lp.  On matrices, dagger(a), lp(a) and rp(a) are built only when the
-verdict uses them, lp and rp from one factorisation of a, and a 1MP or MP1
-query builds no minus witness and no dagger(a): its witness is
-inner_inverse(b)*lp(a), built only for a positive.  Every positive
-verdict carries a witness checked against the defining equations of the
-relation, so a structural shortcut can never silently disagree with it.
+verdict uses them, lp and rp from one factorisation of a.  Minus and 1MP
+(so MP1) reduce each operand at most once: rank(a) and rank(b - a) come
+first, and when their sum exceeds n the rank test fails before b is
+reduced.  Minus then reads rank(b) off inner_inverse(b); a 1MP or MP1
+positive builds no minus witness, no dagger(a) and no lp(a), and takes
+its witness inner_inverse(b)*lp(a) from one rref of [b | F], F the pivot
+columns of a (see leq_1mp).  Every positive verdict carries a witness
+checked against the defining equations of the relation, so a structural
+shortcut can never silently disagree with it.
 
 Verdict method tags:
     minus    "rank" (matrices) | "dagger" (Z_n)
@@ -229,48 +233,53 @@ def _via_opposite(dual, a, b, witness_cls) -> OrderVerdict:
 
 # -- minus order ----------------------------------------------------------------
 
+_RANK_FAILS = "rank(b - a) != rank(b) - rank(a)"
+_PRODUCT_FAILS = "dagger(a)*b != dagger(a)*a"
+
 
 def leq_minus(a, b) -> OrderVerdict:
     """a <= b in the minus order: some inner inverse of a identifies a and b.
 
     Matrix route: the classical rank-subtractivity test
-    rank(b - a) == rank(b) - rank(a).  When it passes, a*g*a == a and
-    a*g*b == a == b*g*a for every inner inverse g of b (Hartwig 1980), so
-    k = g*a*g built from one inner inverse of b is a witness; it is
-    re-verified.  When b is invertible the witness is unique; otherwise k is
-    one of several.
+    rank(b - a) == rank(b) - rank(a).  rank(a) and rank(b - a) come first:
+    when their sum exceeds n the test fails, since rank(b) <= n, and b is
+    never reduced.  When a == 0 it holds, with rank(b) == rank(b - a) and
+    witness 0.  Otherwise b is reduced once, for g = inner_inverse(b), whose
+    nonzero rows are b's pivots, so rank(b) is their number.  When the test
+    passes, a*g*a == a and a*g*b == a == b*g*a (Hartwig 1980), so k = g*a*g
+    is a witness; it is re-verified.  When b is invertible the witness is
+    unique; otherwise k is one of several.
 
     Z_n: the witness is dagger(a).  An inner inverse x of a identifies a
     and b iff x*(b - a) == 0; then a*(b - a) == a*a*x*(b - a) == 0, and so
     dagger(a)*(b - a) == dagger(a)*dagger(a)*a*(b - a) == 0.
     """
     modular = _modular(a, b)
-    if modular and not zn.is_regular(a):
-        raise NotRegular(f"{a!r} has no inner inverse")
-    k = dagger(a) if modular else None
-    reason = _minus_reason(a, b, k)[1]
+    if modular:
+        if not zn.is_regular(a):
+            raise NotRegular(f"{a!r} has no inner inverse")
+        k = dagger(a)
+        reason = None if (k * (b - a)).is_zero else "no inner inverse identifies a and b"
+    else:
+        n = a.rows
+        rank_a, rank_d = mx.rank(a), mx.rank(b - a)
+        k = reason = None
+        if rank_a + rank_d > n:
+            reason = _RANK_FAILS
+        elif rank_a == 0:
+            k = ExactMatrix.zeros(n, n, a.field)
+        else:
+            g = mx.inner_inverse(b)
+            if rank_d == len(mx.nonzero_rows(g)) - rank_a:
+                k = g * a * g
+            else:
+                reason = _RANK_FAILS
     witness = None if reason else _minus_witness(a, b, k)
     return OrderVerdict(reason is None, witness, "dagger" if modular else "rank", reason)
 
 
-def _minus_reason(a, b, k):
-    """rank(a) on matrices, and why a <= b fails in the minus order (None if it holds).
-
-    Z_n: k = dagger(a) identifies a and b or none does.  Matrices (k None):
-    Hartwig's rank test, which builds no inverse.
-    """
-    if k is not None:
-        return None, None if (k * (b - a)).is_zero else "no inner inverse identifies a and b"
-    rank_a = mx.rank(a)
-    holds = mx.rank(b - a) == mx.rank(b) - rank_a
-    return rank_a, None if holds else "rank(b - a) != rank(b) - rank(a)"
-
-
 def _minus_witness(a, b, k) -> MinusWitness:
-    """The verified minus witness k; k None on matrices stands for g*a*g, g = inner_inverse(b)."""
-    if k is None:
-        g = mx.inner_inverse(b)
-        k = g * a * g
+    """The minus witness k, once its equations hold."""
     p = a * k
     q = k * a
     # a*k*a == a, k*a == k*b and a*k == b*k
@@ -288,45 +297,85 @@ def leq_1mp(a, b) -> OrderVerdict:
     """a <= b in the 1MP order: some 1MP-inverse of a identifies a and b.
 
     In every ring: a <= b in the minus order together with
-    dagger(a)*b == dagger(a)*a; the witness x is re-verified against the
-    defining equations.  On opposite-ring views it is the MP1 order of the
-    base elements.
+    dagger(a)*b == dagger(a)*a; the witness x is re-verified.  On
+    opposite-ring views it is the MP1 order of the base elements.
 
     The second condition is tested as star(a)*b == star(a)*a, which needs
     no dagger(a): since dagger(a) == dagger(a)*star(dagger(a))*star(a) and
     star(a) == star(a)*a*dagger(a), dagger(a) and star(a) annihilate the
-    same elements.  On matrices the minus order is decided first, by
-    Hartwig's rank-subtractivity test, then that product test.  Every
-    verdict refuses an a with no Moore-Penrose inverse, by the rank test of
-    is_mp_invertible (given the rank(a) of the minus test), with
-    mp_inverse's NotMPInvertible.  Z_n builds dagger(a) first, so a
-    non-regular a raises NotMPInvertible.
+    same elements.  Z_n builds dagger(a) first, so a non-regular a raises
+    NotMPInvertible, and then decides the minus order as leq_minus does;
+    its witness is dagger(a).
 
-    A matrix positive builds no dagger(a): its witness is x = g*lp(a) for
-    g = inner_inverse(b).  When a <= b in the minus order, a*g*a == a and
-    a*g*b == a == b*g*a (Hartwig 1980), and lp(a) == a*dagger(a), the one
-    self-adjoint idempotent with the column space of a.  So x = g*a*dagger(a)
-    is a 1MP-inverse of a that identifies a and b, equal to k*a*dagger(a)
-    for the minus witness k = g*a*g.  On Z_n x is dagger(a) (k = dagger(a)).
+    Matrices decide in this order, reducing each operand at most once.
+    The forward elimination of a gives rank(a) and its pivot columns, and
+    F = a at those columns (a = F*G, G the nonzero rows of rref(a)); an a
+    with no Moore-Penrose inverse is refused at once, by the rank test of
+    is_mp_invertible, with mp_inverse's NotMPInvertible.  Then rank(b - a):
+    if rank(a) + rank(b - a) > n the minus order fails (rank(b) <= n) and b
+    is never reduced.  When a == 0 the minus order holds
+    (rank(b) == rank(b - a)) and x is 0.  Then the product test, run as
+    star(F)*(b - a) == 0: star(a) = star(G)*star(F) and star(G) has
+    independent columns.  A rejection there ranks b to tell which condition
+    failed.  Otherwise one rref of [b | F] decides the rest: a pivot in the
+    F block means col(a) is not inside col(b), so the minus order fails;
+    else b's pivots give rank(b) for the rank test, and the rows of the F
+    block at them are g*F for g = inner_inverse(b) (see mx.inner_solve:
+    col(F) inside col(b) makes that block E*F for whatever E reduced b).
+
+    The witness of a positive is x = (g*F)*((F^T F)^{-1}*F^T) = g*lp(a),
+    built without lp(a): lp(a) = F*(F^T F)^{-1}*F^T.  When a <= b in the
+    minus order, a*g*a == a and a*g*b == a == b*g*a (Hartwig 1980), and
+    lp(a) == a*dagger(a), so x = g*a*dagger(a) is a 1MP-inverse of a that
+    identifies a and b.  It is checked against x*a*x == x, a*x*a == a and
+    star(a*x) == a*x: for an a with a Moore-Penrose inverse the 1MP-inverses
+    are exactly these {1,2,3}-inverses (a*x is then the self-adjoint
+    idempotent onto col(a), which is a*dagger(a)); then x*a == x*b and
+    a*x == b*x.
     """
     if isinstance(a, OppositeView):
         return _via_opposite(leq_mp1, a, b, OneMPWitness)
-    modular = _modular(a, b)
-    a_dag = dagger(a) if modular else None
-    rank_a, reason = _minus_reason(a, b, a_dag)
-    if reason is None and not (a.star * (b - a)).is_zero:
-        reason = "dagger(a)*b != dagger(a)*a"
-    if not modular:
-        mx.require_mp_invertible(a, rank_a)
+    if _modular(a, b):
+        x = dagger(a)
+        if not (x * (b - a)).is_zero:
+            reason = "no inner inverse identifies a and b"
+        else:
+            reason = None if (a.star * (b - a)).is_zero else _PRODUCT_FAILS
+    else:
+        reason, x = _one_mp_matrix(a, b)
     if reason is not None:
         return OrderVerdict(False, None, "minus-dagger", reason)
-    la = a * a_dag if modular else lp(a)
-    x = a_dag if modular else mx.inner_inverse(b) * la
+    return OrderVerdict(True, _one_mp_witness(a, b, x), "minus-dagger")
+
+
+def _one_mp_matrix(a, b):
+    """(reason, x) of leq_1mp on matrices: why a <= b fails, or None and the witness x."""
+    n = a.rows
+    pivots = mx.pivot_columns(a)
+    rank_a = len(pivots)
+    mx.require_mp_invertible(a, rank_a)
+    d = b - a
+    rank_d = mx.rank(d)
+    if rank_a + rank_d > n:
+        return _RANK_FAILS, None
+    if rank_a == 0:
+        return None, ExactMatrix.zeros(n, n, a.field)
+    f = mx.select(a, range(n), pivots)
+    f_star = f.star
+    if not (f_star * d).is_zero:
+        return (_RANK_FAILS if rank_d != mx.rank(b) - rank_a else _PRODUCT_FAILS), None
+    pivots_b, gf, inside = mx.inner_solve(b, f)
+    if not inside or rank_d != len(pivots_b) - rank_a:
+        return _RANK_FAILS, None
+    return None, gf * (mx.inverse(f_star * f) * f_star)
+
+
+def _one_mp_witness(a, b, x) -> OneMPWitness:
+    """x as a OneMPWitness, once it is a {1,2,3}-inverse of a that identifies a and b."""
     xa, ax = x * a, a * x
-    # 1MP membership (x*a*x == x, a*x == lp(a)), then x identifies a and b
-    if not (xa * x == x and ax == la and xa == x * b and ax == b * x):
+    if not (xa * x == x and ax * a == a and ax.star == ax and xa == x * b and ax == b * x):
         raise InternalCheckError("1MP witness fails its equations")
-    return OrderVerdict(True, OneMPWitness(x), "minus-dagger")
+    return OneMPWitness(x)
 
 
 def leq_1mp_routes(a, b) -> dict:

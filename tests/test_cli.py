@@ -362,9 +362,9 @@ class TestPlumbing:
         def broken(*args):
             raise InternalCheckError("a self-check fails")
 
-        # minus verifies its witness, 1MP its lp(a), mp and onemp their dagger
+        # minus and 1MP verify their witnesses, mp and onemp their dagger
         monkeypatch.setattr("starinv.orders._minus_witness", broken)
-        monkeypatch.setattr("starinv.orders._projections", broken)
+        monkeypatch.setattr("starinv.orders._one_mp_witness", broken)
         monkeypatch.setattr("starinv.inverses.dagger", broken)
         a = write_doc(tmp_path, "a.mat", M([[1, 0], [0, 0]]))
         b = write_doc(tmp_path, "b.mat", ExactMatrix.identity(2))

@@ -30,8 +30,10 @@ from starinv.fields import PRIME_CHECK_LIMIT, field_by_name
 from starinv.matrix import (
     hstack,
     inner_inverse,
+    inner_solve,
     inverse,
     penrose_equations,
+    pivot_columns,
     rref,
     select,
     solve_matrix_equations,
@@ -258,6 +260,33 @@ class TestKernels:
             assert red.shape == a.shape
             self._assert_canonical(red)
             assert rank(a) == len(pivots)
+            assert pivot_columns(a) == pivots
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+    def test_inner_solve_against_inner_inverse(self, field):
+        # one rref of [b | c]: b's pivots and g*c for g = inner_inverse(b) when
+        # col(c) lies in col(b); a flag when it does not; g itself for c = I
+        rng = random.Random(53)
+        kinds = set()
+        for rows, k, cols in self.SHAPES * 4:
+            n = rows + 1
+            for b in (self._low_rank(rng, field, n, n), self._matrix(rng, field, n, n)):
+                g = inner_inverse(b)
+                kinds.add(rank(b) == n)
+                assert inner_solve(b, ExactMatrix.identity(n, field))[1] == g
+                pivots = rref(b)[1]
+                c = b * self._matrix(rng, field, n, cols)
+                assert inner_solve(b, c) == (pivots, g * c, True)
+                self._assert_canonical(inner_solve(b, c)[1])
+                outside = hstack(c, self._matrix(rng, field, n, 1))
+                if rank(hstack(b, outside)) > rank(b):
+                    found, _, inside = inner_solve(b, outside)
+                    assert (found, inside) == (pivots, False)
+                    kinds.add("outside")
+        assert kinds == {True, False, "outside"}
+        b = M([[1, 1], [1, 1]], field)
+        assert inner_solve(b, M([[1], [0]], field))[2] is False
+        assert inner_solve(b, M([[3], [3]], field)) == ([0], inner_inverse(b) * M([[3], [3]], field), True)
 
     @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
     def test_residue_grows_an_echelon_basis(self, field):

@@ -457,12 +457,12 @@ class TestOneMPWitnessRoute:
         holds = self._assert_matches_reference(pairs)
         assert {True, False} <= holds
 
-    @pytest.mark.parametrize("field, most", [(QQ, 13), (GF(101), 15)], ids=["rational", "gf101"])
+    @pytest.mark.parametrize("field, most", [(QQ, 10), (GF(101), 12)], ids=["rational", "gf101"])
     @pytest.mark.parametrize("relation", [leq_1mp, leq_mp1], ids=["1mp", "mp1"])
     def test_positive_products_and_no_mp_inverse(self, monkeypatch, field, most, relation):
-        # minus rank test, star(a)*(b - a), over GF(p) the two Gram products of
-        # the Moore-Penrose check, lp(a) and its checks, g*lp(a), four
-        # equations (26 products and one mp_inverse through the minus witness)
+        # star(F)*(b - a), over GF(p) the two Gram products of the Moore-Penrose
+        # check, F^T*F, (F^T F)^{-1}*F^T, (g*F) times that, six equations (13
+        # and 15 through lp(a), 26 and one mp_inverse through the minus witness)
         import starinv.matrix as matrix
 
         pairs = _constructed_pairs(random.Random(3), field, 3)
@@ -488,7 +488,7 @@ class TestRationalDecidePath:
     product once, and no Fraction is built."""
 
     @pytest.mark.parametrize(
-        "relation, most", [(leq_minus, 9), (leq_1mp, 13), (leq_mp1, 13)], ids=["minus", "1mp", "mp1"]
+        "relation, most", [(leq_minus, 9), (leq_1mp, 10), (leq_mp1, 10)], ids=["minus", "1mp", "mp1"]
     )
     def test_products_per_positive_decision(self, monkeypatch, relation, most):
         # ExactMatrix.__mul__ calls per positive n = 8 decision, dagger(a) included
@@ -559,15 +559,20 @@ class TestLazyDerivedData:
             assert str(info.value) == "2 (mod 12) has no Moore-Penrose inverse"
 
     @staticmethod
-    def _count_eliminations(monkeypatch, field):
-        """The list that gets the kernel name of each row_reduce and rank call over field."""
+    def _count_eliminations(monkeypatch, field, reduced=None):
+        """The list that gets the kernel name of each row_reduce, pivots and rank call over field.
+
+        A list given as reduced gets the packed nums each of those calls reduces.
+        """
         field_cls = type(field)
         count = []
-        for name in ("row_reduce", "rank"):
+        for name in ("row_reduce", "pivots", "rank"):
             kernel = getattr(field_cls, name)
 
             def counting(self, *args, _kernel=kernel, _name=name):
                 count.append(_name)
+                if reduced is not None:
+                    reduced.append(args[0])
                 return _kernel(self, *args)
 
             monkeypatch.setattr(field_cls, name, counting)
@@ -608,13 +613,16 @@ class TestLazyDerivedData:
         assert len(count) <= 6
 
     @pytest.mark.parametrize(
-        "field, kernels", [(QQ, ["rank"] * 3), (GF(101), ["rank"] * 5)], ids=["rational", "gf101"]
+        "field, kernels",
+        [(QQ, ["pivots"] + ["rank"] * 2), (GF(101), ["pivots"] + ["rank"] * 4)],
+        ids=["rational", "gf101"],
     )
     @pytest.mark.parametrize("relation", [leq_1mp, leq_mp1], ids=["1mp", "mp1"])
     def test_product_test_rejection_eliminations(self, monkeypatch, field, kernels, relation):
         # the minus order holds by the rank test and star(a)*(b - a) != 0: the
-        # three forward ranks, no minus witness (no row_reduce of [b | I]);
-        # over GF(p) the Moore-Penrose check reuses rank(a), two more ranks
+        # pivots of a, rank(b - a) and rank(b), all forward eliminations, no
+        # minus witness (no row_reduce of [b | I]); over GF(p) the
+        # Moore-Penrose check reuses rank(a), two more ranks
         a, b = M([[1, 0], [0, 0]], field), M([[1, 1], [0, 1]], field)
         if relation is leq_mp1:
             a, b = a.star, b.star
@@ -622,6 +630,74 @@ class TestLazyDerivedData:
         v = relation(a, b)
         assert (v.holds, v.reason) == (False, "dagger(a)*b != dagger(a)*a")
         assert count == kernels
+
+    @pytest.mark.parametrize("relation", [leq_1mp, leq_mp1], ids=["1mp", "mp1"])
+    def test_column_of_a_outside_b_after_the_product_test(self, monkeypatch, relation):
+        # rank(a) + rank(b - a) == n and star(a)*(b - a) == 0, but col(a) is
+        # not inside col(b): a pivot in the F block of [b | F], the rank reason
+        a, b = DIAG10, M([[1, 0], [1, 0]])
+        assert (a.star * (b - a)).is_zero
+        assert relation(a, b) == (_reference_1mp if relation is leq_1mp else _reference_mp1)(a, b)
+        if relation is leq_mp1:  # the same branch for MP1 runs on the starred pair
+            a, b = a.star, b.star
+        count = self._count_eliminations(monkeypatch, QQ)
+        v = relation(a, b)
+        assert (v.holds, v.reason) == (False, "rank(b - a) != rank(b) - rank(a)")
+        assert count == ["pivots", "rank", "row_reduce"]
+
+    @pytest.mark.parametrize(
+        "relation, kernels",
+        [(leq_minus, ["rank", "rank"]), (leq_1mp, ["pivots", "rank"]), (leq_mp1, ["pivots", "rank"])],
+        ids=["minus", "1mp", "mp1"],
+    )
+    def test_rank_sum_rejection_never_reduces_b(self, monkeypatch, relation, kernels):
+        # rank(a) + rank(b - a) > n: the rank test fails whatever rank(b) <= n
+        # is, so rank(a) and rank(b - a) decide (three eliminations before)
+        pairs = [
+            (DIAG10, M([[0, 0], [0, 1]])),
+            (EYE2, ExactMatrix.zeros(2, 2)),
+            (M([[1, 2, 0], [0, 1, 0], [0, 0, 0]]), M([[0, 0, 0], [1, 0, 0], [0, 0, 1]])),
+        ]
+        reduced = []
+        count = self._count_eliminations(monkeypatch, QQ, reduced)
+        for a, b in pairs:
+            count.clear()
+            reduced.clear()
+            v = relation(a, b)
+            assert (v.holds, v.reason) == (False, "rank(b - a) != rank(b) - rank(a)")
+            assert count == kernels
+            assert b.star.nums not in reduced and b.nums not in reduced
+
+    @pytest.mark.parametrize("field, gram", [(QQ, []), (GF(101), ["rank"] * 2)], ids=["rational", "gf101"])
+    def test_zero_a_reuses_rank_of_b_minus_a(self, monkeypatch, field, gram):
+        # a == 0 lies below every b: rank(b) == rank(b - a), no elimination of
+        # b beyond that rank, and every witness is 0; over GF(p) the 1MP and
+        # MP1 Moore-Penrose check ranks the two Gram products
+        zero = ExactMatrix.zeros(3, 3, field)
+        count = self._count_eliminations(monkeypatch, field)
+        for b in (zero, ExactMatrix.identity(3, field), M([[1, 2, 0], [2, 4, 0], [0, 0, 0]], field)):
+            for relation in (leq_minus, leq_1mp, leq_mp1):
+                count.clear()
+                v = relation(zero, b)
+                assert v.holds and v.witness[0] == zero
+                assert count == (["rank"] * 2 if relation is leq_minus else ["pivots"] + gram + ["rank"])
+
+    def test_rational_1mp_positive_eliminations(self, monkeypatch):
+        # an n = 8 1MP positive: the pivots of a, rank(b - a), one row_reduce
+        # of [b | F] and the inverse of F^T*F (seven eliminations through lp(a))
+        rng = random.Random(5)
+        n = 8
+        eye = ExactMatrix.identity(n)
+        a = random_singular_matrix(rng, n, 4)
+        d = dagger(a)
+        p, q = a * d, d * a
+        b4 = (eye - p) * random_rational_matrix(rng, n, n) * (eye - q)
+        b = a - b4 * ((eye - q) * random_rational_matrix(rng, n, n) * p) * a + b4
+        reference = _reference_1mp(a, b)
+        count = self._count_eliminations(monkeypatch, QQ)
+        v = leq_1mp(a, b)
+        assert v.holds and v == reference
+        assert count == ["pivots", "rank", "row_reduce", "row_reduce"]
 
     @pytest.mark.parametrize("field", [DIAG10.field, GF(3)], ids=["rational", "gf3"])
     def test_failed_containment_reduces_b_once(self, monkeypatch, field):
