@@ -77,7 +77,7 @@ class _Field:
 
     def rank(self, nums, nrows, ncols):
         """Rank of a packed matrix: forward elimination only, no RREF built."""
-        return len(self._eliminate(nums, nrows, ncols, False)[1])
+        return len(self.pivots(nums, nrows, ncols))
 
     def residue(self, basis, v):
         """(pivot, int vector v reduced against an echelon basis), or None if v lies in its span.

@@ -235,6 +235,7 @@ def _via_opposite(dual, a, b, witness_cls) -> OrderVerdict:
 
 _RANK_FAILS = "rank(b - a) != rank(b) - rank(a)"
 _PRODUCT_FAILS = "dagger(a)*b != dagger(a)*a"
+_INNER_FAILS = "no inner inverse identifies a and b"  # the Z_n minus test
 
 
 def leq_minus(a, b) -> OrderVerdict:
@@ -243,11 +244,13 @@ def leq_minus(a, b) -> OrderVerdict:
     Matrix route: the classical rank-subtractivity test
     rank(b - a) == rank(b) - rank(a).  rank(a) and rank(b - a) come first:
     when their sum exceeds n the test fails, since rank(b) <= n, and b is
-    never reduced.  When a == 0 it holds, with rank(b) == rank(b - a) and
-    witness 0.  Otherwise b is reduced once, for g = inner_inverse(b), whose
-    nonzero rows are b's pivots, so rank(b) is their number.  When the test
-    passes, a*g*a == a and a*g*b == a == b*g*a (Hartwig 1980), so k = g*a*g
-    is a witness; it is re-verified.  When b is invertible the witness is
+    never reduced.  Otherwise b is reduced once, for g = inner_inverse(b),
+    whose nonzero rows are b's pivots, so rank(b) is their number.  A
+    rejection with rank(a) + rank(b - a) <= n thus pays the Gauss-Jordan
+    pass of [b | I] where a forward rank(b) would do; that trade keeps
+    positives at one reduction of b.  When the test passes, a*g*a == a and
+    a*g*b == a == b*g*a (Hartwig 1980), so k = g*a*g is a witness (0 when
+    a == 0); it is re-verified.  When b is invertible the witness is
     unique; otherwise k is one of several.
 
     Z_n: the witness is dagger(a).  An inner inverse x of a identifies a
@@ -259,21 +262,14 @@ def leq_minus(a, b) -> OrderVerdict:
         if not zn.is_regular(a):
             raise NotRegular(f"{a!r} has no inner inverse")
         k = dagger(a)
-        reason = None if (k * (b - a)).is_zero else "no inner inverse identifies a and b"
+        reason = None if (k * (b - a)).is_zero else _INNER_FAILS
     else:
-        n = a.rows
         rank_a, rank_d = mx.rank(a), mx.rank(b - a)
-        k = reason = None
-        if rank_a + rank_d > n:
-            reason = _RANK_FAILS
-        elif rank_a == 0:
-            k = ExactMatrix.zeros(n, n, a.field)
-        else:
+        k, reason = None, _RANK_FAILS
+        if rank_a + rank_d <= a.rows:
             g = mx.inner_inverse(b)
             if rank_d == len(mx.nonzero_rows(g)) - rank_a:
-                k = g * a * g
-            else:
-                reason = _RANK_FAILS
+                k, reason = g * a * g, None
     witness = None if reason else _minus_witness(a, b, k)
     return OrderVerdict(reason is None, witness, "dagger" if modular else "rank", reason)
 
@@ -314,14 +310,19 @@ def leq_1mp(a, b) -> OrderVerdict:
     is_mp_invertible, with mp_inverse's NotMPInvertible.  Then rank(b - a):
     if rank(a) + rank(b - a) > n the minus order fails (rank(b) <= n) and b
     is never reduced.  When a == 0 the minus order holds
-    (rank(b) == rank(b - a)) and x is 0.  Then the product test, run as
-    star(F)*(b - a) == 0: star(a) = star(G)*star(F) and star(G) has
-    independent columns.  A rejection there ranks b to tell which condition
-    failed.  Otherwise one rref of [b | F] decides the rest: a pivot in the
-    F block means col(a) is not inside col(b), so the minus order fails;
-    else b's pivots give rank(b) for the rank test, and the rows of the F
-    block at them are g*F for g = inner_inverse(b) (see mx.inner_solve:
-    col(F) inside col(b) makes that block E*F for whatever E reduced b).
+    (rank(b) == rank(b - a)) and x is 0; F would have no columns.  Then
+    the product test, run as star(F)*(b - a) == 0: star(a) = star(G)*star(F)
+    and star(G) has independent columns.  A rejection there ranks b to tell
+    which condition failed.  The test comes before b is reduced, so a rank
+    rejection with rank(a) + rank(b - a) <= n makes that one product more
+    than the rank test alone; running the rref of [b | F] first instead
+    would make every product-test rejection pay a Gauss-Jordan pass where
+    a forward rank(b) does.  Otherwise one rref of [b | F] decides the
+    rest: a pivot in the F block means col(a) is not inside col(b), so the
+    minus order fails; else b's pivots give rank(b) for the rank test, and
+    the rows of the F block at them are g*F for g = inner_inverse(b) (see
+    mx.inner_solve: col(F) inside col(b) makes that block E*F for whatever
+    E reduced b).
 
     The witness of a positive is x = (g*F)*((F^T F)^{-1}*F^T) = g*lp(a),
     built without lp(a): lp(a) = F*(F^T F)^{-1}*F^T.  When a <= b in the
@@ -338,7 +339,7 @@ def leq_1mp(a, b) -> OrderVerdict:
     if _modular(a, b):
         x = dagger(a)
         if not (x * (b - a)).is_zero:
-            reason = "no inner inverse identifies a and b"
+            reason = _INNER_FAILS
         else:
             reason = None if (a.star * (b - a)).is_zero else _PRODUCT_FAILS
     else:
