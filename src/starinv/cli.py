@@ -177,26 +177,37 @@ def _witness_payload(witness) -> dict | None:
 # -- subcommands -----------------------------------------------------------------
 
 
-def cmd_mp(args) -> int:
-    a = _load_matrix(args.matrix, args.field)
-    report = {"command": "mp", "inputs": {"a": _input_payload(a)}}
+def _outcome(report: dict, output: str | None, refusal: dict, decide) -> int:
+    """Report decide()'s (results, holds) and return the exit code: the matrix commands' policy.
+
+    DimensionMismatch and RingMismatch are malformed input (exit 2) and
+    InternalCheckError a bug (exit 3); any other StarInvError is a refusal,
+    reported as refusal plus its reason (exit 1).
+    """
     try:
-        x = gi.dagger(a)
+        results, holds = decide()
+    except (DimensionMismatch, RingMismatch) as exc:
+        raise DocumentError(str(exc)) from None
     except InternalCheckError:
         raise
     except StarInvError as exc:
-        report["results"] = {"mp_inverse": None, "reason": str(exc)}
-        report["status"] = "fail"
-        _emit(report, args.output)
-        return EXIT_FAIL
-    profile = gi.penrose_profile(a, x)
-    report["results"] = {
-        "mp_inverse": matrix_payload(x),
-        "penrose": list(profile.as_tuple()),
-    }
-    report["status"] = "ok"
-    _emit(report, args.output)
-    return EXIT_OK
+        results, holds = {**refusal, "reason": str(exc)}, False
+    report["results"] = results
+    report["status"] = "ok" if holds else "fail"
+    _emit(report, output)
+    return EXIT_OK if holds else EXIT_FAIL
+
+
+def cmd_mp(args) -> int:
+    a = _load_matrix(args.matrix, args.field)
+    report = {"command": "mp", "inputs": {"a": _input_payload(a)}}
+
+    def decide():
+        x = gi.dagger(a)
+        penrose = list(gi.penrose_profile(a, x).as_tuple())
+        return {"mp_inverse": matrix_payload(x), "penrose": penrose}, True
+
+    return _outcome(report, args.output, {"mp_inverse": None}, decide)
 
 
 def _hybrid_command(args, kind: str) -> int:
@@ -206,27 +217,15 @@ def _hybrid_command(args, kind: str) -> int:
         "command": kind,
         "inputs": {"a": _input_payload(a), "a_minus": _input_payload(a_minus)},
     }
-    try:
+
+    def decide():
         x = (gi.one_mp if kind == "onemp" else gi.mp_one)(a, a_minus)
         a_dag = gi.dagger(a)
         system = [x * a * x == x, a * x == a * a_dag if kind == "onemp" else x * a == a_dag * a]
-    except (DimensionMismatch, RingMismatch) as exc:
-        raise DocumentError(str(exc)) from None
-    except InternalCheckError:
-        raise
-    except StarInvError as exc:
-        report["results"] = {"inverse": None, "reason": str(exc)}
-        report["status"] = "fail"
-        _emit(report, args.output)
-        return EXIT_FAIL
-    report["results"] = {
-        "inverse": matrix_payload(x),
-        "system": system,
-        "penrose": list(gi.penrose_profile(a, x).as_tuple()),
-    }
-    report["status"] = "ok"
-    _emit(report, args.output)
-    return EXIT_OK
+        penrose = list(gi.penrose_profile(a, x).as_tuple())
+        return {"inverse": matrix_payload(x), "system": system, "penrose": penrose}, True
+
+    return _outcome(report, args.output, {"inverse": None}, decide)
 
 
 def cmd_onemp(args) -> int:
@@ -256,26 +255,13 @@ def cmd_order(args) -> int:
         a = embed_square(a)
         b = embed_square(b)
         report["embedded"] = {"rows": a.rows, "cols": a.cols}
-    try:
-        verdict = getattr(od, f"leq_{args.relation}")(a, b)
-    except (DimensionMismatch, RingMismatch) as exc:
-        raise DocumentError(str(exc)) from None
-    except InternalCheckError:
-        raise
-    except StarInvError as exc:
-        report["results"] = {"holds": False, "reason": str(exc)}
-        report["status"] = "fail"
-        _emit(report, args.output)
-        return EXIT_FAIL
-    report["results"] = {
-        "holds": verdict.holds,
-        "method": verdict.method,
-        "witness": _witness_payload(verdict.witness),
-        "reason": verdict.reason,
-    }
-    report["status"] = "ok" if verdict.holds else "fail"
-    _emit(report, args.output)
-    return EXIT_OK if verdict.holds else EXIT_FAIL
+
+    def decide():
+        v = getattr(od, f"leq_{args.relation}")(a, b)
+        w = _witness_payload(v.witness)
+        return {"holds": v.holds, "method": v.method, "witness": w, "reason": v.reason}, v.holds
+
+    return _outcome(report, args.output, {"holds": False}, decide)
 
 
 def cmd_verify(args) -> int:

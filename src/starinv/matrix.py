@@ -250,14 +250,13 @@ def pivot_columns(a: ExactMatrix):
 
 
 def inverse(a: ExactMatrix) -> ExactMatrix:
-    """Inverse of a square matrix; ZeroDivisionError if singular."""
+    """Inverse of a square matrix (inner_solve's full-rank c = I case); ZeroDivisionError if singular."""
     if not a.is_square:
         raise DimensionMismatch("inverse needs a square matrix")
-    n = a.rows
-    red, pivots = rref(hstack(a, ExactMatrix.identity(n, a.field)))
-    if pivots != list(range(n)):  # the augmented block always has n pivots
+    pivots, g, _ = inner_solve(a, ExactMatrix.identity(a.rows, a.field))
+    if len(pivots) < a.rows:
         raise ZeroDivisionError("matrix is singular")
-    return select(red, range(n), range(n, 2 * n))
+    return g
 
 
 def inner_solve(b: ExactMatrix, c: ExactMatrix):
@@ -294,12 +293,12 @@ class RankFactorization(NamedTuple):
     """a = F*G with F of full column rank r and G of full row rank r.
 
     F is the columns of a at the pivots of its RREF and G the nonzero RREF
-    rows.  Rank zero has no factors (f and g are None); the m x 0 by 0 x n
-    product is the zero matrix by convention.
+    rows.  At rank zero they are an m x 0 and a 0 x n matrix, whose product
+    is the m x n zero matrix, so no caller needs a rank-zero branch.
     """
 
-    f: Optional[ExactMatrix]  # m x r
-    g: Optional[ExactMatrix]  # r x n
+    f: ExactMatrix  # m x r
+    g: ExactMatrix  # r x n
     pivots: tuple  # the pivot columns of a
     r: int
     rows: int
@@ -307,8 +306,6 @@ class RankFactorization(NamedTuple):
     field: object
 
     def product(self) -> ExactMatrix:
-        if self.r == 0:
-            return ExactMatrix.zeros(self.rows, self.cols, self.field)
         return self.f * self.g
 
 
@@ -316,10 +313,8 @@ def full_rank_factorize(a: ExactMatrix) -> RankFactorization:
     """Factor a into pivot columns (F) times nonzero RREF rows (G)."""
     red, pivots = rref(a)
     r = len(pivots)
-    f = g = None
-    if r:
-        f = select(a, range(a.rows), pivots)
-        g = select(red, range(r), range(a.cols))
+    f = select(a, range(a.rows), pivots)
+    g = select(red, range(r), range(a.cols))
     fact = RankFactorization(f, g, tuple(pivots), r, a.rows, a.cols, a.field)
     if fact.product() != a:
         raise InternalCheckError("rank factorization does not reproduce the matrix")
@@ -356,8 +351,6 @@ def mp_inverse(a: ExactMatrix) -> ExactMatrix:
         NotMPInvertible: no Moore-Penrose inverse exists over this field.
     """
     fact = full_rank_factorize(a)
-    if fact.r == 0:
-        return ExactMatrix.zeros(a.cols, a.rows, a.field)
     f_star, g_star = fact.f.star, fact.g.star
     try:
         core_inv = inverse(f_star * a * g_star)
@@ -450,8 +443,6 @@ def solve_matrix_equations(terms, shape, field) -> Optional[ExactMatrix]:
                             coeff[u * xc + v] += lsu * r_mat[v, t]
                 aug += coeff
                 aug.append(c[s, t])
-    if not aug:
-        return ExactMatrix.zeros(xr, xc, field)
     red, pivots = rref(ExactMatrix(len(aug) // (nunk + 1), nunk + 1, aug, field))
     if nunk in pivots:
         return None

@@ -1,9 +1,10 @@
 """The five inverse-induced relations: 1MP, MP1, minus, diamond, plus.
 
 Operand types are checked once, in _modular, which tells a Z_n element
-from a matrix.  The 1MP order takes one route in every ring (a <= b in the
-minus order and dagger(a)*b == dagger(a)*a), and opposite-ring views are
-decided by the dual relation on their bases.  The MP1 side is the star
+from a matrix.  The 1MP order is a <= b in the minus order and
+dagger(a)*b == dagger(a)*a; on Z_n the first implies the second, so only
+the minus test runs.  Opposite-ring views are decided by the dual
+relation on their bases.  The MP1 side is the star
 transport of the 1MP side: leq_mp1, above_mp1 and rp_family_member are
 leq_1mp, above_1mp and lp_family_member on stars, starred back, and keep
 their own refusal texts.  Star is an injective anti-automorphism, so each
@@ -124,8 +125,6 @@ def _projections(a, sides=("left", "right")):
             if not zn.is_regular(x):
                 raise NotRickart(f"no projection matches the {side} annihilator of {x!r}")
             e = x * dagger(x)
-        elif fact.r == 0:
-            e = ExactMatrix.zeros(x.rows, x.rows, x.field)
         else:
             c = fact.f if side == "left" else fact.g.star
             try:
@@ -300,8 +299,9 @@ def leq_1mp(a, b) -> OrderVerdict:
     no dagger(a): since dagger(a) == dagger(a)*star(dagger(a))*star(a) and
     star(a) == star(a)*a*dagger(a), dagger(a) and star(a) annihilate the
     same elements.  Z_n builds dagger(a) first, so a non-regular a raises
-    NotMPInvertible, and then decides the minus order as leq_minus does;
-    its witness is dagger(a).
+    NotMPInvertible, and then runs only leq_minus's test
+    dagger(a)*(b - a) == 0, whose proof there also gives
+    star(a)*(b - a) == a*(b - a) == 0; its witness is dagger(a).
 
     Matrices decide in this order, reducing each operand at most once.
     The forward elimination of a gives rank(a) and its pivot columns, and
@@ -310,7 +310,7 @@ def leq_1mp(a, b) -> OrderVerdict:
     is_mp_invertible, with mp_inverse's NotMPInvertible.  Then rank(b - a):
     if rank(a) + rank(b - a) > n the minus order fails (rank(b) <= n) and b
     is never reduced.  When a == 0 the minus order holds
-    (rank(b) == rank(b - a)) and x is 0; F would have no columns.  Then
+    (rank(b) == rank(b - a)) and x is 0, with b not reduced.  Then
     the product test, run as star(F)*(b - a) == 0: star(a) = star(G)*star(F)
     and star(G) has independent columns.  A rejection there ranks b to tell
     which condition failed.  The test comes before b is reduced, so a rank
@@ -338,10 +338,7 @@ def leq_1mp(a, b) -> OrderVerdict:
         return _via_opposite(leq_mp1, a, b, OneMPWitness)
     if _modular(a, b):
         x = dagger(a)
-        if not (x * (b - a)).is_zero:
-            reason = _INNER_FAILS
-        else:
-            reason = None if (a.star * (b - a)).is_zero else _PRODUCT_FAILS
+        reason = None if (x * (b - a)).is_zero else _INNER_FAILS
     else:
         reason, x = _one_mp_matrix(a, b)
     if reason is not None:

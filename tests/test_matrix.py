@@ -156,6 +156,10 @@ class TestElimination:
         with pytest.raises(ZeroDivisionError):
             inverse(M([[1, 1], [1, 1]]))
 
+    def test_inverse_of_non_square_refused(self):
+        with pytest.raises(DimensionMismatch):
+            inverse(M([[1, 0, 0], [0, 1, 0]]))
+
 
 def _reduce(field, x):
     """x as a scalar of field: a Fraction over Q, its residue mod p over GF(p)."""
@@ -492,9 +496,30 @@ class TestFactorization:
         assert rank(fact.f) == fact.r == rank(fact.g) == 1
 
     def test_rank_zero(self):
-        fact = full_rank_factorize(ExactMatrix.zeros(2, 3))
-        assert fact.r == 0
-        assert fact.product() == ExactMatrix.zeros(2, 3)
+        # the factors are a 2 x 0 and a 0 x 3 matrix, not None
+        for field in (QQ, GF(3), GF(101)):
+            zero = ExactMatrix.zeros(2, 3, field)
+            fact = full_rank_factorize(zero)
+            assert fact.r == 0 and fact.pivots == ()
+            assert fact.f.shape == (2, 0) and fact.g.shape == (0, 3)
+            assert fact.product() == zero
+            assert mp_inverse(zero) == ExactMatrix.zeros(3, 2, field)
+
+    @pytest.mark.parametrize("field", [QQ, GF(3), GF(101)], ids=lambda f: f.name)
+    def test_zero_width_kernels(self, field):
+        # the kernels a rank-zero factorisation runs through, at zero sizes
+        a = M([[1, 2], [3, 4]], field)
+        col0 = ExactMatrix(2, 0, [], field)
+        assert col0 == ExactMatrix.zeros(2, 0, field)
+        assert col0 * ExactMatrix(0, 3, [], field) == ExactMatrix.zeros(2, 3, field)
+        assert col0.star == ExactMatrix.zeros(0, 2, field) and (col0.star * a).shape == (0, 2)
+        assert col0.star * col0 == ExactMatrix.zeros(0, 0, field)
+        assert hstack(a, col0) == a == hstack(col0, a)
+        assert select(a, range(2), []) == col0
+        empty = ExactMatrix.zeros(0, 0, field)
+        assert rref(empty) == (empty, [])
+        assert inverse(empty) == empty
+        assert solve_matrix_equations([], (2, 3), field) == ExactMatrix.zeros(2, 3, field)
 
     def test_random_products(self):
         rng = random.Random(77)

@@ -65,6 +65,9 @@ class TestLpRp:
     def test_zero_and_invertible(self):
         zero = ExactMatrix.zeros(2, 2)
         assert lp(zero) == zero and rp(zero) == zero
+        for field in (QQ, GF(3), GF(101)):  # built from the zero-width rank factors
+            zero3 = ExactMatrix.zeros(3, 3, field)
+            assert lp(zero3) == zero3 and rp(zero3) == zero3
         a = M([[2, 1], [1, 1]])
         assert lp(a) == EYE2 and rp(a) == EYE2
 
