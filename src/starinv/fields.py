@@ -8,15 +8,17 @@ It has no scalar arithmetic: scalars add and multiply with their own
 operators, and a GF(p) sum is reduced when a matrix packs it.
 
 The kernels work on a matrix's packed form: a row-major tuple of ints
-`nums` and one int `den > 0`, the matrix being nums / den.  Each field owns
-its format, and only this module and `matrix.py` read it.
-`RationalField` keeps it canonical: `gcd(den, *nums) == 1`, so the zero
-matrix has den 1 and equal matrices have equal packed forms.  `PrimeField`
-keeps the residues themselves with den 1.  Every field has `pack(values)`
-and `unpack(nums, den)` between scalars and packed form, the matrix kernels
-`matmul`, `matadd`, `matsub` and `matneg`, the elimination kernels
-`row_reduce`, `pivots` and `rank`, and `residue(basis, v)`, one step of a
-running echelon form; no kernel builds a scalar object.
+`nums` and one int `den > 0`, the matrix being nums / den; only this
+module and `matrix.py` read it.  Over Q it is canonical, `gcd(den, *nums)
+== 1`, so the zero matrix has den 1 and equal matrices have equal packed
+forms; over GF(p) it is the residues themselves over den 1.  `_Field`
+writes every kernel once for both fields: `matmul`, `matadd`, `matsub`,
+`matneg`, the elimination behind `row_reduce`, `pivots` and `rank`, and
+`residue(basis, v)`, one step of a running echelon form.  A field supplies
+`of`, `pack(values)` and `unpack(nums, den)` between scalars and packed
+form, the last pass of `row_reduce`, and the two primitives the kernels
+run on: `_canonical` (lowest terms over Q, residues mod p over GF(p)) and
+`_step`, one row operation.  No kernel builds a scalar object.
 """
 
 from __future__ import annotations
@@ -69,7 +71,66 @@ def lowest_terms(nums, den):
 
 
 class _Field:
-    """The kernels both fields write the same way, over their own `_eliminate` and `_normal`."""
+    """Products, sums, elimination and `residue`, written once over the packed form.
+
+    They run on the field's `_canonical(nums, den)`, the canonical packed
+    form of nums / den, and `_step(pv, x, f, y)`, the row pv*x - f*y kept small.
+    """
+
+    def matmul(self, an, ad, bn, bd, n, k, m):
+        """Packed n x m product of packed n x k (an, ad) and k x m (bn, bd).
+
+        The integer product of the numerators over ad * bd, made canonical once.
+        """
+        rows = [an[i * k : (i + 1) * k] for i in range(n)]
+        cols = [bn[j::m] for j in range(m)]
+        return self._canonical([sum(map(mul, r, c)) for r in rows for c in cols], ad * bd)
+
+    def matadd(self, an, ad, bn, bd):
+        d = lcm(ad, bd)
+        sa, sb = d // ad, d // bd
+        return self._canonical([x * sa + y * sb for x, y in zip(an, bn)], d)
+
+    def matsub(self, an, ad, bn, bd):
+        d = lcm(ad, bd)
+        sa, sb = d // ad, d // bd
+        return self._canonical([x * sa - y * sb for x, y in zip(an, bn)], d)
+
+    def matneg(self, nums):
+        """The nums of -(nums / den), over the same den."""
+        # den 1 leaves every gcd at 1, so only the residues are reduced
+        return self._canonical([-v for v in nums], 1)[0]
+
+    def _eliminate(self, nums, nrows, ncols, full):
+        """Gauss(-Jordan) elimination on the int rows of nums, without division.
+
+        A row is eliminated as `_step(pv, x, f, y)`, so every row stays a
+        nonzero multiple of the row textbook elimination holds, and the
+        pivots are the same.  Pivot rows are not scaled: `row_reduce` does
+        that once at the end.  With full=False only the rows below each
+        pivot are eliminated (enough for the rank).
+        """
+        step = self._step
+        m = [list(nums[i * ncols : (i + 1) * ncols]) for i in range(nrows)]
+        pivots = []
+        r = 0
+        for c in range(ncols):
+            if r >= nrows:
+                break
+            pr = next((i for i in range(r, nrows) if m[i][c]), None)
+            if pr is None:
+                continue
+            if pr != r:
+                m[r], m[pr] = m[pr], m[r]
+            y = m[r]
+            pv = y[c]
+            for i in range(nrows) if full else range(r + 1, nrows):
+                f = m[i][c]
+                if i != r and f:
+                    m[i] = step(pv, m[i], f, y)
+            pivots.append(c)
+            r += 1
+        return m, pivots
 
     def pivots(self, nums, nrows, ncols):
         """Pivot columns of a packed matrix, those of its RREF: forward elimination only."""
@@ -84,14 +145,14 @@ class _Field:
 
         v is a packed row or column: any nonzero multiple of the vector
         serves.  basis holds earlier results, (pivot, row) pairs, each row
-        zero at the pivots before it.  Each step is `_eliminate`'s
-        pv*x - f*y, kept small by `_normal`.
+        zero at the pivots before it.  Each step is `_eliminate`'s.
         """
-        v = self._normal(v)
+        step = self._step
+        v = step(1, v, 0, v)  # v itself, kept small
         for c, y in basis:
             f = v[c]
             if f:
-                v = self._normal([y[c] * x - f * z for x, z in zip(v, y)])
+                v = step(y[c], v, f, y)
         return next(((c, v) for c, x in enumerate(v) if x), None)
 
 
@@ -142,59 +203,14 @@ class RationalField(_Field):
         """The entries of a packed matrix as canonical Fractions."""
         return tuple([Fraction(v, den) for v in nums])
 
-    def matmul(self, an, ad, bn, bd, n, k, m):
-        """Packed n x m product of packed n x k (an, ad) and k x m (bn, bd).
-
-        The integer product of the numerators over ad * bd, reduced once.
-        """
-        rows = [an[i * k : (i + 1) * k] for i in range(n)]
-        cols = [bn[j::m] for j in range(m)]
-        return lowest_terms([sum(map(mul, r, c)) for r in rows for c in cols], ad * bd)
-
-    def matadd(self, an, ad, bn, bd):
-        d = lcm(ad, bd)
-        sa, sb = d // ad, d // bd
-        return lowest_terms([x * sa + y * sb for x, y in zip(an, bn)], d)
-
-    def matsub(self, an, ad, bn, bd):
-        d = lcm(ad, bd)
-        sa, sb = d // ad, d // bd
-        return lowest_terms([x * sa - y * sb for x, y in zip(an, bn)], d)
-
-    def matneg(self, nums):
-        return tuple([-v for v in nums])
+    _canonical = staticmethod(lowest_terms)
 
     @staticmethod
-    def _eliminate(nums, nrows, ncols, full):
-        """Fraction-free Gauss(-Jordan) elimination on the integer rows of nums.
-
-        A row is eliminated as pv*x - f*y and divided by the gcd of its
-        entries.  Every row stays a positive multiple of the row textbook
-        elimination holds, so the pivots are the same.  With full=False
-        only the rows below each pivot are eliminated (enough for the rank).
-        """
-        m = [list(nums[i * ncols : (i + 1) * ncols]) for i in range(nrows)]
-        pivots = []
-        r = 0
-        for c in range(ncols):
-            if r >= nrows:
-                break
-            pr = next((i for i in range(r, nrows) if m[i][c]), None)
-            if pr is None:
-                continue
-            if pr != r:
-                m[r], m[pr] = m[pr], m[r]
-            y = m[r]
-            pv = y[c]
-            for i in range(nrows) if full else range(r + 1, nrows):
-                f = m[i][c]
-                if i != r and f:
-                    x = [pv * xv - f * yv for xv, yv in zip(m[i], y)]
-                    g = gcd(*x)
-                    m[i] = [v // g for v in x] if g > 1 else x
-            pivots.append(c)
-            r += 1
-        return m, pivots
+    def _step(pv, x, f, y):
+        """pv*x - f*y divided by the gcd of its entries."""
+        x = [pv * xv - f * yv for xv, yv in zip(x, y)]
+        g = gcd(*x)
+        return [v // g for v in x] if g > 1 else x
 
     def row_reduce(self, nums, nrows, ncols):
         """Packed reduced row-echelon form of a packed matrix, and its pivot columns.
@@ -218,12 +234,6 @@ class RationalField(_Field):
             out += row if s == 1 else [v * s for v in row]
         out += [0] * ((nrows - len(pivots)) * ncols)
         return tuple(out), den, pivots
-
-    @staticmethod
-    def _normal(v):
-        """The int vector v divided by the gcd of its entries."""
-        g = gcd(*v)
-        return [x // g for x in v] if g > 1 else v
 
     def __reduce__(self):
         # Unpickle to the module singleton QQ: fields compare by identity.
@@ -267,63 +277,31 @@ class PrimeField(_Field):
     # -- packed matrices: the residues themselves, den 1 ------------------------
 
     def pack(self, values):
-        return tuple([v % self.p for v in values]), 1
+        return self._canonical(values, 1)
 
     def unpack(self, nums, den):
         return nums
 
-    def matmul(self, an, ad, bn, bd, n, k, m):
-        """Packed n x m product: one integer dot product and one reduction mod p per entry."""
+    def _canonical(self, nums, den):
+        """The residues of nums mod p, over den 1 (den is 1 in every GF(p) kernel)."""
         p = self.p
-        rows = [an[i * k : (i + 1) * k] for i in range(n)]
-        cols = [bn[j::m] for j in range(m)]
-        return tuple([sum(map(mul, r, c)) % p for r in rows for c in cols]), 1
+        return tuple([v % p for v in nums]), 1
 
-    def matadd(self, an, ad, bn, bd):
+    def _step(self, pv, x, f, y):
+        """pv*x - f*y reduced mod p."""
         p = self.p
-        return tuple([(x + y) % p for x, y in zip(an, bn)]), 1
-
-    def matsub(self, an, ad, bn, bd):
-        p = self.p
-        return tuple([(x - y) % p for x, y in zip(an, bn)]), 1
-
-    def matneg(self, nums):
-        p = self.p
-        return tuple([-v % p for v in nums])
-
-    def _eliminate(self, nums, nrows, ncols, full):
-        """Gauss(-Jordan) elimination mod p; full=False clears below the pivots only."""
-        p = self.p
-        m = [list(nums[i * ncols : (i + 1) * ncols]) for i in range(nrows)]
-        pivots = []
-        r = 0
-        for c in range(ncols):
-            if r >= nrows:
-                break
-            pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-            if pr is None:
-                continue
-            if pr != r:
-                m[r], m[pr] = m[pr], m[r]
-            inv = pow(m[r][c], -1, p)
-            y = m[r] = [v * inv % p for v in m[r]]
-            for i in range(nrows) if full else range(r + 1, nrows):
-                f = m[i][c]
-                if i != r and f != 0:
-                    m[i] = [(x - f * yv) % p for x, yv in zip(m[i], y)]
-            pivots.append(c)
-            r += 1
-        return m, pivots
+        return [(pv * xv - f * yv) % p for xv, yv in zip(x, y)]
 
     def row_reduce(self, nums, nrows, ncols):
-        """Packed reduced row-echelon form of a packed matrix, and its pivot columns."""
-        m, pivots = self._eliminate(nums, nrows, ncols, True)
-        return tuple([v for row in m for v in row]), 1, pivots
-
-    def _normal(self, v):
-        """The int vector v reduced mod p."""
+        """Packed RREF and pivot columns; each pivot row is scaled to 1 here, once."""
         p = self.p
-        return [x % p for x in v]
+        m, pivots = self._eliminate(nums, nrows, ncols, True)
+        out = []
+        for row, c in zip(m, pivots):
+            inv = pow(row[c], -1, p)
+            out += [v * inv % p for v in row]
+        out += [0] * ((nrows - len(pivots)) * ncols)
+        return tuple(out), 1, pivots
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -54,8 +54,8 @@ from .matrix import ExactMatrix
 from .zn import ZnElement
 
 # A ring keeps two |R|^2-entry int tables: at most 250,000 entries each for a
-# carrier of 500.  The registered matrix rings are built from a fixed list and
-# are exempt, so m3gf2 (512 elements) and m2gf5 (625) are admitted.
+# carrier of 500.  Only tables built from element arithmetic are refused: the
+# registered rings pass theirs prebuilt, so m3gf2 (512) and m2gf5 (625) pass.
 CARRIER_GUARD = 500
 MATRIX_RINGS = {(2, 2), (2, 3), (2, 5), (3, 2)}  # (size, p) of the registered m<size>gf<p>
 
@@ -118,11 +118,11 @@ def fibre_row(products, bits) -> tuple:
 class FiniteStarRing:
     """A finite *-ring on flat int operation tables with lazily cached derived data."""
 
-    def __init__(self, name, elements, zero, one, registered=False, *, _tables=None):
+    def __init__(self, name, elements, zero, one, *, _tables=None):
         # The tables come from element arithmetic unless a registered builder
         # passes them prebuilt as `_tables` (mul, add, neg, star) from integer
         # codes; either way `_verify_axioms` checks them.
-        if not registered and len(elements) > CARRIER_GUARD:
+        if _tables is None and len(elements) > CARRIER_GUARD:
             raise CarrierTooLarge(f"carrier of {name} has {len(elements)} elements")
         self.name = name
         self.elements = els = tuple(elements)
@@ -768,7 +768,7 @@ def _matrix_ring(size: int, p: int) -> FiniteStarRing:
     zero = ExactMatrix.zeros(size, size, field)
     one = ExactMatrix.identity(size, field)
     tables = _matrix_tables(size, p, digits)
-    return FiniteStarRing(f"m{size}gf{p}", els, zero, one, registered=True, _tables=tables)
+    return FiniteStarRing(f"m{size}gf{p}", els, zero, one, _tables=tables)
 
 
 def _matrix_tables(size, p, digits) -> tuple:

@@ -301,9 +301,6 @@ class RankFactorization(NamedTuple):
     g: ExactMatrix  # r x n
     pivots: tuple  # the pivot columns of a
     r: int
-    rows: int
-    cols: int
-    field: object
 
     def product(self) -> ExactMatrix:
         return self.f * self.g
@@ -315,7 +312,7 @@ def full_rank_factorize(a: ExactMatrix) -> RankFactorization:
     r = len(pivots)
     f = select(a, range(a.rows), pivots)
     g = select(red, range(r), range(a.cols))
-    fact = RankFactorization(f, g, tuple(pivots), r, a.rows, a.cols, a.field)
+    fact = RankFactorization(f, g, tuple(pivots), r)
     if fact.product() != a:
         raise InternalCheckError("rank factorization does not reproduce the matrix")
     return fact

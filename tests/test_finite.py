@@ -422,9 +422,7 @@ class TestFibreCache:
     def test_m2gf5_fibres_hold_under_12_mb(self):
         ring = ring_by_name("m2gf5")
         tables = (ring.mul_table, ring.add_table, ring.neg_table, ring.star_table)
-        copy = FiniteStarRing(
-            ring.name, ring.elements, ring.zero, ring.one, registered=True, _tables=tables
-        )
+        copy = FiniteStarRing(ring.name, ring.elements, ring.zero, ring.one, _tables=tables)
         tracemalloc.start()
         try:
             fibres = copy.fibres()

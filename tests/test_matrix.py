@@ -200,7 +200,7 @@ def _textbook_rref(a):
 
 
 class TestKernels:
-    """The fields' matmul, row_reduce and residue against textbook loops."""
+    """The shared kernels (products, sums, row_reduce, residue) against textbook loops."""
 
     # (rows, inner, cols); inner 0 is the empty product that _plus_rank_witness forms
     SHAPES = [(1, 1, 1), (3, 5, 2), (2, 7, 1), (4, 4, 4), (5, 3, 6), (6, 6, 6), (3, 0, 4)]
@@ -250,6 +250,29 @@ class TestKernels:
             assert c.shape == (rows, cols)
             assert list(c.entries) == _textbook_product(a, b)
             self._assert_canonical(c)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+    def test_sums_match_entrywise_arithmetic(self, field):
+        # a + b, a - b and -a against Fraction or mod-p arithmetic per entry
+        rng = random.Random(59)
+        unlike_dens = 0
+        for rows, _, cols in self.SHAPES * 4:
+            a = self._matrix(rng, field, rows, cols)
+            b = self._matrix(rng, field, rows, cols)
+            unlike_dens += a.den != b.den
+            pairs = list(zip(a.entries, b.entries))
+            for c, expected in (
+                (a + b, [_reduce(field, x + y) for x, y in pairs]),
+                (a - b, [_reduce(field, x - y) for x, y in pairs]),
+                (-a, [_reduce(field, -x) for x in a.entries]),
+            ):
+                assert c.shape == a.shape
+                assert list(c.entries) == expected
+                self._assert_canonical(c)
+                _assert_packed(c)
+            _assert_packed(a - a)
+        if field is QQ:
+            assert unlike_dens >= 20  # of 28 pairs: the sums rescale to a common den
 
     @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
     def test_rref_matches_gauss_jordan(self, field):

@@ -38,7 +38,7 @@ RECORDS = {
     "PlusBlockData": (PlusBlockData(P, Q, Z, A, P), ("b22", "y", "x", "w", "z")),
     "RankFactorization": (
         full_rank_factorize(A),
-        ("f", "g", "pivots", "r", "rows", "cols", "field"),
+        ("f", "g", "pivots", "r"),
     ),
     "PenroseProfile": (penrose_profile(A, dagger(A)), ("eq1", "eq2", "eq3", "eq4")),
     "InverseFamily": (
