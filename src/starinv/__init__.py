@@ -22,8 +22,7 @@ _EXPORTS = {
     """,
     "fields": "GF QQ field_by_name",
     "finite": """
-        FiniteStarRing TheoremReport enumerate_class enumerate_dagger enumerate_regular
-        matrix_star_ring ring_by_name zn_ring
+        FiniteStarRing TheoremReport matrix_star_ring ring_by_name zn_ring
     """,
     "inverses": """
         InverseFamily PenroseProfile ProjectionWitness closure_products dagger

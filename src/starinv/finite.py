@@ -835,22 +835,3 @@ def ring_by_name(name: str) -> FiniteStarRing:
     if None in sizes:
         raise UnknownRing(f"bad ring id {name!r}")
     return zn_ring(*sizes) if len(sizes) == 1 else _matrix_ring(*sizes)
-
-
-# -- module-level enumeration API ---------------------------------------------
-
-
-def enumerate_regular(ring: FiniteStarRing) -> frozenset:
-    """All regular elements (those with an inner inverse)."""
-    return frozenset(ring.regular)
-
-
-def enumerate_dagger(ring: FiniteStarRing) -> dict:
-    """Map each element to its Moore-Penrose inverse or None."""
-    dagger = ring.structure().dagger
-    return {a: ring._element_or_none(dagger[i]) for i, a in enumerate(ring.elements)}
-
-
-def enumerate_class(ring: FiniteStarRing, a, classes) -> frozenset:
-    """The exact inverse class a{classes} by full scan."""
-    return ring.inverse_class(a, classes)

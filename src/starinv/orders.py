@@ -305,12 +305,12 @@ def leq_1mp(a, b) -> OrderVerdict:
 
     Matrices decide in this order, reducing each operand at most once.
     The forward elimination of a gives rank(a) and its pivot columns, and
-    F = a at those columns (a = F*G, G the nonzero rows of rref(a)); an a
-    with no Moore-Penrose inverse is refused at once, by the rank test of
-    is_mp_invertible, with mp_inverse's NotMPInvertible.  Then rank(b - a):
-    if rank(a) + rank(b - a) > n the minus order fails (rank(b) <= n) and b
-    is never reduced.  When a == 0 the minus order holds
-    (rank(b) == rank(b - a)) and x is 0, with b not reduced.  Then
+    F = a at those columns (a = F*G, G the nonzero rows of rref(a)).  When
+    a == 0 that elimination decides: 0 has a Moore-Penrose inverse, lies
+    below every b, and x is 0.  Otherwise an a with no Moore-Penrose inverse
+    is refused at once, by the rank test of is_mp_invertible, with
+    mp_inverse's NotMPInvertible.  Then rank(b - a): if rank(a) + rank(b - a)
+    > n the minus order fails (rank(b) <= n) and b is never reduced.  Then
     the product test, run as star(F)*(b - a) == 0: star(a) = star(G)*star(F)
     and star(G) has independent columns.  A rejection there ranks b to tell
     which condition failed.  The test comes before b is reduced, so a rank
@@ -351,13 +351,13 @@ def _one_mp_matrix(a, b):
     n = a.rows
     pivots = mx.pivot_columns(a)
     rank_a = len(pivots)
+    if rank_a == 0:
+        return None, ExactMatrix.zeros(n, n, a.field)
     mx.require_mp_invertible(a, rank_a)
     d = b - a
     rank_d = mx.rank(d)
     if rank_a + rank_d > n:
         return _RANK_FAILS, None
-    if rank_a == 0:
-        return None, ExactMatrix.zeros(n, n, a.field)
     f = mx.select(a, range(n), pivots)
     f_star = f.star
     if not (f_star * d).is_zero:

@@ -9,9 +9,9 @@ checked and every counterexample found (expected: none).
 A sweep returns what it found, `(checked, violations, notes)`, and nothing
 more.  `verify_theorem` is the one runner: it times the sweep alone, labels
 the report with the theorem id and stores at most MAX_STORED_VIOLATIONS
-violations.  The MP1 rows of THEOREMS run their 1MP twin's sweep on
-`ring.opposite()`, and the axiom rows run `order_axiom_suite` on their
-relation tag.
+violations, the four order-axiom rows included.  The MP1 rows of THEOREMS
+run their 1MP twin's sweep on `ring.opposite()`, and the axiom rows run
+`_order_axioms` on their relation tag.
 
 Sweeps run on element indices over the ring's flat int tables
 (`ring.mul_table`, `ring.add_table`, ...), and name elements by `repr` only
@@ -45,13 +45,14 @@ base ring.
 from __future__ import annotations
 
 import time
+from functools import partial
 from itertools import islice
 
 from .errors import UnknownTheorem
 from .finite import FiniteStarRing, TheoremReport, bit_indices
 
 MAX_STORED_VIOLATIONS = 20
-TUPLE_CAP = 1_000_000  # the most transitivity violations an order axiom suite stores
+TUPLE_CAP = 1_000_000  # the most transitivity violations _order_axioms lists
 
 
 def _finish(theorem, ring_name, checked, violations, start, notes=()):
@@ -868,16 +869,14 @@ def _order_plus_block_form(ring):
     return checked, violations, notes
 
 
-def order_axiom_suite(ring: FiniteStarRing, relation: str, label: str = ""):
+def _order_axioms(ring, relation):
     """Exhaustively check reflexivity, antisymmetry, and transitivity.
 
     Domains: the MP-invertible elements for "1mp"/"mp1", the regular elements
     for "minus", the whole carrier for "plus" and "diamond".  Rings where the
     plus order is undefined for some element (empty LP or RP family) are
-    skipped with an explanatory note.  Returns a TheoremReport.
+    skipped with an explanatory note.
     """
-    start = time.perf_counter()
-    label = label or f"order-axioms-{relation}"
     s = ring.structure()
     notes = []
     violations = []
@@ -929,14 +928,23 @@ def order_axiom_suite(ring: FiniteStarRing, relation: str, label: str = ""):
         if broken_total > TUPLE_CAP:
             notes.append(f"{broken_total} transitivity violations; first {TUPLE_CAP} stored")
         checked = m + m * m + m ** 3
-    return TheoremReport(
-        label, ring.name, checked, tuple(violations), time.perf_counter() - start, tuple(notes)
-    )
+    return checked, violations, notes
 
 
-# Theorem id -> (sweep, whether it runs on ring.opposite()), in report order.
-# The MP1 rows run their 1MP twin's sweep on the opposite ring; an axiom row
-# names the relation tag that order_axiom_suite checks in place of a sweep.
+def order_axiom_suite(ring: FiniteStarRing, relation: str):
+    """The order axioms of one relation tag, as a report labelled order-axioms-<tag>.
+
+    It stores every violation up to TUPLE_CAP transitivity triples, where a
+    registry row stores MAX_STORED_VIOLATIONS and notes the total.
+    """
+    start = time.perf_counter()
+    checked, vs, notes = _order_axioms(ring, relation)
+    label = f"order-axioms-{relation}"
+    return TheoremReport(label, ring.name, checked, tuple(vs), time.perf_counter() - start, tuple(notes))
+
+
+# Theorem id -> (sweep, whether it runs on ring.opposite()), in report order: an
+# MP1 row runs its 1MP twin's sweep, an axiom row _order_axioms on its relation.
 THEOREMS = {
     "one_mp_characterization": (_one_mp_characterization, False),
     "one_mp_products": (_one_mp_products, False),
@@ -949,7 +957,7 @@ THEOREMS = {
     "inverse_class_intersection": (_inverse_class_intersection, False),
     "order_1mp_above_form": (_order_1mp_above_form, False),
     "order_1mp_upper_inverses": (_order_1mp_upper_inverses, False),
-    "order_1mp_axioms": ("1mp", False),
+    "order_1mp_axioms": (partial(_order_axioms, relation="1mp"), False),
     "order_1mp_equivalences": (_order_1mp_equivalences, False),
     "order_1mp_projection_form": (_order_1mp_projection_form, False),
     "order_1mp_inverse_inheritance": (_order_1mp_inverse_inheritance, False),
@@ -959,13 +967,13 @@ THEOREMS = {
     "order_mp1_duality": (_order_mp1_duality, False),
     "order_mp1_above_form": (_order_1mp_above_form, True),
     "order_mp1_upper_inverses": (_order_1mp_upper_inverses, True),
-    "order_mp1_axioms": ("mp1", False),
-    "order_minus_axioms": ("minus", False),
+    "order_mp1_axioms": (partial(_order_axioms, relation="mp1"), False),
+    "order_minus_axioms": (partial(_order_axioms, relation="minus"), False),
     "minus_idempotent_form": (_minus_idempotent_form, False),
     "diamond_factorization": (_diamond_factorization, False),
     "order_inclusions": (_order_inclusions, False),
     "projection_family_form": (_projection_family_form, False),
-    "order_plus_axioms": ("plus", False),
+    "order_plus_axioms": (partial(_order_axioms, relation="plus"), False),
     "order_plus_block_form": (_order_plus_block_form, False),
 }
 
@@ -983,8 +991,6 @@ def verify_theorem(ring: FiniteStarRing, theorem_id: str) -> TheoremReport:
     if theorem_id not in THEOREMS:
         raise UnknownTheorem(f"unknown theorem id {theorem_id!r}")
     sweep, on_opposite = THEOREMS[theorem_id]
-    if isinstance(sweep, str):
-        return order_axiom_suite(ring, sweep, theorem_id)
     if on_opposite:
         ring = ring.opposite()
     start = time.perf_counter()

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from starinv import DocumentError, ExactMatrix, GF
+from starinv import DimensionMismatch, DocumentError, ExactMatrix, GF, QQ, field_by_name
 from starinv.cli import (
     main,
     matrix_payload,
@@ -66,6 +66,24 @@ class TestDocuments:
     def test_gf_rejects_fractions(self):
         with pytest.raises(DocumentError):
             parse_matrix_document("field gf:2\nrows 1\ncols 1\n1/2\n")
+
+    @pytest.mark.parametrize(
+        "build, arg, error, message",
+        [
+            (field_by_name, "real", DocumentError, "unknown field tag 'real'"),
+            (ExactMatrix.from_rows, [], DimensionMismatch, "a matrix needs at least one row"),
+            (ExactMatrix.from_rows, [[1, 2], [3]], DimensionMismatch, "ragged rows"),
+            (QQ.of, True, DocumentError, "booleans are not rational scalars"),
+            (GF(5).of, True, DocumentError, "booleans are not field scalars"),
+            (QQ.of, 1.5, DocumentError, "cannot interpret 1.5 as a rational scalar"),
+            (GF(5).of, 1.5, DocumentError, "cannot interpret 1.5 as a GF(5) scalar"),
+        ],
+        ids=["field-tag", "no-rows", "ragged", "qq-bool", "gf-bool", "qq-float", "gf-float"],
+    )
+    def test_refused_values_name_the_fault(self, build, arg, error, message):
+        with pytest.raises(error) as err:
+            build(arg)
+        assert str(err.value) == message
 
 
 class TestCmdMp:
@@ -175,6 +193,12 @@ class TestCmdOrder:
         b = write_doc(tmp_path, "b.mat", M([[1, 1, 0]]))
         code, rep = run_cli(capsys, "order", "minus", a, b)
         assert code == 2 and rep["status"] == "error"
+        # with the flag, a 2x3 and a 3x2 operand are still refused
+        c = write_doc(tmp_path, "c.mat", M([[1, 0, 0], [0, 0, 0]]))
+        d = write_doc(tmp_path, "d.mat", M([[1, 0], [0, 0], [0, 0]]))
+        code, rep = run_cli(capsys, "order", "minus", c, d, "--embed-rectangular")
+        assert code == 2
+        assert rep == {"status": "error", "error": "operands must share a shape before embedding"}
 
 
 class TestCmdVerify:
@@ -225,6 +249,16 @@ class TestPlumbing:
         code, rep = run_cli(capsys, "mp", str(path))
         assert code == 2 and rep["status"] == "error"
         assert "line 4" in rep["error"]
+        for text, error in (
+            ("field\nrows 1\ncols 1\n1\n", "malformed field line (line 1)"),
+            ("rows 1\n", "missing 'cols' line (line 1)"),
+        ):
+            path.write_text(text)
+            code, rep = run_cli(capsys, "mp", str(path))
+            assert code == 2 and rep == {"status": "error", "error": error}
+        missing = tmp_path / "missing.mat"
+        code, rep = run_cli(capsys, "mp", str(missing))
+        assert code == 2 and rep["error"].startswith(f"cannot read {missing}:")
 
     def test_modulus_beyond_exact_primality_exit_2(self, tmp_path, capsys):
         from starinv.fields import PRIME_CHECK_LIMIT

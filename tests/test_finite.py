@@ -14,9 +14,6 @@ from starinv import (
     InternalCheckError,
     UnknownRing,
     ZnElement,
-    enumerate_class,
-    enumerate_dagger,
-    enumerate_regular,
     leq_1mp,
     leq_diamond,
     leq_minus,
@@ -79,30 +76,29 @@ class TestRegistry:
 
 class TestEnumeration:
     def test_z6_everything_regular(self):
-        assert enumerate_regular(zn_ring(6)) == frozenset(zn_ring(6).elements)
+        assert frozenset(zn_ring(6).regular) == frozenset(zn_ring(6).elements)
 
     def test_z4_two_not_regular(self):
-        reg = enumerate_regular(zn_ring(4))
+        reg = frozenset(zn_ring(4).regular)
         assert z(2, 4) not in reg
         assert reg == frozenset({z(0, 4), z(1, 4), z(3, 4)})
 
     def test_dagger_map_z6(self):
-        dag = enumerate_dagger(zn_ring(6))
-        assert dag[z(0)] == z(0)
-        assert dag[z(1)] == z(1)
-        assert dag[z(2)] == z(2)
-        assert dag[z(3)] == z(3)
-        assert dag[z(5)] == z(5)
+        ring = zn_ring(6)
+        assert ring.dagger_of(z(0)) == z(0)
+        assert ring.dagger_of(z(1)) == z(1)
+        assert ring.dagger_of(z(2)) == z(2)
+        assert ring.dagger_of(z(3)) == z(3)
+        assert ring.dagger_of(z(5)) == z(5)
 
     def test_dagger_map_z4_missing(self):
-        dag = enumerate_dagger(zn_ring(4))
-        assert dag[z(2, 4)] is None
+        assert zn_ring(4).dagger_of(z(2, 4)) is None
 
     def test_class_examples_z6(self):
         ring = zn_ring(6)
-        assert enumerate_class(ring, z(2), {1}) == frozenset({z(2), z(5)})
-        assert enumerate_class(ring, z(2), {1, 2, 3}) == frozenset({z(2)})
-        assert enumerate_class(ring, z(0), {1}) == frozenset(ring.elements)
+        assert ring.inverse_class(z(2), {1}) == frozenset({z(2), z(5)})
+        assert ring.inverse_class(z(2), {1, 2, 3}) == frozenset({z(2)})
+        assert ring.inverse_class(z(0), {1}) == frozenset(ring.elements)
 
     def test_one_mp_set_matches_class(self):
         ring = zn_ring(12)
@@ -333,10 +329,6 @@ class TestInverseClassLabels:
         with pytest.raises(ValueError, match=BAD_CLASS_MESSAGE):
             matrix_star_ring(2).inverse_class(self.element(), classes)
 
-    def test_enumerate_class(self, classes):
-        with pytest.raises(ValueError, match=BAD_CLASS_MESSAGE):
-            enumerate_class(matrix_star_ring(2), self.element(), classes)
-
 
 @pytest.mark.parametrize("name", ["z12", "m2gf2", "m2gf3"])
 class TestRelationRows:
@@ -500,6 +492,13 @@ class TestAxiomCheck:
         els = [UVAlgebraElement(*bits) for bits in itertools.product((0, 1), repeat=3)]
         with pytest.raises(InternalCheckError, match="multiplication not associative"):
             FiniteStarRing("uv", els, els[0], UVAlgebraElement(1, 0, 0))
+
+    def test_carrier_not_closed_fails(self):
+        # {0, 1} inside Z_4: 1 + 1 == 2 leaves the carrier
+        els = [ZnElement(0, 4), ZnElement(1, 4)]
+        with pytest.raises(InternalCheckError) as err:
+            FiniteStarRing("half", els, els[0], els[1])
+        assert str(err.value) == "half: carrier not closed under the ring operations"
 
 
 class TestM3GF2:

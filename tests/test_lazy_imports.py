@@ -28,9 +28,9 @@ EXPORTED = [
     "PlusBlockData", "PlusWitness", "ProjectionWitness", "QQ", "RankFactorization",
     "RingMismatch", "StarInvError", "TheoremReport", "UniquenessViolation", "UnknownRing",
     "UnknownTheorem", "ZnElement", "above_1mp", "above_mp1", "b_1mp_inverse_check",
-    "closure_products", "column_space_leq", "dagger", "embed_square", "enumerate_class",
-    "enumerate_dagger", "enumerate_regular", "existence_via_projections", "family_1mp",
-    "family_mp1", "field_by_name", "full_rank_factorize", "in_corner", "is_idempotent",
+    "closure_products", "column_space_leq", "dagger", "embed_square",
+    "existence_via_projections", "family_1mp", "family_mp1", "field_by_name",
+    "full_rank_factorize", "in_corner", "is_idempotent",
     "is_inner_inverse", "is_member", "is_mp_invertible", "is_mp_one", "is_one_mp",
     "is_partial_isometry", "is_projection", "leq_1mp", "leq_1mp_routes", "leq_diamond",
     "leq_minus", "leq_mp1", "leq_plus", "lp", "lp_family_member", "matrix_star_ring",

@@ -679,12 +679,8 @@ class TestLazyDerivedData:
             assert count == kernels
             assert b.star.nums not in reduced and b.nums not in reduced
 
-    @pytest.mark.parametrize("field, gram", [(QQ, []), (GF(101), ["rank"] * 2)], ids=["rational", "gf101"])
-    def test_zero_a_reuses_rank_of_b_minus_a(self, monkeypatch, field, gram):
-        # a == 0 lies below every b: for 1MP and MP1, rank(b) == rank(b - a),
-        # no elimination of b beyond that rank (F would have no columns), and
-        # the witness is 0; over GF(p) the Moore-Penrose check ranks the two
-        # Gram products.  Minus takes its general path, k = g*0*g == 0.
+    @pytest.mark.parametrize("field", [QQ, GF(101)], ids=["rational", "gf101"])
+    def test_zero_a_reuses_rank_of_b_minus_a(self, monkeypatch, field):
         zero = ExactMatrix.zeros(3, 3, field)
         count = self._count_eliminations(monkeypatch, field)
         for b in (zero, ExactMatrix.identity(3, field), M([[1, 2, 0], [2, 4, 0], [0, 0, 0]], field)):
@@ -693,7 +689,7 @@ class TestLazyDerivedData:
                 v = relation(zero, b)
                 assert v.holds and v.witness[0] == zero
                 if relation is not leq_minus:
-                    assert count == ["pivots"] + gram + ["rank"]
+                    assert count == ["pivots"]
 
     def test_rational_1mp_positive_eliminations(self, monkeypatch):
         # an n = 8 1MP positive: the pivots of a, rank(b - a), one row_reduce

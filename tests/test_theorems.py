@@ -98,8 +98,22 @@ def test_registry_rows_run_as_declared(ring_name):
         expected = verify_theorem(ring.opposite(), twin)
         assert by_id[tid]._replace(elapsed=0) == expected._replace(theorem=tid, elapsed=0), tid
     for tid, relation in AXIOM_RELATIONS.items():
-        expected = order_axiom_suite(ring, relation, tid)
+        expected = order_axiom_suite(ring, relation)._replace(theorem=tid)
         assert by_id[tid]._replace(elapsed=0) == expected._replace(elapsed=0), tid
+
+
+def test_axiom_rows_store_what_every_row_stores():
+    base = zn_ring(30)
+    ring = FiniteStarRing(base.name, base.elements, base.zero, base.one)
+    # i relates to j when i == j or i + j is odd: neither antisymmetric nor transitive
+    rows = tuple(sum(1 << j for j in range(30) if i == j or (i + j) % 2) for i in range(30))
+    ring.rel_rows = {"minus": rows}.__getitem__
+    suite = order_axiom_suite(ring, "minus")
+    assert len(suite.violations) == 30 * 15 + 30 * 15 * 14 == 6750
+    got = verify_theorem(ring, "order_minus_axioms")
+    assert got.checked == suite.checked
+    assert got.violations == suite.violations[:MAX_STORED_VIOLATIONS]
+    assert "6750 violations total; first 20 stored" in got.notes
 
 
 def test_verify_all_subset():
