@@ -8,7 +8,8 @@ Exit status: 0 when the computation succeeds / the relation holds / all
 theorems pass; 1 for a negative mathematical outcome (no Moore-Penrose
 inverse, relation fails, theorem violated, precondition such as inner
 inverse not met); 2 for malformed input; 3 when a self-check of the
-library fails, which is a bug and never a verdict.
+library fails or any other exception escapes a command, which is a bug and
+never a verdict.
 """
 
 from __future__ import annotations
@@ -370,6 +371,9 @@ def main(argv=None) -> int:
     except StarInvError as exc:
         print(json.dumps({"status": "error", "error": str(exc)}))
         return EXIT_INPUT
+    except Exception as exc:  # a fault of the library, never a verdict or an input error
+        print(json.dumps({"status": "internal-error", "error": f"{type(exc).__name__}: {exc}"}))
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -36,6 +36,29 @@ _WITNESS_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_CHECK_LIMIT = 3_317_044_064_679_887_385_961_981
 
 _NOT_PLAIN = "'_' and non-ASCII characters are not accepted"
+_ECHO = 40  # the most characters of a refused literal's repr that an error message repeats
+
+
+def _echo(value) -> str:
+    """repr(value) for an error message; past _ECHO characters, its head and the literal's length."""
+    text = repr(value)
+    if len(text) <= _ECHO:
+        return text
+    return f"{text[:_ECHO]}... ({len(str(value))} characters)"
+
+
+def _detail(exc, value) -> str:
+    """str(exc); when _echo cuts value, its first clause and at most 64 characters.
+
+    After the first ': ' Python's text may repeat the literal ("Invalid
+    literal for Fraction: '...'"), and a zero denominator repeats the
+    numerator ("Fraction(n, 0)").
+    """
+    text = str(exc)
+    if len(repr(value)) <= _ECHO:
+        return text
+    head = text.partition(": ")[0]
+    return head if len(head) <= 64 else f"{head[:64]}..."
 
 
 def _is_prime(n: int) -> bool:
@@ -177,14 +200,17 @@ class RationalField(_Field):
             # Fraction would build 10**exponent in full: "1e10000000" alone
             # takes seconds and each further digit multiplies that.
             if "e" in value or "E" in value:
-                raise DocumentError(f"bad rational literal {value!r}: exponents are not accepted")
+                raise DocumentError(
+                    f"bad rational literal {_echo(value)}: exponents are not accepted"
+                )
             if "_" in value or not value.isascii():  # Fraction reads "1_0" as 10 and "٣" as 3
-                raise DocumentError(f"bad rational literal {value!r}: {_NOT_PLAIN}")
+                raise DocumentError(f"bad rational literal {_echo(value)}: {_NOT_PLAIN}")
             try:
                 return Fraction(value)
             except (ValueError, ZeroDivisionError) as exc:
-                raise DocumentError(f"bad rational literal {value!r}: {exc}") from None
-        raise DocumentError(f"cannot interpret {value!r} as a rational scalar")
+                msg = f"bad rational literal {_echo(value)}: {_detail(exc, value)}"
+                raise DocumentError(msg) from None
+        raise DocumentError(f"cannot interpret {_echo(value)} as a rational scalar")
 
     # -- packed matrices: nums / den, canonical --------------------------------
 
@@ -249,7 +275,8 @@ class PrimeField(_Field):
     def __init__(self, p: int):
         if p >= PRIME_CHECK_LIMIT:
             raise ValueError(
-                f"modulus {p} is too large: primality is decided only below {PRIME_CHECK_LIMIT}"
+                f"modulus {_echo(p)} is too large: "
+                f"primality is decided only below {PRIME_CHECK_LIMIT}"
             )
         if not _is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
@@ -266,13 +293,13 @@ class PrimeField(_Field):
         if isinstance(value, str):
             text = value.strip()
             if "_" in text or not text.isascii():
-                raise DocumentError(f"bad GF({self.p}) literal {value!r}: {_NOT_PLAIN}")
+                raise DocumentError(f"bad GF({self.p}) literal {_echo(value)}: {_NOT_PLAIN}")
             try:
                 n = int(text)
             except ValueError:
-                raise DocumentError(f"bad GF({self.p}) literal {value!r}") from None
+                raise DocumentError(f"bad GF({self.p}) literal {_echo(value)}") from None
             return n % self.p
-        raise DocumentError(f"cannot interpret {value!r} as a GF({self.p}) scalar")
+        raise DocumentError(f"cannot interpret {_echo(value)} as a GF({self.p}) scalar")
 
     # -- packed matrices: the residues themselves, den 1 ------------------------
 
@@ -341,9 +368,9 @@ def field_by_name(name: str):
     if name.startswith("gf:"):
         p = _canonical_int(name[3:])
         if p is None:
-            raise DocumentError(f"bad field tag {name!r}")
+            raise DocumentError(f"bad field tag {_echo(name)}")
         try:
             return GF(p)
         except ValueError as exc:
             raise DocumentError(str(exc)) from None
-    raise DocumentError(f"unknown field tag {name!r}")
+    raise DocumentError(f"unknown field tag {_echo(name)}")

@@ -13,11 +13,16 @@ annihilator tests and plus keep a matrix branch (rank arithmetic, one
 inner inverse of b, annihilator-matching projections, a rank criterion for
 plus) and a Z_n branch on the gcd closed forms of zn.py; exact linear
 solves remain only in leq_1mp_routes.  Annihilator containment is decided
-in _ann_leq and nowhere else (on matrices b*g*t == t, one inner inverse g
-of b per decision), whether an idempotent has the annihilator of a in
-_left_ann_matches; the right side of each is the left side on stars, as rp
-is lp.  On matrices, dagger(a), lp(a) and rp(a) are built only when the
-verdict uses them, lp and rp from one factorisation of a.  Minus and 1MP
+in _ann_leq and nowhere else, by one of two matrix routes chosen by what
+the caller holds: leq_plus and plus_block_compose need an inner inverse g
+of b anyway (the rank stage reads b's pivots and a left inverse from it),
+so they test b*g*t == t, two products; leq_diamond uses no g, so it passes
+none and each containment is one forward elimination of [b | t]
+(mx.column_space_leq), never the Gauss-Jordan pass of [b | I].  Whether
+an idempotent has the annihilator of a is decided in _left_ann_matches;
+the right side of each is the left side on stars, as rp is lp.  On
+matrices, dagger(a), lp(a) and rp(a) are built only when the verdict uses
+them, lp and rp from one factorisation of a.  Minus and 1MP
 (so MP1) reduce each operand at most once: rank(a) and rank(b - a) come
 first, and when their sum exceeds n the rank test fails before b is
 reduced.  Minus then reads rank(b) off inner_inverse(b); a 1MP or MP1
@@ -116,7 +121,13 @@ def rp(a):
 
 
 def _projections(a, sides=("left", "right")):
-    """[lp(a), rp(a)], or those that sides names (also in errors); one factorisation of a matrix."""
+    """[lp(a), rp(a)], or those that sides names (also in errors); one factorisation of a matrix.
+
+    Matrices: with c = F for lp and c = star(G) for rp, the projection is
+    c*X for X = (c^T c)^{-1}*c^T, read from one rref of [c^T c | c^T]
+    (mx.inner_solve); a Gram matrix of rank below r has no inverse, and
+    then no projection exists.
+    """
     fact = None if _modular(a) else mx.full_rank_factorize(a)
     out = []
     for side in sides:
@@ -127,11 +138,11 @@ def _projections(a, sides=("left", "right")):
             e = x * dagger(x)
         else:
             c = fact.f if side == "left" else fact.g.star
-            try:
-                e = c * mx.inverse(c.star * c) * c.star
-            except ZeroDivisionError:
+            pivots, gram_inv_c_star, _ = mx.inner_solve(c.star * c, c.star)
+            if len(pivots) < fact.r:
                 msg = f"no projection matches the {side} annihilator over {x.field.name}"
-                raise NotRickart(msg) from None
+                raise NotRickart(msg)
+            e = c * gram_inv_c_star
         rank_x = None if fact is None else fact.r
         if not (e * e == e and e.star == e and _left_ann_matches(e, x, rank_x)):
             raise InternalCheckError(f"{side[0]}p construction failed verification")
@@ -142,11 +153,16 @@ def _projections(a, sides=("left", "right")):
 def _ann_leq(b, g, t) -> bool:
     """Whether the left annihilator of b is contained in that of t.
 
-    Matrices: t lies in b*R, that is b*g*t == t for an inner inverse g of
-    b; on the right pass stars, as star(g) is an inner inverse of star(b).
+    Matrices: t lies in b*R, that is col(t) inside col(b).  A caller that
+    holds an inner inverse g of b tests b*g*t == t, two products; with g
+    None, mx.column_space_leq tests it by one forward elimination of
+    [b | t], cheaper than the Gauss-Jordan pass of [b | I] that g costs.
+    On the right pass stars, as star(g) is an inner inverse of star(b).
     Z_n: g is None and zn.ann_leq decides.
     """
-    return zn.ann_leq(b, t) if g is None else b * g * t == t
+    if g is not None:
+        return b * g * t == t
+    return zn.ann_leq(b, t) if _modular(b) else mx.column_space_leq(t, b)
 
 
 def _left_ann_matches(e, a, rank_a=None) -> bool:
@@ -454,12 +470,14 @@ def leq_diamond(a, b) -> OrderVerdict:
     """a <= b in the diamond order: annihilator containments plus a*b^* *a == a*a^* *a.
 
     Purely equational; the witness pair (lp(a), rp(a)) is attached when those
-    projections exist.
+    projections exist.  No inner inverse of b is built: on matrices each
+    containment is one forward elimination (see _ann_leq), and the gate
+    a*b^* *a == a*a^* *a is tested as a*(b - a)^* *a == 0, two products.
     """
-    g = None if _modular(a, b) else mx.inner_inverse(b)
-    if not _containments(a, b, g):
+    _modular(a, b)
+    if not _containments(a, b, None):
         return OrderVerdict(False, None, "equational", "annihilator containment fails")
-    if a * b.star * a != a * a.star * a:
+    if not (a * (b - a).star * a).is_zero:
         return OrderVerdict(False, None, "equational", "a*star(b)*a != a*star(a)*a")
     try:
         witness = DiamondWitness(*_projections(a))
@@ -586,7 +604,7 @@ def leq_plus(a, b) -> OrderVerdict:
     g = None if modular else mx.inner_inverse(b)
     if not _containments(a, b, g):
         return OrderVerdict(False, None, "containment", "annihilator containment fails")
-    if a * b.star * a == a * a.star * a:
+    if (a * (b - a).star * a).is_zero:  # a*b^* *a == a*a^* *a
         try:
             la, ra = _projections(a)
         except NotRickart:

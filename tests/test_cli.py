@@ -27,6 +27,25 @@ def run_cli(capsys, *argv):
     return code, json.loads(out)
 
 
+def _run_child(*argv):
+    """Run `python -m starinv.cli argv` in a child that imports the same starinv as this suite."""
+    import os
+    import subprocess
+    import sys
+
+    import starinv
+
+    src = os.path.dirname(os.path.dirname(starinv.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "starinv.cli", *map(str, argv)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+
+
 class TestDocuments:
     def test_round_trip_rational(self):
         a = M([["-7/2", 0], [3, "1/3"]])
@@ -408,6 +427,51 @@ class TestPlumbing:
             assert list(rep) == ["status", "error"]
             assert rep["status"] == "internal-error"
 
+    def test_unexpected_exception_exit_3_without_traceback(self, tmp_path):
+        import random
+
+        # entries of 4,000-digit p/q: parsing accepts them, but the dagger and
+        # the minus and 1MP witnesses have entries past Python's int-to-str
+        # limit, so writing the report raises ValueError, which is no verdict
+        rng = random.Random(3)
+
+        def entry():
+            return f"{rng.randrange(10**3999, 10**4000)}/{rng.randrange(10**3999, 10**4000)}"
+
+        path = tmp_path / "huge.mat"
+        path.write_text("rows 2\ncols 2\n" + "".join(f"{entry()} {entry()}\n" for _ in range(2)))
+        for argv, code in (
+            (("mp", path), 3),
+            (("order", "minus", path, path), 3),
+            (("order", "1mp", path, path), 3),
+            (("order", "plus", path, path), 0),
+        ):
+            proc = _run_child(*argv)
+            assert proc.returncode == code, (argv, proc.stderr)
+            assert proc.stderr == "", argv
+            if code == 3:
+                assert proc.stdout.count("\n") == 1
+                rep = json.loads(proc.stdout)
+                assert list(rep) == ["status", "error"]
+                assert rep["status"] == "internal-error"
+                assert rep["error"].startswith("ValueError: Exceeds the limit")
+            else:
+                assert json.loads(proc.stdout)["results"]["holds"] is True
+
+    @pytest.mark.parametrize("field", ["rational", "gf:7"])
+    def test_long_refused_literal_is_echoed_in_part(self, tmp_path, capsys, field):
+        # a 5,000-digit cell is past the int-to-str limit: exit 2, and the
+        # report repeats the first 40 characters of its repr and its length
+        path = tmp_path / "a.mat"
+        path.write_text(f"field {field}\nrows 1\ncols 2\n3 {'7' * 5000}\n")
+        code = main(["mp", str(path)])
+        out = capsys.readouterr().out
+        assert code == 2 and len(out.encode()) < 200
+        rep = json.loads(out)
+        assert rep["status"] == "error"
+        assert f"literal '{'7' * 39}... (5000 characters)" in rep["error"]
+        assert rep["error"].endswith("(line 4, column 2)")
+
     def test_matrix_payload_round(self):
         a = M([["1/2", 3]])
         payload = matrix_payload(a)
@@ -419,23 +483,8 @@ class TestPlumbing:
         }
 
     def test_console_script_subprocess(self, tmp_path):
-        import os
-        import subprocess
-        import sys
-
-        import starinv
-
-        # the child imports the same starinv as this suite, installed or not
-        src = os.path.dirname(os.path.dirname(starinv.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         path = write_doc(tmp_path, "a.mat", M([[1, 1], [0, 0]]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "starinv.cli", "mp", path],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
+        proc = _run_child("mp", path)
         assert proc.returncode == 0
         rep = json.loads(proc.stdout)
         assert rep["results"]["mp_inverse"]["entries"] == [["1/2", "0"], ["1/2", "0"]]

@@ -3,7 +3,10 @@
 Over the rationals, GF(2), GF(3) and GF(101), for rectangular b of any rank
 and g = inner_inverse(b): b*g*t == t exactly when the columns of t lie in the
 column space of b, and t*g*b == t exactly when its rows lie in the row space
-of b, which is the left containment on stars.  The nonzero rows of g are the
+of b, which is the left containment on stars.  Both matrix routes of
+_ann_leq, with g and with no inner inverse (one forward elimination of
+[b | t] in column_space_leq), agree with those products and with the
+two-rank definition rank([b | t]) == rank(b).  The nonzero rows of g are the
 pivot columns of b, and g's rows there are inner_inverse(F_b) for the pivot
 columns F_b of b, which leq_plus's rank stage reads from g instead of
 reducing b again.
@@ -17,7 +20,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from starinv import GF, QQ, ExactMatrix, column_space_leq, full_rank_factorize, row_space_leq  # noqa: E402
-from starinv.matrix import inner_inverse, select  # noqa: E402
+from starinv.matrix import hstack, inner_inverse, rank, select  # noqa: E402
 from starinv.orders import _ann_leq  # noqa: E402
 
 SETTINGS = hypothesis.settings(max_examples=200, deadline=None, database=None)
@@ -67,7 +70,9 @@ def operands(draw):
 def test_left_containment_is_b_g_t_equals_t(ops):
     b, t, _ = ops
     g = inner_inverse(b)
-    assert (b * g * t == t) == column_space_leq(t, b) == _ann_leq(b, g, t)
+    inside = rank(hstack(b, t)) == rank(b)
+    routes = [b * g * t == t, column_space_leq(t, b), _ann_leq(b, g, t), _ann_leq(b, None, t)]
+    assert routes == [inside] * 4
 
 
 @SETTINGS
@@ -75,7 +80,14 @@ def test_left_containment_is_b_g_t_equals_t(ops):
 def test_right_containment_is_t_g_b_equals_t_and_the_left_one_on_stars(ops):
     b, _, t = ops
     g = inner_inverse(b)
-    assert (t * g * b == t) == row_space_leq(t, b) == _ann_leq(b.star, g.star, t.star)
+    inside = rank(hstack(b.star, t.star)) == rank(b)
+    routes = [
+        t * g * b == t,
+        row_space_leq(t, b),
+        _ann_leq(b.star, g.star, t.star),
+        _ann_leq(b.star, None, t.star),
+    ]
+    assert routes == [inside] * 4
 
 
 @SETTINGS

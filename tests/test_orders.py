@@ -616,12 +616,13 @@ class TestLazyDerivedData:
         assert len(count) <= 7
 
     def test_diamond_positive_eliminations(self, monkeypatch):
-        # one inner inverse of b for both containments, then lp(a) and rp(a)
-        # from one factorisation of a
+        # one forward elimination of [b | a] per containment, no [b | I];
+        # then lp(a) and rp(a) from one factorisation of a, each from one
+        # rref of [c^T c | c^T] and verified by one rank
         count = self._count_eliminations(monkeypatch, DIAG10.field)
         v = leq_diamond(M([[1, 0, 0], [0, 0, 0], [0, 0, 0]]), ExactMatrix.identity(3))
         assert v.holds and v.witness is not None
-        assert len(count) <= 6
+        assert count == ["pivots", "pivots", "row_reduce", "row_reduce", "rank", "row_reduce", "rank"]
 
     @pytest.mark.parametrize(
         "field, kernels",
@@ -710,17 +711,23 @@ class TestLazyDerivedData:
 
     @pytest.mark.parametrize("field", [DIAG10.field, GF(3)], ids=["rational", "gf3"])
     def test_failed_containment_reduces_b_once(self, monkeypatch, field):
-        # a diamond or plus negative on the containments: one row_reduce of [b | I], no rank
+        # a plus negative on the containments: one row_reduce of [b | I], no
+        # rank; a diamond one: a forward elimination of [b | a], then one of
+        # [b^T | a^T] when the columns of a lie in col(b)
         b = M([[1, 2, 0], [2, 4, 0], [0, 0, 0]], field)
         a_col = M([[1, 0, 0], [0, 0, 0], [0, 0, 0]], field)  # a column outside those of b
         a_row = M([[1, 0, 0], [2, 0, 0], [0, 0, 0]], field)  # only a row outside those of b
         count = self._count_eliminations(monkeypatch, field)
         for a in (a_col, a_row, M([[0, 0, 0], [0, 0, 0], [0, 0, 1]], field)):
-            for decide, method in ((leq_diamond, "equational"), (leq_plus, "containment")):
+            diamond = ["pivots", "pivots"] if a is a_row else ["pivots"]
+            for decide, method, kernels in (
+                (leq_diamond, "equational", diamond),
+                (leq_plus, "containment", ["row_reduce"]),
+            ):
                 count.clear()
                 v = decide(a, b)
                 assert (v.holds, v.method, v.reason) == (False, method, "annihilator containment fails")
-                assert count == ["row_reduce"]
+                assert count == kernels
 
     def test_failed_gate_builds_no_projection(self, monkeypatch):
         # containments pass, a*star(b)*a != a*star(a)*a: straight to the rank stage
