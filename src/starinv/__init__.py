@@ -16,7 +16,7 @@ from importlib import import_module as _import_module
 _EXPORTS = {
     "errors": """
         CarrierTooLarge ConditionFailure CornerViolation DimensionMismatch DocumentError
-        IdempotentViolation InternalCheckError NotA1MPInverse NotInnerInverse
+        InternalCheckError NotA1MPInverse NotInnerInverse
         NotMPInvertible NotPartialIsometry NotRegular NotRickart OrderViolation
         RingMismatch StarInvError UniquenessViolation UnknownRing UnknownTheorem
     """,
@@ -27,8 +27,8 @@ _EXPORTS = {
     "inverses": """
         InverseFamily PenroseProfile ProjectionWitness closure_products dagger
         existence_via_projections family_1mp family_mp1 is_inner_inverse is_member
-        is_mp_one is_one_mp is_partial_isometry mp_one one_mp partial_isometry_solutions
-        penrose_profile seven_conditions try_dagger
+        is_mp_one is_one_mp is_partial_isometry is_projection mp_one one_mp
+        partial_isometry_solutions penrose_profile seven_conditions try_dagger
     """,
     "matrix": """
         ExactMatrix RankFactorization column_space_leq embed_square full_rank_factorize
@@ -36,13 +36,9 @@ _EXPORTS = {
     """,
     "orders": """
         MinusWitness MP1Witness OneMPAboveForm OneMPWitness OrderVerdict PlusBlockData
-        PlusWitness above_1mp above_mp1 b_1mp_inverse_check leq_1mp leq_1mp_routes
-        leq_diamond leq_minus leq_mp1 leq_plus lp lp_family_member plus_block_compose rp
-        rp_family_member
-    """,
-    "ring": """
-        IdempotentPair OppositeView PeirceBlocks in_corner is_idempotent is_projection
-        opposite_view peirce_decompose peirce_multiply peirce_recompose
+        PlusWitness above_1mp above_mp1 b_1mp_inverse_check in_corner leq_1mp
+        leq_1mp_routes leq_diamond leq_minus leq_mp1 leq_plus lp lp_family_member
+        plus_block_compose rp rp_family_member
     """,
     "theorems": "order_axiom_suite theorem_ids verify_all verify_theorem",
     "zn": "ZnElement",

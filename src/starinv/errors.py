@@ -12,15 +12,11 @@ class StarInvError(Exception):
 
 
 class RingMismatch(StarInvError):
-    """Operands belong to different rings (field, modulus, or view level)."""
+    """Operands belong to different rings (field or modulus)."""
 
 
 class DimensionMismatch(StarInvError):
     """Matrix shapes are incompatible for the requested operation."""
-
-
-class IdempotentViolation(StarInvError):
-    """An element required to be idempotent fails e*e == e."""
 
 
 class CornerViolation(StarInvError):

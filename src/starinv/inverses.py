@@ -27,7 +27,6 @@ from .errors import (
     NotMPInvertible,
     NotPartialIsometry,
 )
-from .ring import OppositeView, is_projection
 
 
 @singledispatch
@@ -39,12 +38,6 @@ def dagger(x):
 @dagger.register
 def _(x: mx.ExactMatrix):
     return mx.mp_inverse(x)
-
-
-@dagger.register
-def _(x: OppositeView):
-    # The Moore-Penrose inverse is the same element in the opposite ring.
-    return OppositeView(dagger(x.base))
 
 
 def try_dagger(x):
@@ -191,6 +184,11 @@ def seven_conditions(a, a_minus, x):
     cond6 = ax * a == a and a_minus * (ax * a) * a_dagger == x
     cond7 = xa * x == x and asx == a.star
     return (cond1, cond2, cond3, cond4, cond5, cond6, cond7)
+
+
+def is_projection(p) -> bool:
+    """Whether p is a self-adjoint idempotent."""
+    return p * p == p and p.star == p
 
 
 class ProjectionWitness(NamedTuple):

@@ -3,15 +3,14 @@
 Operand types are checked once, in _modular, which tells a Z_n element
 from a matrix.  The 1MP order is a <= b in the minus order and
 dagger(a)*b == dagger(a)*a; on Z_n the first implies the second, so only
-the minus test runs.  Opposite-ring views are decided by the dual
-relation on their bases.  The MP1 side is the star
-transport of the 1MP side: leq_mp1, above_mp1 and rp_family_member are
-leq_1mp, above_1mp and lp_family_member on stars, starred back, and keep
-their own refusal texts.  Star is an injective anti-automorphism, so each
-MP1 equation is the star of a verified 1MP one.  Minus, lp/rp, the
-annihilator tests and plus keep a matrix branch (rank arithmetic, one
-inner inverse of b, annihilator-matching projections, a rank criterion for
-plus) and a Z_n branch on the gcd closed forms of zn.py; exact linear
+the minus test runs.  The MP1 side is the star transport of the 1MP
+side: leq_mp1, above_mp1 and rp_family_member are leq_1mp, above_1mp and
+lp_family_member on stars, starred back, and keep their own refusal
+texts.  Star is an injective anti-automorphism, so each MP1 equation is
+the star of a verified 1MP one.  Minus, lp/rp, the annihilator tests and
+plus keep a matrix branch (rank arithmetic, one inner inverse of b,
+annihilator-matching projections, a rank criterion for plus) and a Z_n
+branch on the gcd closed forms of zn.py; exact linear
 solves remain only in leq_1mp_routes.  Annihilator containment is decided
 in _ann_leq and nowhere else, by one of two matrix routes chosen by what
 the caller holds: leq_plus and plus_block_compose need an inner inverse g
@@ -58,7 +57,6 @@ from .errors import (
 )
 from .inverses import dagger, is_one_mp
 from .matrix import ExactMatrix, solve_matrix_equations
-from .ring import OppositeView, in_corner
 
 
 class OrderVerdict(NamedTuple):
@@ -182,6 +180,23 @@ def _containments(a, b, g) -> bool:
     return _ann_leq(b, g, a) and _ann_leq(b.star, None if g is None else g.star, a.star)
 
 
+# Corner membership, with (1 - p) factors expanded away, so no identity is
+# needed:
+#   x in pRq         iff p*x == x and x*q == x
+#   x in pR(1-q)     iff p*x == x and x*q == 0
+#   x in (1-p)Rq     iff p*x == 0 and x*q == x
+#   x in (1-p)R(1-q) iff p*x == 0 and x*q == 0
+
+
+def in_corner(x, p, q, i: int, j: int) -> bool:
+    """Whether x lies in the (i, j) Peirce corner relative to (p, q)."""
+    px = p * x
+    xq = x * q
+    left_ok = (px == x) if i == 1 else px.is_zero
+    right_ok = (xq == x) if j == 1 else xq.is_zero
+    return left_ok and right_ok
+
+
 def lp_family_member(a, p1):
     """lp(a) + p1 for p1 in the upper-right corner: an idempotent in LP(a)."""
     la = lp(a)
@@ -235,15 +250,6 @@ def _modular(a, b=None) -> bool:
             "zero-pad rectangular inputs first"
         )
     return modular
-
-
-def _via_opposite(dual, a, b, witness_cls) -> OrderVerdict:
-    """Decide on opposite-ring views a, b by the dual relation on their bases."""
-    if not isinstance(b, OppositeView):
-        raise RingMismatch("operands must live in the same ring")
-    v = dual(a.base, b.base)
-    witness = witness_cls(OppositeView(v.witness.x)) if v.holds else None
-    return OrderVerdict(v.holds, witness, v.method, v.reason)
 
 
 # -- minus order ----------------------------------------------------------------
@@ -308,8 +314,7 @@ def leq_1mp(a, b) -> OrderVerdict:
     """a <= b in the 1MP order: some 1MP-inverse of a identifies a and b.
 
     In every ring: a <= b in the minus order together with
-    dagger(a)*b == dagger(a)*a; the witness x is re-verified.  On
-    opposite-ring views it is the MP1 order of the base elements.
+    dagger(a)*b == dagger(a)*a; the witness x is re-verified.
 
     The second condition is tested as star(a)*b == star(a)*a, which needs
     no dagger(a): since dagger(a) == dagger(a)*star(dagger(a))*star(a) and
@@ -350,8 +355,6 @@ def leq_1mp(a, b) -> OrderVerdict:
     idempotent onto col(a), which is a*dagger(a)); then x*a == x*b and
     a*x == b*x.
     """
-    if isinstance(a, OppositeView):
-        return _via_opposite(leq_mp1, a, b, OneMPWitness)
     if _modular(a, b):
         x = dagger(a)
         reason = None if (x * (b - a)).is_zero else _INNER_FAILS
@@ -452,11 +455,8 @@ def leq_mp1(a, b) -> OrderVerdict:
     """a <= b in the MP1 order iff star(a) <= star(b) in the 1MP order.
 
     The operands are checked before they are starred, so an unsupported or
-    mixed pair is refused as leq_1mp refuses it.  On opposite-ring views it
-    is the 1MP order of the base elements.
+    mixed pair is refused as leq_1mp refuses it.
     """
-    if isinstance(a, OppositeView):
-        return _via_opposite(leq_1mp, a, b, MP1Witness)
     _modular(a, b)
     v = leq_1mp(a.star, b.star)
     witness = MP1Witness(v.witness.x.star) if v.holds else None

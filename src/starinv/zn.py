@@ -13,11 +13,14 @@ from math import gcd
 
 from .errors import InternalCheckError, NotMPInvertible, RingMismatch
 from .inverses import dagger
-from .ring import SlottedRecord
 
 
-class ZnElement(SlottedRecord):
-    """An element of Z_n; the involution is the identity map."""
+class ZnElement:
+    """An element of Z_n; the involution is the identity map.
+
+    A read-only record: it equals only its own class, and hashes and pickles
+    as (value, modulus); it is no tuple, so `3 * x` is no repetition.
+    """
 
     __slots__ = ("value", "modulus")
 
@@ -26,6 +29,22 @@ class ZnElement(SlottedRecord):
             raise ValueError(f"Z_n needs a modulus n >= 2, got {modulus}")
         object.__setattr__(self, "value", value % modulus)
         object.__setattr__(self, "modulus", modulus)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.value == other.value and self.modulus == other.modulus
+
+    def __hash__(self):
+        return hash((self.value, self.modulus))
+
+    def __reduce__(self):
+        return self.__class__, (self.value, self.modulus)
 
     def _check(self, other):
         if not isinstance(other, ZnElement):

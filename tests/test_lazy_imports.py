@@ -20,29 +20,28 @@ from starinv.cli import serialize_matrix_document
 
 EXPORTED = [
     "CarrierTooLarge", "ConditionFailure", "CornerViolation", "DimensionMismatch",
-    "DocumentError", "ExactMatrix", "FiniteStarRing", "GF", "IdempotentPair",
-    "IdempotentViolation", "InternalCheckError", "InverseFamily", "MP1Witness",
+    "DocumentError", "ExactMatrix", "FiniteStarRing", "GF",
+    "InternalCheckError", "InverseFamily", "MP1Witness",
     "MinusWitness", "NotA1MPInverse", "NotInnerInverse", "NotMPInvertible",
     "NotPartialIsometry", "NotRegular", "NotRickart", "OneMPAboveForm", "OneMPWitness",
-    "OppositeView", "OrderVerdict", "OrderViolation", "PeirceBlocks", "PenroseProfile",
+    "OrderVerdict", "OrderViolation", "PenroseProfile",
     "PlusBlockData", "PlusWitness", "ProjectionWitness", "QQ", "RankFactorization",
     "RingMismatch", "StarInvError", "TheoremReport", "UniquenessViolation", "UnknownRing",
     "UnknownTheorem", "ZnElement", "above_1mp", "above_mp1", "b_1mp_inverse_check",
     "closure_products", "column_space_leq", "dagger", "embed_square",
     "existence_via_projections", "family_1mp", "family_mp1", "field_by_name",
-    "full_rank_factorize", "in_corner", "is_idempotent",
+    "full_rank_factorize", "in_corner",
     "is_inner_inverse", "is_member", "is_mp_invertible", "is_mp_one", "is_one_mp",
     "is_partial_isometry", "is_projection", "leq_1mp", "leq_1mp_routes", "leq_diamond",
     "leq_minus", "leq_mp1", "leq_plus", "lp", "lp_family_member", "matrix_star_ring",
-    "mp_inverse", "mp_one", "one_mp", "opposite_view", "order_axiom_suite",
-    "partial_isometry_solutions", "peirce_decompose", "peirce_multiply",
-    "peirce_recompose", "penrose_profile", "plus_block_compose", "rank", "ring_by_name",
+    "mp_inverse", "mp_one", "one_mp", "order_axiom_suite", "partial_isometry_solutions",
+    "penrose_profile", "plus_block_compose", "rank", "ring_by_name",
     "row_space_leq", "rp", "rp_family_member", "seven_conditions", "theorem_ids",
     "try_dagger", "verify_all", "verify_theorem", "zn_ring",
 ]  # fmt: skip
 
 SUBMODULES = (
-    "errors", "fields", "finite", "inverses", "matrix", "orders", "ring", "theorems", "zn"
+    "errors", "fields", "finite", "inverses", "matrix", "orders", "theorems", "zn"
 )
 
 

@@ -4,8 +4,8 @@ Inputs are built here from a fixed seed: n x n matrices of rank 1 and n - 1
 over the rationals, GF(3) and GF(101) with their inner inverses, MP1 corner
 data and the block forms above them, 2 x 3 matrices, operands with no
 Moore-Penrose inverse or no rp (an isotropic column over GF(101), a row of
-three ones over GF(3)), every element of Z_12, opposite-ring views, and
-operands from two different rings.  Each call's value, or its exception type
+three ones over GF(3)), every element of Z_12, and operands from two
+different rings.  Each call's value, or its exception type
 and message, is compared with tests/golden/mp1_api.json, so the MP1 side
 keeps every value and every refusal text.  To regenerate after an intended
 change:
@@ -25,7 +25,6 @@ from starinv import (
     NotMPInvertible,
     NotRickart,
     OneMPAboveForm,
-    OppositeView,
     OrderVerdict,
     StarInvError,
     ZnElement,
@@ -46,15 +45,13 @@ GOLDEN = Path(__file__).parent / "golden" / "mp1_api.json"
 
 
 def encode(value):
-    """A JSON form of a returned value: bools, matrices, Z_n elements, views, verdicts."""
+    """A JSON form of a returned value: bools, matrices, Z_n elements, verdicts."""
     if value is None or isinstance(value, bool):
         return value
     if isinstance(value, ExactMatrix):
         return {"field": value.field.name, "rows": [[str(v) for v in r] for r in value.to_rows()]}
     if isinstance(value, ZnElement):
         return repr(value)
-    if isinstance(value, OppositeView):
-        return {"opposite": encode(value.base)}
     if isinstance(value, OrderVerdict):
         w = value.witness
         return {
@@ -141,19 +138,6 @@ def _matrix_cases(rng, field, rows, cols, rank, tag):
             ("self", a),
         ):
             out.append((f"{tag}:leq_mp1-{name}", leq_mp1, (a, b)))
-        views = tuple(OppositeView(m) for m in (a, general, above, b4, d))
-        va, vg, vb, vb4, vd = views
-        out += [
-            (f"{tag}:view:mp_one", mp_one, (va, vg)),
-            (f"{tag}:view:is_mp_one", is_mp_one, (va, OppositeView(mp_one(a, general)))),
-            (f"{tag}:view:is_mp_one-1mp", is_mp_one, (va, OppositeView(one_mp(a, general)))),
-            (f"{tag}:view:above_mp1", above_mp1, (va, OneMPAboveForm(vb4, vd))),
-            (f"{tag}:view:leq_mp1", leq_mp1, (va, vb)),
-            (f"{tag}:view:leq_mp1-reversed", leq_mp1, (vb, va)),
-            (f"{tag}:view:rp_family_member", rp_family_member, (va, vb4)),
-            (f"{tag}:view:leq_mp1-mixed", leq_mp1, (va, above)),
-            (f"{tag}:view:leq_mp1-mixed-reversed", leq_mp1, (a, vb)),
-        ]
     return out
 
 

@@ -1,7 +1,7 @@
 """Record classes keep value semantics: pickle, deepcopy, hash and read-only fields.
 
-Eight records are NamedTuples; ZnElement and IdempotentPair are slotted
-classes that validate on construction and equal only their own class.
+Seven records are NamedTuples; ZnElement is a slotted class that validates
+on construction and equals only its own class.
 """
 
 import copy
@@ -11,7 +11,6 @@ import pytest
 
 from starinv import (
     ExactMatrix,
-    IdempotentPair,
     OneMPAboveForm,
     PlusBlockData,
     RingMismatch,
@@ -22,7 +21,6 @@ from starinv import (
     full_rank_factorize,
     leq_minus,
     one_mp,
-    peirce_decompose,
     penrose_profile,
 )
 
@@ -45,16 +43,11 @@ RECORDS = {
         family_1mp(A, one_mp(A, dagger(A))),
         ("kind", "a", "base", "left", "right"),
     ),
-    "PeirceBlocks": (
-        peirce_decompose(A, IdempotentPair(P, Q)),
-        ("x11", "x12", "x21", "x22", "pair"),
-    ),
     "TheoremReport": (
         TheoremReport("one_mp_closure", "z6", 36, (("2", "3"),), 0.5, ("note",)),
         ("theorem", "ring", "checked", "violations", "elapsed", "notes", "sampled"),
     ),
     "ZnElement": (ZnElement(15, 12), ("value", "modulus")),
-    "IdempotentPair": (IdempotentPair(P, Q), ("p", "q")),
 }
 
 
@@ -111,8 +104,6 @@ class TestSlottedRecords:
     def test_deletion_raises(self):
         with pytest.raises(AttributeError):
             del ZnElement(3, 12).value
-        with pytest.raises(AttributeError):
-            del IdempotentPair(P, Q).p
 
     def test_validation_on_construction_and_unpickling(self):
         with pytest.raises(ValueError, match="modulus n >= 2"):
@@ -121,6 +112,3 @@ class TestSlottedRecords:
 
     def test_repr(self):
         assert repr(ZnElement(3, 12)) == "3 (mod 12)"
-        assert repr(IdempotentPair(ZnElement(1, 6), ZnElement(3, 6))) == (
-            "IdempotentPair(p=1 (mod 6), q=3 (mod 6))"
-        )
