@@ -384,7 +384,7 @@ def _one_mp_matrix(a, b):
     pivots_b, gf, inside = mx.inner_solve(b, f)
     if not inside or rank_d != len(pivots_b) - rank_a:
         return _RANK_FAILS, None
-    return None, gf * (mx.inverse(f_star * f) * f_star)
+    return None, gf * mx.inner_solve(f_star * f, f_star)[1]
 
 
 def _one_mp_witness(a, b, x) -> OneMPWitness:

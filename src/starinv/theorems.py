@@ -3,15 +3,15 @@
 Every entry in THEOREMS sweeps one statement over a finite carrier using
 nothing but the ring's operation tables, so the checks are independent of
 the formula layers in inverses.py and orders.py.  Every sweep enumerates its
-whole domain; nothing is sampled.  A report lists how many instances were
-checked and every counterexample found (expected: none).
+whole domain; nothing is sampled.  A report gives how many instances were
+checked and how many counterexamples were found (expected: none).
 
 A sweep returns what it found, `(checked, violations, notes)`, and nothing
-more.  `verify_theorem` is the one runner: it times the sweep alone, labels
-the report with the theorem id and stores at most MAX_STORED_VIOLATIONS
-violations, the four order-axiom rows included.  The MP1 rows of THEOREMS
-run their 1MP twin's sweep on `ring.opposite()`, and the axiom rows run
-`_order_axioms` on their relation tag.
+more; its violations may be any iterable, a generator included.  `_run` is
+the one runner: it times the sweep alone, labels the report and hands it to
+`_finish`, which stores the first MAX_STORED_VIOLATIONS and counts the rest.
+The MP1 rows of THEOREMS run their 1MP twin's sweep on `ring.opposite()`,
+and the axiom rows run `_order_axioms` on their relation tag.
 
 Sweeps run on element indices over the ring's flat int tables
 (`ring.mul_table`, `ring.add_table`, ...), and name elements by `repr` only
@@ -52,15 +52,24 @@ from .errors import UnknownTheorem
 from .finite import FiniteStarRing, TheoremReport, bit_indices
 
 MAX_STORED_VIOLATIONS = 20
-TUPLE_CAP = 1_000_000  # the most transitivity violations _order_axioms lists
 
 
 def _finish(theorem, ring_name, checked, violations, start, notes=()):
-    vs = tuple(violations[:MAX_STORED_VIOLATIONS])
+    """The report: the first MAX_STORED_VIOLATIONS of an iterable stored, the rest counted."""
+    found = iter(violations)
+    vs = tuple(islice(found, MAX_STORED_VIOLATIONS))
     notes = tuple(notes)
-    if len(violations) > MAX_STORED_VIOLATIONS:
-        notes = notes + (f"{len(violations)} violations total; first {MAX_STORED_VIOLATIONS} stored",)
+    rest = sum(1 for _ in found)
+    if rest:
+        notes = notes + (f"{len(vs) + rest} violations total; first {MAX_STORED_VIOLATIONS} stored",)
     return TheoremReport(theorem, ring_name, checked, vs, time.perf_counter() - start, notes)
+
+
+def _run(label, ring, sweep):
+    """sweep(ring) timed alone and reported under label through _finish."""
+    start = time.perf_counter()
+    checked, violations, notes = sweep(ring)
+    return _finish(label, ring.name, checked, violations, start, notes)
 
 
 def _namer(ring):
@@ -875,72 +884,50 @@ def _order_axioms(ring, relation):
     Domains: the MP-invertible elements for "1mp"/"mp1", the regular elements
     for "minus", the whole carrier for "plus" and "diamond".  Rings where the
     plus order is undefined for some element (empty LP or RP family) are
-    skipped with an explanatory note.
+    skipped with an explanatory note.  The violations are a generator.
     """
     s = ring.structure()
-    notes = []
-    violations = []
-    checked = 0
-    bad = ()
-    if relation in ("1mp", "mp1"):
-        domain = s.mp_invertible
-    elif relation == "minus":
-        domain = s.regular
-    elif relation == "diamond":
-        domain = range(ring.n)
-    elif relation == "plus":
-        domain = range(ring.n)
-        bad = [a for a in domain if not ring.lp_members_i(a) or not ring.rp_members_i(a)]
-    else:
-        raise ValueError(f"unknown relation tag {relation!r}")
+    domain = {"1mp": s.mp_invertible, "mp1": s.mp_invertible, "minus": s.regular}.get(relation, range(ring.n))
+    bad = sum(not ring.lp_members_i(a) or not ring.rp_members_i(a) for a in domain) if relation == "plus" else 0
     if bad:
-        notes.append(
-            f"plus order undefined for {len(bad)} element(s) with empty LP/RP "
-            f"family; suite skipped"
-        )
-    else:
-        # rows[x] has bit y set when x relates to y, both in the domain.  Domain
-        # indices ascend, so walking bits upward visits pairs and triples in the
-        # order of the full product.
-        mask = sum(1 << x for x in domain)
-        rows = [row & mask for row in ring.rel_rows(relation)]
-        els = ring.elements
-        m = len(domain)
-        for x in domain:
-            if not rows[x] >> x & 1:
-                violations.append(("reflexivity", els[x]))
-        for x in domain:
-            for y in bit_indices(rows[x] & ~(1 << x)):
-                if rows[y] >> x & 1:
-                    violations.append(("antisymmetry", els[x], els[y]))
-        # The triples (x, y, w) that break transitivity are the bits w of
-        # rows[y] & ~rows[x] for each bit y of rows[x].  The first TUPLE_CAP of
-        # them are stored and the rest only counted.
-        broken_total = 0
-        for x in domain:
-            row = rows[x]
-            for y in bit_indices(row):
-                broken = rows[y] & ~row
-                if broken:
-                    for w in islice(bit_indices(broken), max(TUPLE_CAP - broken_total, 0)):
-                        violations.append(("transitivity", els[x], els[y], els[w]))
-                    broken_total += broken.bit_count()
-        if broken_total > TUPLE_CAP:
-            notes.append(f"{broken_total} transitivity violations; first {TUPLE_CAP} stored")
-        checked = m + m * m + m ** 3
-    return checked, violations, notes
+        return 0, (), [f"plus order undefined for {bad} element(s) with empty LP/RP family; suite skipped"]
+    # rows[x] has bit y set when x relates to y, both in the domain.
+    mask = sum(1 << x for x in domain)
+    rows = [row & mask for row in ring.rel_rows(relation)]  # ValueError on an unknown tag
+    m = len(domain)
+    return m + m * m + m ** 3, _axiom_violations(ring.elements, domain, rows), []
+
+
+def _axiom_violations(els, domain, rows):
+    """Order-axiom violations of the rows over an ascending domain, in the order of the full product.
+
+    Walking bits upward visits pairs and triples in that order.  The triples
+    (x, y, w) that break transitivity are the bits w of rows[y] & ~rows[x]
+    for each bit y of rows[x].
+    """
+    for x in domain:
+        if not rows[x] >> x & 1:
+            yield ("reflexivity", els[x])
+    for x in domain:
+        for y in bit_indices(rows[x] & ~(1 << x)):
+            if rows[y] >> x & 1:
+                yield ("antisymmetry", els[x], els[y])
+    for x in domain:
+        row = rows[x]
+        for y in bit_indices(row):
+            broken = rows[y] & ~row
+            if broken:
+                for w in bit_indices(broken):
+                    yield ("transitivity", els[x], els[y], els[w])
 
 
 def order_axiom_suite(ring: FiniteStarRing, relation: str):
-    """The order axioms of one relation tag, as a report labelled order-axioms-<tag>.
+    """The order axioms of one relation tag, reported as order-axioms-<tag>.
 
-    It stores every violation up to TUPLE_CAP transitivity triples, where a
-    registry row stores MAX_STORED_VIOLATIONS and notes the total.
+    It runs as a registry axiom row does: at most MAX_STORED_VIOLATIONS
+    violations are stored, and a note gives the exact total.
     """
-    start = time.perf_counter()
-    checked, vs, notes = _order_axioms(ring, relation)
-    label = f"order-axioms-{relation}"
-    return TheoremReport(label, ring.name, checked, tuple(vs), time.perf_counter() - start, tuple(notes))
+    return _run(f"order-axioms-{relation}", ring, partial(_order_axioms, relation=relation))
 
 
 # Theorem id -> (sweep, whether it runs on ring.opposite()), in report order: an
@@ -985,17 +972,13 @@ def theorem_ids() -> tuple:
 def verify_theorem(ring: FiniteStarRing, theorem_id: str) -> TheoremReport:
     """Run one registered exhaustive sweep; violations empty means pass.
 
-    The report is labelled with the theorem id, timed over the sweep alone
-    and capped at MAX_STORED_VIOLATIONS stored violations.
+    The report is labelled with the theorem id, timed over the sweep alone,
+    stores at most MAX_STORED_VIOLATIONS violations and notes the exact total.
     """
     if theorem_id not in THEOREMS:
         raise UnknownTheorem(f"unknown theorem id {theorem_id!r}")
     sweep, on_opposite = THEOREMS[theorem_id]
-    if on_opposite:
-        ring = ring.opposite()
-    start = time.perf_counter()
-    checked, violations, notes = sweep(ring)
-    return _finish(theorem_id, ring.name, checked, violations, start, notes)
+    return _run(theorem_id, ring.opposite() if on_opposite else ring, sweep)
 
 
 def verify_all(ring: FiniteStarRing, ids=None) -> list:

@@ -27,6 +27,7 @@ from starinv import (
     above_mp1,
     b_1mp_inverse_check,
     dagger,
+    in_corner,
     is_member,
     leq_1mp,
     leq_1mp_routes,
@@ -47,7 +48,7 @@ from starinv import (
 )
 from starinv.finite import bit_indices
 from starinv.matrix import hstack, inner_inverse
-from starinv.theorems import TUPLE_CAP
+from starinv.theorems import MAX_STORED_VIOLATIONS, _order_axioms
 
 from conftest import M, random_rational_matrix, random_singular_matrix, z
 
@@ -1443,7 +1444,7 @@ class TestAxiomSuite:
     @pytest.mark.parametrize("relation", ["1mp", "diamond"])
     @pytest.mark.parametrize("name", ["z12", "m2gf2", "z101"])
     def test_non_transitive_relation_matches_a_triple_loop(self, name, relation):
-        # z101 has 101^3 > TUPLE_CAP triples: the whole product is still walked
+        # z101 has 101^3 > 10^6 triples: the whole product is still walked
         base = ring_by_name(name)
         ring = FiniteStarRing(base.name, base.elements, base.zero, base.one)
         rng = random.Random(90731)
@@ -1478,21 +1479,42 @@ class TestAxiomSuite:
                         violations.append(("transitivity", els[x], els[y], els[w]))
         assert any(v[0] == "transitivity" for v in violations)
 
+        # the sweep's whole stream, in the triple loop's order
+        sweep_checked, stream, sweep_notes = _order_axioms(ring, relation)
+        assert list(stream) == violations
+        assert sweep_checked == checked and sweep_notes == []
+
+        # the suite stores its first violations and notes the exact total
         rep = order_axiom_suite(ring, relation)
-        assert list(rep.violations) == violations
+        assert rep.violations == tuple(violations[:MAX_STORED_VIOLATIONS])
         assert rep.checked == checked
+        total = f"{len(violations)} violations total; first {MAX_STORED_VIOLATIONS} stored"
+        assert rep.notes == ((total,) if len(violations) > MAX_STORED_VIOLATIONS else ())
         assert not rep.passed and not rep.sampled
 
-    def test_transitivity_violations_stored_up_to_the_cap(self):
+    def test_total_note_counts_every_violation(self):
         base = zn_ring(200)
         ring = FiniteStarRing(base.name, base.elements, base.zero, base.one)
         # i relates to j when i == j or i + j is odd: i -> j -> k breaks
         # transitivity for each of the 99 k != i of i's parity
         rows = tuple(sum(1 << j for j in range(200) if i == j or (i + j) % 2 == 1) for i in range(200))
         ring.rel_rows = {"diamond": rows}.__getitem__
+        kinds = collections.Counter(v[0] for v in _order_axioms(ring, "diamond")[1])
+        assert kinds == {"antisymmetry": 200 * 100, "transitivity": 200 * 100 * 99}
         rep = order_axiom_suite(ring, "diamond")
-        kinds = [v[0] for v in rep.violations]
-        assert kinds.count("transitivity") == TUPLE_CAP == 1_000_000
-        assert kinds.count("antisymmetry") == 200 * 100
+        els = ring.elements
+        # the first 20 are the antisymmetric pairs (0, j), j odd
+        assert len(rep.violations) == MAX_STORED_VIOLATIONS == 20
+        assert rep.violations == tuple(("antisymmetry", els[0], els[j]) for j in range(1, 40, 2))
         assert rep.checked == 200 + 200**2 + 200**3 == 8_040_200
-        assert rep.notes == (f"{200 * 100 * 99} transitivity violations; first 1000000 stored",)
+        assert rep.notes == ("2000000 violations total; first 20 stored",)
+
+
+class TestInCorner:
+    def test_corner_membership(self):
+        e = M([[1, 0], [0, 0]])
+        assert in_corner(M([[7, 0], [0, 0]]), e, e, 1, 1)
+        assert in_corner(M([[0, 7], [0, 0]]), e, e, 1, 2)
+        assert in_corner(M([[0, 0], [7, 0]]), e, e, 2, 1)
+        assert in_corner(M([[0, 0], [0, 7]]), e, e, 2, 2)
+        assert not in_corner(M([[7, 1], [0, 0]]), e, e, 1, 1)

@@ -3,7 +3,8 @@
 The five relations are compared with `ring.rel_rows` on every pair of
 z2...z60, including which exception a raises where the oracle puts it outside
 the relation's domain.  A modulus far above the oracle's carrier guard is
-decided without building any ring.
+decided without building any ring.  `ZnElement` arithmetic refuses mixed
+moduli.
 """
 
 import time
@@ -15,6 +16,7 @@ from starinv import (
     NotMPInvertible,
     NotRegular,
     NotRickart,
+    RingMismatch,
     StarInvError,
     ZnElement,
     dagger,
@@ -28,6 +30,8 @@ from starinv import (
     zn_ring,
 )
 from starinv.finite import CARRIER_GUARD
+
+from conftest import z
 
 DECIDERS = {
     "minus": leq_minus,
@@ -167,3 +171,14 @@ def test_unreduced_values_are_canonical():
 def test_modulus_below_two_refused(modulus):
     with pytest.raises(ValueError, match="modulus n >= 2"):
         ZnElement(1, modulus)
+
+
+class TestZnElement:
+    def test_modulus_mismatch(self):
+        with pytest.raises(RingMismatch):
+            ZnElement(1, 6) + ZnElement(1, 8)
+        with pytest.raises(RingMismatch):
+            ZnElement(1, 6) * ZnElement(1, 8)
+
+    def test_star_identity(self):
+        assert z(5).star == z(5)
