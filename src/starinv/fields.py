@@ -184,6 +184,7 @@ class RationalField(_Field):
 
     name = "rational"
     zero = Fraction(0)
+    characteristic = 0
     # A sum of squares is 0 only when every term is, so x^T*x == 0 forces
     # x == 0: transpose has no isotropic vector and every matrix is
     # Moore-Penrose invertible.  Over GF(p) there are isotropic vectors in
@@ -280,7 +281,7 @@ class PrimeField(_Field):
             )
         if not _is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
-        self.p = p
+        self.p = self.characteristic = p
         self.name = f"gf:{p}"
         self.anisotropic = False
         self.zero = 0

@@ -249,6 +249,15 @@ def pivot_columns(a: ExactMatrix):
     return a.field.pivots(a.nums, a.rows, a.cols)
 
 
+def idempotent_rank(e: ExactMatrix) -> int:
+    """rank(e) of an idempotent e (unchecked): its trace over Q and GF(p > n), else by elimination."""
+    p = e.field.characteristic  # the trace of an idempotent is rank(e) * 1 in its field
+    if p and p <= e.rows:
+        return rank(e)
+    trace = sum(e.nums[:: e.cols + 1]) // e.den
+    return trace % p if p else trace
+
+
 def inverse(a: ExactMatrix) -> ExactMatrix:
     """Inverse of a square matrix (inner_solve's full-rank c = I case); ZeroDivisionError if singular."""
     if not a.is_square:

@@ -12,16 +12,14 @@ plus keep a matrix branch (rank arithmetic, one inner inverse of b,
 annihilator-matching projections, a rank criterion for plus) and a Z_n
 branch on the gcd closed forms of zn.py; exact linear
 solves remain only in leq_1mp_routes.  Annihilator containment is decided
-in _ann_leq and nowhere else, by one of two matrix routes chosen by what
-the caller holds: leq_plus and plus_block_compose need an inner inverse g
-of b anyway (the rank stage reads b's pivots and a left inverse from it),
-so they test b*g*t == t, two products; leq_diamond uses no g, so it passes
-none and each containment is one forward elimination of [b | t]
-(mx.column_space_leq), never the Gauss-Jordan pass of [b | I].  Whether
-an idempotent has the annihilator of a is decided in _left_ann_matches;
-the right side of each is the left side on stars, as rp is lp.  On
-matrices, dagger(a), lp(a) and rp(a) are built only when the verdict uses
-them, lp and rp from one factorisation of a.  Minus and 1MP
+in _ann_leq and nowhere else: on matrices each containment is one forward
+elimination of [b | t] (mx.column_space_leq), never the Gauss-Jordan pass
+of [b | I]; leq_plus builds an inner inverse of b only for its rank
+stage.  Whether an idempotent has the annihilator of a is decided in
+_left_ann_matches; the right side of each is the left side on stars, as
+rp is lp.  On matrices, dagger(a), lp(a) and rp(a) are built only when
+the verdict uses them, each from the pivot columns of a forward
+elimination (of a for lp, of star(a) for rp).  Minus and 1MP
 (so MP1) reduce each operand at most once: rank(a) and rank(b - a) come
 first, and when their sum exceeds n the rank test fails before b is
 reduced.  Minus then reads rank(b) off inner_inverse(b); a 1MP or MP1
@@ -98,8 +96,8 @@ class DiamondWitness(NamedTuple):
 def lp(a):
     """The unique projection whose left annihilator matches that of a.
 
-    Matrices: F*(F^T F)^{-1}*F^T for a = F*G of full rank; exists iff that
-    Gram matrix is nonsingular (always over the rationals).  Z_n:
+    Matrices: F*(F^T F)^{-1}*F^T for F the pivot columns of a; exists iff
+    that Gram matrix is nonsingular (always over the rationals).  Z_n:
     a*dagger(a), which exists iff a is regular.
 
     Raises:
@@ -112,72 +110,70 @@ def rp(a):
     """The unique projection whose right annihilator matches that of a.
 
     It is lp(star(a)): the right annihilator of a is the star of the left
-    annihilator of star(a), and projections are self-adjoint.  Matrices:
-    G^T*(G G^T)^{-1}*G for the a = F*G of lp, G^T a column basis of star(a).
+    annihilator of star(a), and projections are self-adjoint; _projections
+    builds it as lp of star(a).
     """
     return _projections(a, ("right",))[0]
 
 
 def _projections(a, sides=("left", "right")):
-    """[lp(a), rp(a)], or those that sides names (also in errors); one factorisation of a matrix.
+    """[lp(a), rp(a)], or those that sides names (also in errors); rp(a) is lp(star(a)).
 
-    Matrices: with c = F for lp and c = star(G) for rp, the projection is
-    c*X for X = (c^T c)^{-1}*c^T, read from one rref of [c^T c | c^T]
-    (mx.inner_solve); a Gram matrix of rank below r has no inverse, and
-    then no projection exists.
+    Matrices: for x = a (lp) or star(a) (rp), c is the columns of x at the
+    pivots of one forward elimination, a basis of col(x), and the projection
+    is c*X for X = (c^T c)^{-1}*c^T, read from one rref of [c^T c | c^T]
+    (mx.inner_solve); a Gram matrix of rank below rank(x) has no inverse,
+    and then no projection exists.  The projection onto col(x) is unique,
+    so any basis gives the same bytes.
     """
-    fact = None if _modular(a) else mx.full_rank_factorize(a)
+    modular = _modular(a)
     out = []
     for side in sides:
         x = a if side == "left" else a.star
-        if fact is None:
+        if modular:
             if not zn.is_regular(x):
                 raise NotRickart(f"no projection matches the {side} annihilator of {x!r}")
-            e = x * dagger(x)
+            e, rank_x = x * dagger(x), None
         else:
-            c = fact.f if side == "left" else fact.g.star
-            pivots, gram_inv_c_star, _ = mx.inner_solve(c.star * c, c.star)
-            if len(pivots) < fact.r:
+            pivots = mx.pivot_columns(x)
+            rank_x, c = len(pivots), mx.select(x, range(x.rows), pivots)
+            gram_pivots, gram_inv_c_star, _ = mx.inner_solve(c.star * c, c.star)
+            if len(gram_pivots) < rank_x:
                 msg = f"no projection matches the {side} annihilator over {x.field.name}"
                 raise NotRickart(msg)
             e = c * gram_inv_c_star
-        rank_x = None if fact is None else fact.r
         if not (e * e == e and e.star == e and _left_ann_matches(e, x, rank_x)):
             raise InternalCheckError(f"{side[0]}p construction failed verification")
         out.append(e)
     return out
 
 
-def _ann_leq(b, g, t) -> bool:
+def _ann_leq(b, t) -> bool:
     """Whether the left annihilator of b is contained in that of t.
 
-    Matrices: t lies in b*R, that is col(t) inside col(b).  A caller that
-    holds an inner inverse g of b tests b*g*t == t, two products; with g
-    None, mx.column_space_leq tests it by one forward elimination of
-    [b | t], cheaper than the Gauss-Jordan pass of [b | I] that g costs.
-    On the right pass stars, as star(g) is an inner inverse of star(b).
-    Z_n: g is None and zn.ann_leq decides.
+    Matrices: t lies in b*R, that is col(t) inside col(b), which
+    mx.column_space_leq tests by one forward elimination of [b | t].  On
+    the right pass stars.  Z_n: zn.ann_leq decides.
     """
-    if g is not None:
-        return b * g * t == t
     return zn.ann_leq(b, t) if _modular(b) else mx.column_space_leq(t, b)
 
 
 def _left_ann_matches(e, a, rank_a=None) -> bool:
     """Whether the idempotent e has the left annihilator of a.
 
-    Matrices: e*a == a puts the column space of a inside that of e, and
-    equal ranks make the two spaces equal; rank_a is rank(a) if known.
-    Every caller checks e*e == e.
+    Requires e*e == e, which every caller checks first.  Matrices: e*a == a
+    puts the column space of a inside that of e, and equal ranks make the
+    two spaces equal; rank_a is rank(a) if known, and rank(e) is read from
+    the trace (mx.idempotent_rank).
     """
     if _modular(e):
         return zn.ann_leq(e, a) and zn.ann_leq(a, e)
-    return e * a == a and mx.rank(e) == (mx.rank(a) if rank_a is None else rank_a)
+    return e * a == a and mx.idempotent_rank(e) == (mx.rank(a) if rank_a is None else rank_a)
 
 
-def _containments(a, b, g) -> bool:
-    """The annihilator containments of b inside those of a, on both sides; g as in _ann_leq."""
-    return _ann_leq(b, g, a) and _ann_leq(b.star, None if g is None else g.star, a.star)
+def _containments(a, b) -> bool:
+    """The annihilator containments of b inside those of a, on both sides."""
+    return _ann_leq(b, a) and _ann_leq(b.star, a.star)
 
 
 # Corner membership, with (1 - p) factors expanded away, so no identity is
@@ -475,7 +471,7 @@ def leq_diamond(a, b) -> OrderVerdict:
     a*b^* *a == a*a^* *a is tested as a*(b - a)^* *a == 0, two products.
     """
     _modular(a, b)
-    if not _containments(a, b, None):
+    if not _containments(a, b):
         return OrderVerdict(False, None, "equational", "annihilator containment fails")
     if not (a * (b - a).star * a).is_zero:
         return OrderVerdict(False, None, "equational", "a*star(b)*a != a*star(a)*a")
@@ -498,7 +494,7 @@ def _plus_rank_witness(a, b, inner):
     pair is (F*U*L_b, R_b*V*G), R_b the selector of b's pivot rows.  Those
     pivots are the nonzero rows of inner = inner_inverse(b), and its rows
     there are L_b = inner_inverse(F_b): both are the first r_b rows of the
-    E that puts [b | I] in RREF, so b is not reduced again.
+    E that puts [b | I] in RREF, so this stage reduces b once.
     """
     field = a.field
     fa = mx.full_rank_factorize(a)
@@ -567,8 +563,11 @@ def leq_plus(a, b) -> OrderVerdict:
     (lp(a), rp(a)), then a rank criterion that decides every remaining pair
     over any field.  lp(a) and rp(a) are built only when the canonical stage
     can succeed, that is when a*b^* *a == a*a^* *a (the Baksalary-Hauke form
-    of the diamond order): with a = F*G, lp(a) = F*(F^T F)^{-1}*F^T and
-    rp(a) = G^T*(G G^T)^{-1}*G, cancelling F on the left and G on the right
+    of the diamond order).  The containments are one forward elimination
+    each (see _ann_leq); the Gauss-Jordan pass of [b | I] for an inner
+    inverse of b runs only in the rank stage.  With a = F*G,
+    lp(a) = F*(F^T F)^{-1}*F^T and rp(a) = G^T*(G G^T)^{-1}*G (any column
+    bases give the same projections), cancelling F on the left and G on the right
     turns lp(a)*b*rp(a) == a into F^T*b*G^T == F^T F*G G^T, whose transpose
     is G*b^T*F == G G^T*F^T F, and that is a*b^* *a == a*a^* *a with F and
     G cancelled.  A passed gate with both projections present is therefore
@@ -601,8 +600,7 @@ def leq_plus(a, b) -> OrderVerdict:
     modular = _modular(a, b)
     if modular and not zn.is_regular(a):
         raise NotRickart(f"{a!r} has empty LP or RP family")
-    g = None if modular else mx.inner_inverse(b)
-    if not _containments(a, b, g):
+    if not _containments(a, b):
         return OrderVerdict(False, None, "containment", "annihilator containment fails")
     if (a * (b - a).star * a).is_zero:  # a*b^* *a == a*a^* *a
         try:
@@ -614,7 +612,7 @@ def leq_plus(a, b) -> OrderVerdict:
                 raise InternalCheckError("canonical plus witness fails a == lp(a)*b*rp(a)")
             return OrderVerdict(True, PlusWitness(la, ra), "canonical")
     method = "canonical" if modular else "rank"
-    witness = None if modular else _plus_rank_witness(a, b, g)
+    witness = None if modular else _plus_rank_witness(a, b, mx.inner_inverse(b))
     if witness is None:
         return OrderVerdict(False, None, method, "no idempotent pair factors a through b")
     return OrderVerdict(True, witness, method)
@@ -716,7 +714,8 @@ def plus_block_compose(a, data: PlusBlockData):
     Relative to (lp(a), rp(a)) the blocks are
     [[a + y*(b22*x + w) + z*x, y*b22 + z], [b22*x + w, b22]].  The two
     annihilator side conditions are then checked; on success the witness pair
-    (lp(a) - y, rp(a) - x) certifies a <= b.
+    (lp(a) - y, rp(a) - x) certifies a <= b.  Each containment is one forward
+    elimination (see _ann_leq); no inner inverse of b is built.
 
     Raises:
         CornerViolation: a data element escapes its corner.
@@ -737,13 +736,12 @@ def plus_block_compose(a, data: PlusBlockData):
     b12 = data.y * data.b22 + data.z
     b11 = a + data.y * b21 + data.z * data.x
     b = b11 + b12 + b21 + data.b22
-    g = None if _modular(b) else mx.inner_inverse(b)
-    if not _ann_leq(b, g, data.y * data.w + data.w):  # t_left = (y + 1)*w
+    if not _ann_leq(b, data.y * data.w + data.w):  # t_left = (y + 1)*w
         raise ConditionFailure("left")
     t_right = data.z * data.x + data.z  # z*(x + 1)
-    if not _ann_leq(b.star, None if g is None else g.star, t_right.star):
+    if not _ann_leq(b.star, t_right.star):
         raise ConditionFailure("right")
     _verify_plus_witness(a, b, la - data.y, ra - data.x)
-    if not _containments(a, b, g):
+    if not _containments(a, b):
         raise InternalCheckError("composed element fails the containments")
     return b

@@ -13,6 +13,7 @@ from starinv import (
     DimensionMismatch,
     ExactMatrix,
     FiniteStarRing,
+    InternalCheckError,
     MP1Witness,
     NotMPInvertible,
     NotRegular,
@@ -47,7 +48,8 @@ from starinv import (
     zn_ring,
 )
 from starinv.finite import bit_indices
-from starinv.matrix import hstack, inner_inverse
+from starinv.matrix import full_rank_factorize, hstack, idempotent_rank, inner_inverse, inverse
+from starinv.orders import _left_ann_matches
 from starinv.theorems import MAX_STORED_VIOLATIONS, _order_axioms
 
 from conftest import M, random_rational_matrix, random_singular_matrix, z
@@ -88,6 +90,41 @@ class TestLpRp:
         assert lp(a) == M([[1, 0], [0, 0]], GF(2))  # column Gram is fine
         with pytest.raises(NotRickart):
             rp(a)  # row Gram vanishes over GF(2)
+
+
+class TestIdempotentRank:
+    """rank(e) of an idempotent from its trace over Q and GF(p > n), by elimination over GF(p <= n)."""
+
+    @pytest.mark.parametrize(
+        "field, kernels",
+        [(QQ, []), (GF(101), []), (GF(5), []), (GF(3), ["rank"]), (GF(2), ["rank"])],
+        ids=["rational", "gf101", "gf5", "gf3", "gf2"],
+    )
+    def test_branch_and_identity_rejection(self, monkeypatch, field, kernels):
+        # e = I passes e*a == a for a = diag(1, 0, 0), but rank(e) = 3 != 1;
+        # over GF(3) the trace of I_3 is 0, so that branch eliminates
+        a, eye = M([[1, 0, 0], [0, 0, 0], [0, 0, 0]], field), ExactMatrix.identity(3, field)
+        count = TestLazyDerivedData._count_eliminations(monkeypatch, field)
+        assert idempotent_rank(eye) == 3 and count == kernels
+        assert eye * a == a
+        assert not _left_ann_matches(eye, a) and not _left_ann_matches(eye, a, 1)
+        assert _left_ann_matches(a, a, 1)
+
+    @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(101)], ids=["rational", "gf2", "gf3", "gf101"])
+    def test_wrong_gram_solve_fails_verification(self, monkeypatch, field):
+        # a Gram solve that returns 2X: e = 2*lp(a) is not idempotent over
+        # GF(p > 2), and 0 over GF(2), where e*a == a fails
+        import starinv.matrix as mx
+
+        solve = mx.inner_solve
+
+        def doubled(b, c):
+            pivots, x, inside = solve(b, c)
+            return pivots, x + x, inside
+
+        monkeypatch.setattr(mx, "inner_solve", doubled)
+        with pytest.raises(InternalCheckError, match="^lp construction failed verification$"):
+            lp(M([[1, 2], [0, 0]], field))
 
 
 class TestAnnihilatorFamilies:
@@ -611,18 +648,42 @@ class TestLazyDerivedData:
         count = self._count_eliminations(monkeypatch, QQ)
         v = leq_plus(a, b)
         assert (v.holds, v.method) == (True, "rank")
-        # [b | I], a, D, [S V] and T*P reduced, two ranks verifying the pair
-        # (187 with a fresh rank per candidate column)
+        # [b | a] and [b^T | a^T] forward, [b | I], a, D, [S V] and T*P
+        # reduced; the pair's ranks are traces (187 with a fresh rank per
+        # candidate column)
         assert len(count) <= 7
 
     def test_diamond_positive_eliminations(self, monkeypatch):
         # one forward elimination of [b | a] per containment, no [b | I];
-        # then lp(a) and rp(a) from one factorisation of a, each from one
-        # rref of [c^T c | c^T] and verified by one rank
+        # then lp(a) and rp(a), each from the pivots of a forward elimination
+        # (of a, of star(a)) and one rref of [c^T c | c^T], each rank(e) read
+        # from the trace
         count = self._count_eliminations(monkeypatch, DIAG10.field)
         v = leq_diamond(M([[1, 0, 0], [0, 0, 0], [0, 0, 0]]), ExactMatrix.identity(3))
         assert v.holds and v.witness is not None
-        assert count == ["pivots", "pivots", "row_reduce", "row_reduce", "rank", "row_reduce", "rank"]
+        assert count == ["pivots", "pivots", "pivots", "row_reduce", "pivots", "row_reduce"]
+
+    @pytest.mark.parametrize("field", [QQ, GF(101)], ids=["rational", "gf101"])
+    def test_canonical_plus_positive_never_reduces_b_with_the_identity(self, monkeypatch, field):
+        # the containments are the forward eliminations of [b | a] and
+        # [b^T | a^T]; [b | I] is reduced only in the rank stage
+        a, b = M([[1, 0, 0], [0, 0, 0], [0, 0, 0]], field), M([[1, 0, 0], [0, 2, 1], [0, 1, 1]], field)
+        reduced = []
+        count = self._count_eliminations(monkeypatch, field, reduced)
+        v = leq_plus(a, b)
+        assert (v.holds, v.method) == (True, "canonical")
+        assert count == ["pivots", "pivots", "pivots", "row_reduce", "pivots", "row_reduce"]
+        eye = ExactMatrix.identity(3, field)
+        assert hstack(b, eye).nums not in reduced and hstack(b.star, eye).nums not in reduced
+        assert hstack(b, a).nums in reduced and hstack(b.star, a.star).nums in reduced
+
+    @pytest.mark.parametrize("field", [QQ, GF(101)], ids=["rational", "gf101"])
+    def test_lp_alone_eliminations(self, monkeypatch, field):
+        # the pivots of a, one rref of [F^T F | F^T], rank(lp(a)) from the trace
+        a = M([[1, 2, 0], [2, 4, 0], [0, 1, 1]], field)
+        count = self._count_eliminations(monkeypatch, field)
+        assert lp(a) * a == a
+        assert count == ["pivots", "row_reduce"]
 
     @pytest.mark.parametrize(
         "field, kernels",
@@ -711,19 +772,16 @@ class TestLazyDerivedData:
 
     @pytest.mark.parametrize("field", [DIAG10.field, GF(3)], ids=["rational", "gf3"])
     def test_failed_containment_reduces_b_once(self, monkeypatch, field):
-        # a plus negative on the containments: one row_reduce of [b | I], no
-        # rank; a diamond one: a forward elimination of [b | a], then one of
-        # [b^T | a^T] when the columns of a lie in col(b)
+        # a plus or diamond negative on the containments: a forward
+        # elimination of [b | a], then one of [b^T | a^T] when the columns of
+        # a lie in col(b); no row_reduce of [b | I]
         b = M([[1, 2, 0], [2, 4, 0], [0, 0, 0]], field)
         a_col = M([[1, 0, 0], [0, 0, 0], [0, 0, 0]], field)  # a column outside those of b
         a_row = M([[1, 0, 0], [2, 0, 0], [0, 0, 0]], field)  # only a row outside those of b
         count = self._count_eliminations(monkeypatch, field)
         for a in (a_col, a_row, M([[0, 0, 0], [0, 0, 0], [0, 0, 1]], field)):
-            diamond = ["pivots", "pivots"] if a is a_row else ["pivots"]
-            for decide, method, kernels in (
-                (leq_diamond, "equational", diamond),
-                (leq_plus, "containment", ["row_reduce"]),
-            ):
+            kernels = ["pivots", "pivots"] if a is a_row else ["pivots"]
+            for decide, method in ((leq_diamond, "equational"), (leq_plus, "containment")):
                 count.clear()
                 v = decide(a, b)
                 assert (v.holds, v.method, v.reason) == (False, method, "annihilator containment fails")
@@ -744,7 +802,9 @@ class TestLazyDerivedData:
         ]
         monkeypatch.setattr(orders, "_projections", no_projection)
         for a, b, holds in pairs:
-            assert orders._containments(a, b, inner_inverse(b))
+            g = inner_inverse(b)
+            assert b * g * a == a and a * g * b == a
+            assert orders._containments(a, b)
             assert a * b.star * a != a * a.star * a
             v = leq_plus(a, b)
             assert (v.holds, v.method) == (holds, "rank")
@@ -919,7 +979,9 @@ class TestPlusOrder:
                 continue
             for b in elements:
                 g = inner_inverse(b)
-                if not _containments(a, b, g):
+                inside = b * g * a == a and a * g * b == a
+                assert _containments(a, b) == inside
+                if not inside:
                     continue
                 pair = _plus_rank_witness(a, b, g)
                 if pair is not None:
@@ -1054,7 +1116,9 @@ class TestRankStageAgainstReference:
                     pass  # no lp(a) or rp(a) to build corners from
                 for b in filter(None, candidates):
                     g = inner_inverse(b)
-                    if not _containments(a, b, g):
+                    inside = b * g * a == a and a * g * b == a
+                    assert _containments(a, b) == inside
+                    if not inside:
                         continue
                     new, old = _plus_rank_witness(a, b, g), _reference_plus_rank_witness(a, b, g)
                     assert new == old
@@ -1064,8 +1128,49 @@ class TestRankStageAgainstReference:
         assert outcomes[True] >= 20 and outcomes[False] >= 1, outcomes
 
 
+def _reference_projections(a):
+    """[lp(a), rp(a)] by the factorisation formulas, each a refusal text where it has none.
+
+    With a = F*G from full_rank_factorize: F*(F^T F)^{-1}*F^T and
+    G^T*(G G^T)^{-1}*G, each Gram matrix inverted on its own.  Kept as a
+    reference: orders._projections builds both from forward eliminations of
+    a and star(a) instead, and must give the same bytes and refusals.
+    """
+    fact = full_rank_factorize(a)
+    out = []
+    for side, c in (("left", fact.f), ("right", fact.g.star)):
+        try:
+            out.append(c * inverse(c.star * c) * c.star)
+        except ZeroDivisionError:
+            out.append(f"no projection matches the {side} annihilator over {a.field.name}")
+    return out
+
+
 class TestRightProjectionFromG:
-    """rp(a) from the factorisation of a equals lp(star(a)), refusals included."""
+    """lp(a) and rp(a) against the factorisation formulas; rp(a) equals lp(star(a)), refusals included."""
+
+    @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)], ids=["rational", "gf2", "gf3", "gf5"])
+    def test_lp_and_rp_match_the_factorisation_formulas(self, field):
+        rng = random.Random(67)
+        seen = collections.Counter()
+        for _ in range(150):
+            rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+            inner = rng.randint(0, min(rows, cols))
+            a = TestRankStageAgainstReference._matrix(rng, rows, inner, field)
+            a = a * TestRankStageAgainstReference._matrix(rng, inner, cols, field)
+            for build, expected in zip((lp, rp), _reference_projections(a)):
+                if isinstance(expected, str):
+                    with pytest.raises(NotRickart) as info:
+                        build(a)
+                    assert str(info.value) == expected
+                    seen["refused"] += 1
+                    continue
+                got = build(a)
+                assert (got.shape, got.nums, got.den) == (expected.shape, expected.nums, expected.den)
+                seen["built"] += 1
+        assert seen["built"] >= 100
+        if field.name in ("gf:2", "gf:3"):
+            assert seen["refused"] >= 10
 
     @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)], ids=["rational", "gf2", "gf3", "gf5"])
     def test_rp_is_lp_of_the_star(self, field):

@@ -3,7 +3,10 @@
 Over the rationals, GF(2) and GF(5), for square matrices with n <= 4:
 is_mp_invertible(a) agrees with whether mp_inverse(a) raises, and wherever
 lp(a) and rp(a) exist, lp(a)*b*rp(a) == a holds exactly when
-a*star(b)*a == a*star(a)*a, the gate of leq_plus's canonical stage.
+a*star(b)*a == a*star(a)*a, the gate of leq_plus's canonical stage.  For
+oblique idempotents e = c*(d^T c)^{-1}*d^T, idempotent_rank(e) is the rank
+k of c: from the trace over the rationals and GF(101), by elimination over
+GF(2) and GF(3) with n >= p, where the trace is k mod p and can mislead.
 """
 
 from fractions import Fraction
@@ -14,7 +17,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from starinv import GF, QQ, ExactMatrix, NotMPInvertible, NotRickart, lp, rp  # noqa: E402
-from starinv.matrix import is_mp_invertible, mp_inverse  # noqa: E402
+from starinv.matrix import idempotent_rank, inverse, is_mp_invertible, mp_inverse, rank  # noqa: E402
 
 SETTINGS = hypothesis.settings(max_examples=200, deadline=None, database=None)
 FIELDS = (QQ, GF(2), GF(5))
@@ -79,3 +82,26 @@ def pairs_with_projections(draw):
 def test_canonical_plus_witness_iff_diamond_product(pair):
     a, b, la, ra = pair
     assert (la * b * ra == a) == (a * b.star * a == a * a.star * a)
+
+
+@st.composite
+def oblique_idempotents(draw):
+    """(e, k, field): e = c*(d^T c)^{-1}*d^T for n x k c and d with d^T c invertible."""
+    field = draw(st.sampled_from((QQ, GF(101), GF(2), GF(3))))
+    n = draw(st.integers(1 if field.characteristic in (0, 101) else field.p, 4))
+    k = draw(st.integers(0, n))
+    c, d = _matrix(draw, field, n, k), _matrix(draw, field, n, k)
+    gram = d.star * c
+    hypothesis.assume(rank(gram) == k)
+    return c * inverse(gram) * d.star, k, field
+
+
+@SETTINGS
+@hypothesis.given(oblique_idempotents())
+def test_idempotent_rank_of_oblique_idempotents(drawn):
+    e, k, field = drawn
+    assert e * e == e
+    assert idempotent_rank(e) == rank(e) == k
+    p = field.characteristic
+    trace = sum(e[i, i] for i in range(e.rows))
+    assert (trace == k) if p == 0 else (trace % p == k % p)
