@@ -11,13 +11,13 @@ The kernels work on a matrix's packed form: a row-major tuple of ints
 `nums` and one int `den > 0`, the matrix being nums / den; only this
 module and `matrix.py` read it.  Over Q it is canonical, `gcd(den, *nums)
 == 1`, so the zero matrix has den 1 and equal matrices have equal packed
-forms; over GF(p) it is the residues themselves over den 1.  `_Field`
-writes every kernel once for both fields: `matmul`, `matadd`, `matsub`,
-`matneg`, the elimination behind `row_reduce`, `pivots` and `rank`, and
+forms; over GF(p) it is the residues themselves over den 1.  `_Field` writes
+every kernel once for both fields: `matmul`, `matadd`, `matsub`, `matneg`,
+the elimination behind `row_reduce`, `pivots`, `rank` and `echelon`, and
 `residue(basis, v)`, one step of a running echelon form.  A field supplies
 `of`, `pack(values)` and `unpack(nums, den)` between scalars and packed
-form, the last pass of `row_reduce`, and the two primitives the kernels
-run on: `_canonical` (lowest terms over Q, residues mod p over GF(p)) and
+form, the last pass of `row_reduce`, and the two primitives the kernels run
+on: `_canonical` (lowest terms over Q, residues mod p over GF(p)) and
 `_step`, one row operation.  No kernel builds a scalar object.
 """
 
@@ -129,30 +129,37 @@ class _Field:
 
         A row is eliminated as `_step(pv, x, f, y)`, so every row stays a
         nonzero multiple of the row textbook elimination holds, and the
-        pivots are the same.  Pivot rows are not scaled: `row_reduce` does
-        that once at the end.  With full=False only the rows below each
-        pivot are eliminated (enough for the rank).
+        pivots are the same.  Pivot rows are not scaled (`row_reduce` does
+        that), and a row is a slice of nums until a step replaces it.  With
+        full=False only the rows below each pivot are eliminated.
         """
         step = self._step
-        m = [list(nums[i * ncols : (i + 1) * ncols]) for i in range(nrows)]
+        m = [nums[i * ncols : (i + 1) * ncols] for i in range(nrows)]
         pivots = []
         r = 0
         for c in range(ncols):
-            if r >= nrows:
-                break
-            pr = next((i for i in range(r, nrows) if m[i][c]), None)
-            if pr is None:
+            for pr in range(r, nrows):
+                if m[pr][c]:
+                    break
+            else:
                 continue
             if pr != r:
                 m[r], m[pr] = m[pr], m[r]
             y = m[r]
             pv = y[c]
-            for i in range(nrows) if full else range(r + 1, nrows):
+            for i in range(r + 1, nrows):
                 f = m[i][c]
-                if i != r and f:
+                if f:
                     m[i] = step(pv, m[i], f, y)
+            if full:
+                for i in range(r):
+                    f = m[i][c]
+                    if f:
+                        m[i] = step(pv, m[i], f, y)
             pivots.append(c)
             r += 1
+            if r == nrows:
+                break
         return m, pivots
 
     def pivots(self, nums, nrows, ncols):
@@ -162,6 +169,11 @@ class _Field:
     def rank(self, nums, nrows, ncols):
         """Rank of a packed matrix: forward elimination only, no RREF built."""
         return len(self.pivots(nums, nrows, ncols))
+
+    def echelon(self, nums, nrows, ncols):
+        """(pivots, nums): the first rank rows of a forward elimination, a row-space basis over den 1."""
+        m, pivots = self._eliminate(nums, nrows, ncols, False)
+        return pivots, tuple([v for row in m[: len(pivots)] for v in row])
 
     def residue(self, basis, v):
         """(pivot, int vector v reduced against an echelon basis), or None if v lies in its span.

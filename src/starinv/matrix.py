@@ -120,15 +120,17 @@ class ExactMatrix:
             raise RingMismatch(f"field mismatch: {self.field.name} vs {other.field.name}")
 
     def __add__(self, other):
-        self._check_ring(other)
-        if other.shape != self.shape:
+        if other.__class__ is not ExactMatrix or other.field is not self.field:
+            self._check_ring(other)
+        if other.rows != self.rows or other.cols != self.cols:
             raise DimensionMismatch(f"add {self.shape} + {other.shape}")
         nums, den = self.field.matadd(self.nums, self.den, other.nums, other.den)
         return ExactMatrix._packed(self.rows, self.cols, nums, den, self.field)
 
     def __sub__(self, other):
-        self._check_ring(other)
-        if other.shape != self.shape:
+        if other.__class__ is not ExactMatrix or other.field is not self.field:
+            self._check_ring(other)
+        if other.rows != self.rows or other.cols != self.cols:
             raise DimensionMismatch(f"sub {self.shape} - {other.shape}")
         nums, den = self.field.matsub(self.nums, self.den, other.nums, other.den)
         return ExactMatrix._packed(self.rows, self.cols, nums, den, self.field)
@@ -138,7 +140,8 @@ class ExactMatrix:
         return ExactMatrix._packed(self.rows, self.cols, nums, self.den, self.field)
 
     def __mul__(self, other):
-        self._check_ring(other)
+        if other.__class__ is not ExactMatrix or other.field is not self.field:
+            self._check_ring(other)
         if self.cols != other.rows:
             raise DimensionMismatch(f"mul {self.shape} * {other.shape}")
         n, k, m = self.rows, self.cols, other.cols
@@ -205,6 +208,14 @@ def select(a: ExactMatrix, rows, cols) -> ExactMatrix:
     return ExactMatrix._packed(len(rows), len(cols), *lowest_terms(sub, a.den), a.field)
 
 
+def scatter_rows(a: ExactMatrix, rows, nrows) -> ExactMatrix:
+    """The nrows x a.cols matrix with row k of a at row rows[k] and zeros elsewhere."""
+    n, nums = a.cols, [0] * (nrows * a.cols)
+    for k, i in enumerate(rows):
+        nums[i * n : (i + 1) * n] = a.nums[k * n : (k + 1) * n]
+    return ExactMatrix._packed(nrows, n, tuple(nums), a.den, a.field)
+
+
 def column_sum(a: ExactMatrix, js):
     """The sum of the columns js of a as ints, a.den times that column: a field's `residue` input."""
     nums, n = a.nums, a.cols
@@ -247,6 +258,12 @@ def rank(a: ExactMatrix) -> int:
 def pivot_columns(a: ExactMatrix):
     """The pivot columns of rref(a), from forward elimination alone; there are rank(a) of them."""
     return a.field.pivots(a.nums, a.rows, a.cols)
+
+
+def bases(a: ExactMatrix):
+    """(F, G): a at its pivot columns and the echelon rows of one forward elimination of a."""
+    pivots, g = a.field.echelon(a.nums, a.rows, a.cols)
+    return select(a, range(a.rows), pivots), ExactMatrix._packed(len(pivots), a.cols, g, 1, a.field)
 
 
 def idempotent_rank(e: ExactMatrix) -> int:
@@ -372,24 +389,33 @@ def _not_mp_invertible(a: ExactMatrix) -> NotMPInvertible:
     return NotMPInvertible(f"no Moore-Penrose inverse over {a.field.name}: singular Gram factor")
 
 
-def is_mp_invertible(a: ExactMatrix, rank_a: Optional[int] = None) -> bool:
+def is_mp_invertible(a: ExactMatrix) -> bool:
     """Whether a has a Moore-Penrose inverse: rank(a^T*a) == rank(a) == rank(a*a^T).
 
     With a = F*G of full rank r, rank(a^T*a) = rank(F^T*F) and
-    rank(a*a^T) = rank(G*G^T), so this holds exactly when both Gram factors
-    of MacDuffee's formula in mp_inverse are nonsingular.  No inverse is built,
-    and over an anisotropic field (the rationals) nothing is computed; rank_a is rank(a) if known.
+    rank(a*a^T) = rank(G*G^T): both r x r Gram factors of MacDuffee's
+    formula in mp_inverse must be nonsingular.  They are ranked on the F
+    and G of bases(a), as singularity does not depend on the basis; no inverse
+    is built, and over an anisotropic field (the rationals) nothing is computed.
     """
+    return a.field.anisotropic or _gram_pair(a) is not None
+
+
+def _gram_pair(a: ExactMatrix):
+    """(F, F^T*F) for the F and G of bases(a) when F^T*F and G*G^T are nonsingular, else None."""
+    f, g = bases(a)
+    r, gram = f.cols, f.star * f
+    return None if r and (rank(gram) < r or rank(g * g.star) < r) else (f, gram)
+
+
+def mp_column_basis(a: ExactMatrix):
+    """(F, F^T*F) once is_mp_invertible(a) holds, else NotMPInvertible; over Q, untested, (F, None)."""
     if a.field.anisotropic:
-        return True
-    r = rank(a) if rank_a is None else rank_a
-    return rank(a.star * a) == r and rank(a * a.star) == r
-
-
-def require_mp_invertible(a: ExactMatrix, rank_a: Optional[int] = None) -> None:
-    """Raise mp_inverse's NotMPInvertible unless is_mp_invertible(a, rank_a)."""
-    if not is_mp_invertible(a, rank_a):
+        return select(a, range(a.rows), pivot_columns(a)), None
+    pair = _gram_pair(a)
+    if pair is None:
         raise _not_mp_invertible(a)
+    return pair
 
 
 # -- row/column space tests ---------------------------------------------------

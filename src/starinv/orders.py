@@ -18,8 +18,8 @@ of [b | I]; leq_plus builds an inner inverse of b only for its rank
 stage.  Whether an idempotent has the annihilator of a is decided in
 _left_ann_matches; the right side of each is the left side on stars, as
 rp is lp.  On matrices, dagger(a), lp(a) and rp(a) are built only when
-the verdict uses them, each from the pivot columns of a forward
-elimination (of a for lp, of star(a) for rp).  Minus and 1MP
+the verdict uses them, lp(a) and rp(a) from the two bases that one
+forward elimination of a gives (mx.bases).  Minus and 1MP
 (so MP1) reduce each operand at most once: rank(a) and rank(b - a) come
 first, and when their sum exceeds n the rank test fails before b is
 reduced.  Minus then reads rank(b) off inner_inverse(b); a 1MP or MP1
@@ -119,14 +119,16 @@ def rp(a):
 def _projections(a, sides=("left", "right")):
     """[lp(a), rp(a)], or those that sides names (also in errors); rp(a) is lp(star(a)).
 
-    Matrices: for x = a (lp) or star(a) (rp), c is the columns of x at the
-    pivots of one forward elimination, a basis of col(x), and the projection
+    Matrices: for x = a (lp) or star(a) (rp), c = F or G^T of mx.bases(a),
+    one forward elimination of a, is a basis of col(x), and the projection
     is c*X for X = (c^T c)^{-1}*c^T, read from one rref of [c^T c | c^T]
     (mx.inner_solve); a Gram matrix of rank below rank(x) has no inverse,
-    and then no projection exists.  The projection onto col(x) is unique,
-    so any basis gives the same bytes.
+    and then no projection exists.  Neither depends on the basis, so any
+    basis gives the same bytes and refusals.
     """
     modular = _modular(a)
+    if not modular:
+        f, g = mx.bases(a)
     out = []
     for side in sides:
         x = a if side == "left" else a.star
@@ -135,8 +137,8 @@ def _projections(a, sides=("left", "right")):
                 raise NotRickart(f"no projection matches the {side} annihilator of {x!r}")
             e, rank_x = x * dagger(x), None
         else:
-            pivots = mx.pivot_columns(x)
-            rank_x, c = len(pivots), mx.select(x, range(x.rows), pivots)
+            c = f if side == "left" else g.star
+            rank_x = c.cols
             gram_pivots, gram_inv_c_star, _ = mx.inner_solve(c.star * c, c.star)
             if len(gram_pivots) < rank_x:
                 msg = f"no projection matches the {side} annihilator over {x.field.name}"
@@ -322,12 +324,13 @@ def leq_1mp(a, b) -> OrderVerdict:
 
     Matrices decide in this order, reducing each operand at most once.
     The forward elimination of a gives rank(a) and its pivot columns, and
-    F = a at those columns (a = F*G, G the nonzero rows of rref(a)).  When
-    a == 0 that elimination decides: 0 has a Moore-Penrose inverse, lies
-    below every b, and x is 0.  Otherwise an a with no Moore-Penrose inverse
-    is refused at once, by the rank test of is_mp_invertible, with
-    mp_inverse's NotMPInvertible.  Then rank(b - a): if rank(a) + rank(b - a)
-    > n the minus order fails (rank(b) <= n) and b is never reduced.  Then
+    F = a at those columns (a = F*G, G the nonzero rows of rref(a)).  Over
+    GF(p) it also gives a basis of row(a), and an a with no Moore-Penrose
+    inverse is refused at once, by the Gram ranks of is_mp_invertible, with
+    mp_inverse's NotMPInvertible (mx.mp_column_basis; over the rationals
+    nothing is tested).  When a == 0 the elimination decides: 0 lies below
+    every b, and x is 0.  Then rank(b - a): if rank(a) + rank(b - a) > n
+    the minus order fails (rank(b) <= n) and b is never reduced.  Then
     the product test, run as star(F)*(b - a) == 0: star(a) = star(G)*star(F)
     and star(G) has independent columns.  A rejection there ranks b to tell
     which condition failed.  The test comes before b is reduced, so a rank
@@ -342,7 +345,8 @@ def leq_1mp(a, b) -> OrderVerdict:
     E reduced b).
 
     The witness of a positive is x = (g*F)*((F^T F)^{-1}*F^T) = g*lp(a),
-    built without lp(a): lp(a) = F*(F^T F)^{-1}*F^T.  When a <= b in the
+    built without lp(a): lp(a) = F*(F^T F)^{-1}*F^T, and over GF(p) F^T F
+    is the Gram matrix the test ranked.  When a <= b in the
     minus order, a*g*a == a and a*g*b == a == b*g*a (Hartwig 1980), and
     lp(a) == a*dagger(a), so x = g*a*dagger(a) is a 1MP-inverse of a that
     identifies a and b.  It is checked against x*a*x == x, a*x*a == a and
@@ -364,23 +368,21 @@ def leq_1mp(a, b) -> OrderVerdict:
 def _one_mp_matrix(a, b):
     """(reason, x) of leq_1mp on matrices: why a <= b fails, or None and the witness x."""
     n = a.rows
-    pivots = mx.pivot_columns(a)
-    rank_a = len(pivots)
+    f, gram = mx.mp_column_basis(a)
+    rank_a = f.cols
     if rank_a == 0:
         return None, ExactMatrix.zeros(n, n, a.field)
-    mx.require_mp_invertible(a, rank_a)
     d = b - a
     rank_d = mx.rank(d)
     if rank_a + rank_d > n:
         return _RANK_FAILS, None
-    f = mx.select(a, range(n), pivots)
     f_star = f.star
     if not (f_star * d).is_zero:
         return (_RANK_FAILS if rank_d != mx.rank(b) - rank_a else _PRODUCT_FAILS), None
     pivots_b, gf, inside = mx.inner_solve(b, f)
     if not inside or rank_d != len(pivots_b) - rank_a:
         return _RANK_FAILS, None
-    return None, gf * mx.inner_solve(f_star * f, f_star)[1]
+    return None, gf * mx.inner_solve(f_star * f if gram is None else gram, f_star)[1]
 
 
 def _one_mp_witness(a, b, x) -> OneMPWitness:
@@ -539,8 +541,7 @@ def _plus_rank_witness(a, b, inner):
     u = t + d * l_sv
     p = ExactMatrix.identity(r_b, field) - s * u
     v = s + p * mx.inner_inverse(t * p) * d
-    r_b_sel = mx.select(ExactMatrix.identity(a.cols, field), range(a.cols), pivots)
-    return _verify_plus_witness(a, b, f * u * l_b, r_b_sel * v * g, r)
+    return _verify_plus_witness(a, b, f * u * l_b, mx.scatter_rows(v * g, pivots, a.cols), r)
 
 
 def _verify_plus_witness(a, b, q_tilde, q, rank_a=None) -> PlusWitness:

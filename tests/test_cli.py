@@ -427,6 +427,18 @@ class TestPlumbing:
             assert list(rep) == ["status", "error"]
             assert rep["status"] == "internal-error"
 
+    def test_failed_plus_witness_check_exit_3(self, tmp_path, capsys, monkeypatch):
+        # the witness check itself fails: the rank stage's q, scattered from
+        # V*G, is doubled, so the pair is not idempotent; no negative verdict
+        import starinv.matrix as mx
+
+        scatter = mx.scatter_rows
+        monkeypatch.setattr(mx, "scatter_rows", lambda m, rows, n: scatter(m, rows, n) + scatter(m, rows, n))
+        a = write_doc(tmp_path, "a.mat", M([[1, 0, 0], [0, 0, 0], [0, 0, 0]]))
+        b = write_doc(tmp_path, "b.mat", M([[2, 0, 0], [0, 1, 0], [0, 0, 0]]))
+        code, rep = run_cli(capsys, "order", "plus", a, b)
+        assert code == 3 and rep == {"status": "internal-error", "error": "plus witness pair not idempotent"}
+
     def test_unexpected_exception_exit_3_without_traceback(self, tmp_path):
         import random
 

@@ -24,10 +24,13 @@ from starinv import (
     is_mp_invertible,
     mp_inverse,
     rank,
+    ring_by_name,
     row_space_leq,
+    try_dagger,
 )
 from starinv.fields import PRIME_CHECK_LIMIT, field_by_name
 from starinv.matrix import (
+    bases,
     hstack,
     inner_inverse,
     inner_solve,
@@ -316,6 +319,33 @@ class TestKernels:
         assert inner_solve(b, M([[3], [3]], field)) == ([0], inner_inverse(b) * M([[3], [3]], field), True)
 
     @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+    def test_bases_from_one_forward_elimination(self, field):
+        # echelon's pivots are pivot_columns(a); F is a at them, G has rank r and spans row(a)
+        rng = random.Random(71)
+        cases = [ExactMatrix.zeros(3, 4, field), ExactMatrix.zeros(4, 2, field), ExactMatrix(2, 0, [], field)]
+        cases += [ExactMatrix.identity(3, field), M([[1, 2, 3], [0, 1, 4]], field), M([[1, 0], [2, 1], [3, 5]], field)]
+        for rows, _, cols in self.SHAPES * 4:
+            cases.append(self._matrix(rng, field, rows, cols))
+            cases.append(self._low_rank(rng, field, rows, cols))
+        kinds = set()
+        for a in cases:
+            pivots = pivot_columns(a)
+            r = len(pivots)
+            assert field.echelon(a.nums, a.rows, a.cols)[0] == pivots
+            f, g = bases(a)
+            assert f == select(a, range(a.rows), pivots)
+            assert g.shape == (r, a.cols) and rank(g) == r
+            assert row_space_leq(a, g) and row_space_leq(g, a)
+            _assert_packed(g)
+            self._assert_canonical(g)
+            full = r == min(a.shape)
+            kinds.add((r == 0, full, a.rows < a.cols, a.rows > a.cols))
+        # rank 0, full rank and a lower rank, each on wide and tall shapes
+        assert {(True, False, True, False), (True, False, False, True)} <= kinds
+        assert {(False, True, True, False), (False, True, False, True), (False, True, False, False)} <= kinds
+        assert {(False, False, True, False), (False, False, False, True)} <= kinds
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
     def test_residue_grows_an_echelon_basis(self, field):
         # residue reads packed int rows: here the rows of a.nums, a.den times a's rows
         rng = random.Random(47)
@@ -602,6 +632,38 @@ class TestMoorePenrose:
         assert is_mp_invertible(ExactMatrix.from_rows([[1, 1], [0, 0]], gf5))
         assert is_mp_invertible(ExactMatrix.zeros(2, 3, gf5))
         assert is_mp_invertible(ExactMatrix.from_rows([[1, 2], [0, 0]]))
+
+    @pytest.mark.parametrize("name", ["m2gf2", "m2gf3", "m2gf5", "m3gf2"])
+    def test_is_mp_invertible_against_the_oracle(self, name):
+        # the Gram-rank test against the Penrose scan, on every element (1,234 over the four rings)
+        ring = ring_by_name(name)
+        members = set(ring.mp_invertible)
+        assert 0 < len(members) <= len(ring.elements)
+        for a in ring.elements:
+            assert is_mp_invertible(a) == (a in members), a
+
+    @pytest.mark.parametrize("field", [GF(2), GF(3), GF(5), GF(101)], ids=lambda f: f.name)
+    def test_is_mp_invertible_against_try_dagger(self, field):
+        # rectangular shapes from 1x3 to 4x2, rank 0 and isotropic rows included
+        rng = random.Random(89)
+        shapes = [(m, n) for m in range(1, 5) for n in range(1, 5) if m != n]
+        cases = [ExactMatrix.zeros(m, n, field) for m, n in shapes]
+        # 1 + 2^2 == 0 over GF(5) and 10^2 + 1 == 0 over GF(101)
+        isotropic = {5: [1, 2], 101: [10, 1]}.get(field.p, [1, 1] if field.p == 2 else [1, 1, 1])
+        for m, n in shapes:
+            if n >= len(isotropic):
+                cases.append(M([isotropic + [0] * (n - len(isotropic))] + [[0] * n] * (m - 1), field))
+            for _ in range(12):
+                r = rng.randint(1, min(m, n))
+                left = ExactMatrix(m, r, [rng.randrange(field.p) for _ in range(m * r)], field)
+                cases.append(left * ExactMatrix(r, n, [rng.randrange(field.p) for _ in range(r * n)], field))
+        seen = set()
+        for a in cases:
+            for x in (a, a.star):
+                built = try_dagger(x) is not None
+                assert is_mp_invertible(x) == built, x
+                seen.add(built)
+        assert seen == {True, False}
 
     def test_penrose_and_double_dagger_randomized(self):
         rng = random.Random(4242)

@@ -598,18 +598,23 @@ class TestLazyDerivedData:
                 relation(z(2, 12), b)
             assert str(info.value) == "2 (mod 12) has no Moore-Penrose inverse"
 
+    # every _Field method that runs _eliminate, directly or through another
+    KERNELS = ("row_reduce", "pivots", "rank", "echelon")
+
     @staticmethod
-    def _count_eliminations(monkeypatch, field, reduced=None):
-        """The list that gets the kernel name of each row_reduce, pivots and rank call over field.
+    def _count_eliminations(monkeypatch, field, reduced=None, kernels=KERNELS):
+        """The list that gets the kernel name of each call of kernels over field.
 
         A list given as reduced gets the packed nums each of those calls
         reduces.  A kernel run inside another (rank runs pivots) is the
-        same elimination and is not counted again.
+        same elimination and is not counted again.  An elimination that runs
+        outside every listed kernel is counted as "_eliminate", so a kernel
+        missing from the list fails every exact list.
         """
         field_cls = type(field)
         count = []
         running = []
-        for name in ("row_reduce", "pivots", "rank"):
+        for name in kernels + ("_eliminate",):
             kernel = getattr(field_cls, name)
 
             def counting(self, *args, _kernel=kernel, _name=name):
@@ -655,13 +660,12 @@ class TestLazyDerivedData:
 
     def test_diamond_positive_eliminations(self, monkeypatch):
         # one forward elimination of [b | a] per containment, no [b | I];
-        # then lp(a) and rp(a), each from the pivots of a forward elimination
-        # (of a, of star(a)) and one rref of [c^T c | c^T], each rank(e) read
-        # from the trace
+        # then lp(a) and rp(a), both bases from one forward elimination of a
+        # and one rref of [c^T c | c^T] each, each rank(e) read from the trace
         count = self._count_eliminations(monkeypatch, DIAG10.field)
         v = leq_diamond(M([[1, 0, 0], [0, 0, 0], [0, 0, 0]]), ExactMatrix.identity(3))
         assert v.holds and v.witness is not None
-        assert count == ["pivots", "pivots", "pivots", "row_reduce", "pivots", "row_reduce"]
+        assert count == ["pivots", "pivots", "echelon", "row_reduce", "row_reduce"]
 
     @pytest.mark.parametrize("field", [QQ, GF(101)], ids=["rational", "gf101"])
     def test_canonical_plus_positive_never_reduces_b_with_the_identity(self, monkeypatch, field):
@@ -672,30 +676,31 @@ class TestLazyDerivedData:
         count = self._count_eliminations(monkeypatch, field, reduced)
         v = leq_plus(a, b)
         assert (v.holds, v.method) == (True, "canonical")
-        assert count == ["pivots", "pivots", "pivots", "row_reduce", "pivots", "row_reduce"]
+        assert count == ["pivots", "pivots", "echelon", "row_reduce", "row_reduce"]
         eye = ExactMatrix.identity(3, field)
         assert hstack(b, eye).nums not in reduced and hstack(b.star, eye).nums not in reduced
         assert hstack(b, a).nums in reduced and hstack(b.star, a.star).nums in reduced
 
     @pytest.mark.parametrize("field", [QQ, GF(101)], ids=["rational", "gf101"])
     def test_lp_alone_eliminations(self, monkeypatch, field):
-        # the pivots of a, one rref of [F^T F | F^T], rank(lp(a)) from the trace
+        # the forward elimination of a, one rref of [F^T F | F^T], rank(lp(a)) from the trace
         a = M([[1, 2, 0], [2, 4, 0], [0, 1, 1]], field)
         count = self._count_eliminations(monkeypatch, field)
         assert lp(a) * a == a
-        assert count == ["pivots", "row_reduce"]
+        assert count == ["echelon", "row_reduce"]
 
     @pytest.mark.parametrize(
         "field, kernels",
-        [(QQ, ["pivots"] + ["rank"] * 2), (GF(101), ["pivots"] + ["rank"] * 4)],
+        [(QQ, ["pivots"] + ["rank"] * 2), (GF(101), ["echelon"] + ["rank"] * 4)],
         ids=["rational", "gf101"],
     )
     @pytest.mark.parametrize("relation", [leq_1mp, leq_mp1], ids=["1mp", "mp1"])
     def test_product_test_rejection_eliminations(self, monkeypatch, field, kernels, relation):
         # the minus order holds by the rank test and star(a)*(b - a) != 0: the
         # pivots of a, rank(b - a) and rank(b), all forward eliminations, no
-        # minus witness (no row_reduce of [b | I]); over GF(p) the
-        # Moore-Penrose check reuses rank(a), two more ranks
+        # minus witness (no row_reduce of [b | I]); over GF(p) the forward
+        # elimination of a also gives G, and the Moore-Penrose check ranks
+        # the r x r Gram matrices F^T F and G G^T, two more ranks
         a, b = M([[1, 0], [0, 0]], field), M([[1, 1], [0, 1]], field)
         if relation is leq_mp1:
             a, b = a.star, b.star
@@ -750,8 +755,8 @@ class TestLazyDerivedData:
                 count.clear()
                 v = relation(zero, b)
                 assert v.holds and v.witness[0] == zero
-                if relation is not leq_minus:
-                    assert count == ["pivots"]
+                if relation is not leq_minus:  # over GF(p) the bases of a, no Gram rank at rank 0
+                    assert count == ["pivots" if field is QQ else "echelon"]
 
     def test_rational_1mp_positive_eliminations(self, monkeypatch):
         # an n = 8 1MP positive: the pivots of a, rank(b - a), one row_reduce
@@ -808,6 +813,145 @@ class TestLazyDerivedData:
             assert a * b.star * a != a * a.star * a
             v = leq_plus(a, b)
             assert (v.holds, v.method) == (holds, "rank")
+
+    def test_kernels_are_the_methods_that_eliminate(self):
+        # the _Field methods whose source calls _eliminate, or a method that does
+        import inspect
+        import re
+
+        from starinv import fields
+
+        calls = collections.defaultdict(set)
+        for cls in (fields._Field, fields.RationalField, fields.PrimeField):
+            for name, fn in vars(cls).items():
+                if inspect.isfunction(fn):
+                    calls[name] |= set(re.findall(r"self\.(\w+)\(", inspect.getsource(fn)))
+        eliminating = {"_eliminate"}
+        while grown := {name for name, called in calls.items() if called & eliminating} - eliminating:
+            eliminating |= grown
+        assert eliminating - {"_eliminate"} == set(self.KERNELS)
+
+    @staticmethod
+    def _eliminate_everywhere(field):
+        """Every public route to an elimination, on 3x3 matrices over field."""
+        import starinv.matrix as mx
+
+        a, b = M([[1, 0, 0], [0, 0, 0], [0, 0, 0]], field), M([[1, 0, 0], [0, 1, 0], [0, 0, 0]], field)
+        c, eye = M([[1, 1, 0], [1, 1, 0], [0, 1, 1]], field), ExactMatrix.identity(3, field)
+        for x, y in ((a, b), (a, eye), (c, eye), (c, c + c), (b, a)):
+            for relation in (leq_minus, leq_1mp, leq_mp1, leq_diamond, leq_plus):
+                try:
+                    relation(x, y)
+                except (NotMPInvertible, NotRickart):
+                    pass
+        for build in (lp, rp, dagger, mx.is_mp_invertible, mx.full_rank_factorize, mx.inner_inverse, mx.rref):
+            try:
+                build(c)
+            except (NotMPInvertible, NotRickart):
+                pass
+        mx.inverse(eye)
+        mx.idempotent_rank(a)
+        mx.column_space_leq(a, c)
+        mx.solve_matrix_equations([([(c, eye)], c)], (3, 3), field)
+
+    @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(101)], ids=["rational", "gf2", "gf3", "gf101"])
+    def test_no_elimination_escapes_the_lists(self, field):
+        # each listed kernel runs, no elimination runs outside them, and a
+        # kernel left out of the list shows as "_eliminate" (rank runs
+        # pivots, so it still counts as "pivots" then)
+        with pytest.MonkeyPatch.context() as patch:
+            count = self._count_eliminations(patch, field)
+            self._eliminate_everywhere(field)
+        assert set(count) == set(self.KERNELS)
+        for missing in ("row_reduce", "pivots", "echelon"):
+            with pytest.MonkeyPatch.context() as patch:
+                kernels = tuple(k for k in self.KERNELS if k != missing)
+                count = self._count_eliminations(patch, field, kernels=kernels)
+                self._eliminate_everywhere(field)
+            assert "_eliminate" in count and missing not in count
+
+
+class TestSelfCheckFailures:
+    """A corrupted step on a pair that holds raises InternalCheckError, never a negative verdict."""
+
+    FIELDS = [QQ, GF(101)]
+
+    @pytest.mark.parametrize("field", FIELDS, ids=["rational", "gf101"])
+    def test_minus_witness_equations(self, monkeypatch, field):
+        # a doubled inner inverse keeps its nonzero rows, so the rank test
+        # passes, but k = 2g*a*2g gives a*k*a == 4a
+        import starinv.matrix as mx
+
+        inner = mx.inner_inverse
+        monkeypatch.setattr(mx, "inner_inverse", lambda b: inner(b) + inner(b))
+        with pytest.raises(InternalCheckError, match="^minus witness fails its equations$"):
+            leq_minus(M([[1, 0], [0, 0]], field), ExactMatrix.identity(2, field))
+
+    @pytest.mark.parametrize("field", FIELDS, ids=["rational", "gf101"])
+    def test_minus_idempotent_pair(self, monkeypatch, field):
+        # p*b == a == b*q follow from the witness equations in exact
+        # arithmetic, so only a wrong product p*b reaches this check;
+        # here k = diag(1/2, 0) and p = a*k = diag(1, 0) differ
+        a, b = M([[2, 0], [0, 0]], field), M([[2, 0], [0, 1]], field)
+        p = a * leq_minus(a, b).witness.inner
+        mul = ExactMatrix.__mul__
+
+        def corrupted(x, y):
+            out = mul(x, y)
+            return out + out if y is b and x == p else out
+
+        monkeypatch.setattr(ExactMatrix, "__mul__", corrupted)
+        with pytest.raises(InternalCheckError, match=r"^minus idempotent pair fails p\*b == a == b\*q$"):
+            leq_minus(a, b)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=["rational", "gf101"])
+    def test_one_mp_witness_equations(self, monkeypatch, field):
+        # doubled solves make the witness 4*g*lp(a): x*a*x == 16*x/4 != x
+        import starinv.matrix as mx
+
+        solve = mx.inner_solve
+
+        def doubled(b, c):
+            pivots, x, inside = solve(b, c)
+            return pivots, x + x, inside
+
+        monkeypatch.setattr(mx, "inner_solve", doubled)
+        with pytest.raises(InternalCheckError, match="^1MP witness fails its equations$"):
+            leq_1mp(M([[1, 0], [0, 0]], field), ExactMatrix.identity(2, field))
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda q, a: q + q, "plus witness pair not idempotent"),
+            (lambda q, a: ExactMatrix.identity(3, a.field), "plus witness pair fails annihilator matching"),
+            (lambda q, a: rp(a), r"plus witness fails a == q_tilde\*b\*q"),
+        ],
+        ids=["idempotent", "annihilator", "product"],
+    )
+    @pytest.mark.parametrize("field", FIELDS, ids=["rational", "gf101"])
+    def test_plus_rank_witness_checks(self, monkeypatch, field, corrupt, message):
+        # the rank stage's q, scattered from V*G, replaced by 2q (not
+        # idempotent), by I (idempotent, rank 3 != rank(a)) and by rp(a) (in
+        # RP(a), but q_tilde*b*rp(a) != a on this pair)
+        import starinv.matrix as mx
+
+        a, b = M([[1, 0, 0], [0, 0, 0], [0, 0, 0]], field), M([[2, 0, 0], [0, 1, 0], [0, 0, 0]], field)
+        assert leq_plus(a, b).method == "rank"
+        scatter = mx.scatter_rows
+        monkeypatch.setattr(mx, "scatter_rows", lambda m, rows, n: corrupt(scatter(m, rows, n), a))
+        with pytest.raises(InternalCheckError, match=f"^{message}$"):
+            leq_plus(a, b)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=["rational", "gf101"])
+    def test_canonical_plus_check(self, monkeypatch, field):
+        # lp(a) and rp(a) swapped: both projections, but rp(a)*a*lp(a) != a
+        import starinv.orders as orders
+
+        projections = orders._projections
+        monkeypatch.setattr(orders, "_projections", lambda a, *sides: projections(a, *sides)[::-1])
+        a = M([[1, 1], [0, 0]], field)
+        with pytest.raises(InternalCheckError, match=r"^canonical plus witness fails a == lp\(a\)\*b\*rp\(a\)$"):
+            leq_plus(a, a)
 
 
 class TestUnreducedEntries:
