@@ -24,6 +24,10 @@ _EXPORTS = {
     "finite": """
         FiniteStarRing TheoremReport matrix_star_ring ring_by_name zn_ring
     """,
+    "forms": """
+        OneMPAboveForm PlusBlockData above_1mp above_mp1 b_1mp_inverse_check in_corner
+        leq_1mp_routes lp_family_member plus_block_compose rp_family_member
+    """,
     "inverses": """
         InverseFamily PenroseProfile ProjectionWitness closure_products dagger
         existence_via_projections family_1mp family_mp1 is_inner_inverse is_member
@@ -35,10 +39,8 @@ _EXPORTS = {
         is_mp_invertible mp_inverse rank row_space_leq
     """,
     "orders": """
-        MinusWitness MP1Witness OneMPAboveForm OneMPWitness OrderVerdict PlusBlockData
-        PlusWitness above_1mp above_mp1 b_1mp_inverse_check in_corner leq_1mp
-        leq_1mp_routes leq_diamond leq_minus leq_mp1 leq_plus lp lp_family_member
-        plus_block_compose rp rp_family_member
+        MinusWitness MP1Witness OneMPWitness OrderVerdict PlusWitness leq_1mp leq_diamond
+        leq_minus leq_mp1 leq_plus lp rp
     """,
     "theorems": "order_axiom_suite theorem_ids verify_all verify_theorem",
     "zn": "ZnElement",

@@ -18,7 +18,6 @@ import argparse
 import json
 import sys
 
-from . import inverses as gi
 from .errors import (
     DimensionMismatch,
     DocumentError,
@@ -200,6 +199,8 @@ def _outcome(report: dict, output: str | None, refusal: dict, decide) -> int:
 
 
 def cmd_mp(args) -> int:
+    from . import inverses as gi  # here and in _hybrid_command only: order and verify never run it
+
     a = _load_matrix(args.matrix, args.field)
     report = {"command": "mp", "inputs": {"a": _input_payload(a)}}
 
@@ -212,6 +213,8 @@ def cmd_mp(args) -> int:
 
 
 def _hybrid_command(args, kind: str) -> int:
+    from . import inverses as gi
+
     a = _load_matrix(args.matrix, args.field)
     a_minus = _load_matrix(args.inner, args.field)
     report = {

@@ -16,7 +16,6 @@ is_mp_one are one_mp and is_one_mp on stars.
 
 from __future__ import annotations
 
-from functools import singledispatch
 from typing import NamedTuple, Optional
 
 from . import matrix as mx
@@ -29,15 +28,14 @@ from .errors import (
 )
 
 
-@singledispatch
 def dagger(x):
-    """Moore-Penrose inverse of x, or NotMPInvertible."""
+    """Moore-Penrose inverse of x, or NotMPInvertible; zn.py loads only for a non-matrix."""
+    if isinstance(x, mx.ExactMatrix):
+        return mx.mp_inverse(x)
+    from . import zn
+    if isinstance(x, zn.ZnElement):
+        return zn.mp_inverse(x)
     raise TypeError(f"no dagger backend registered for {type(x).__name__}")
-
-
-@dagger.register
-def _(x: mx.ExactMatrix):
-    return mx.mp_inverse(x)
 
 
 def try_dagger(x):

@@ -2,9 +2,10 @@
 
 Every entry in THEOREMS sweeps one statement over a finite carrier using
 nothing but the ring's operation tables, so the checks are independent of
-the formula layers in inverses.py and orders.py.  Every sweep enumerates its
-whole domain; nothing is sampled.  A report gives how many instances were
-checked and how many counterexamples were found (expected: none).
+the formula layers in inverses.py, orders.py and forms.py.  Every sweep
+enumerates its whole domain; nothing is sampled.  A report gives how many
+instances were checked and how many counterexamples were found (expected:
+none).
 
 A sweep returns what it found, `(checked, violations, notes)`, and nothing
 more; its violations may be any iterable, a generator included.  `_run` is

@@ -1,7 +1,7 @@
 """The formula layer imports nothing from the brute-force oracle, and exact
 arithmetic stays in its two modules.
 
-fields, matrix, inverses, orders and zn decide by formulas; finite and
+fields, matrix, inverses, orders, forms and zn decide by formulas; finite and
 theorems enumerate carriers.  Agreement between the two layers is evidence
 only while no formula reads an oracle scan, so an import of `finite` or
 `theorems` from a formula module, at any level, fails here.
@@ -18,7 +18,7 @@ import pytest
 
 import starinv
 
-FORMULA_LAYER = ("fields", "matrix", "inverses", "orders", "zn")
+FORMULA_LAYER = ("fields", "matrix", "inverses", "orders", "forms", "zn")
 ORACLE = {"finite", "theorems"}
 PACKED_OWNERS = {"fields.py", "matrix.py"}
 PACKED_READS = {"nums", "den"}

@@ -2,8 +2,11 @@
 
 `import starinv` binds nothing but the name table; each public name resolves
 to the same object its home module exports.  A `python -m starinv.cli` child
-imports the oracle (`finite`, `theorems`) only for `verify`, and the order
-layer (`orders`, `zn`) only for `order`.
+loads exactly the layers its command runs, beside `cli`, `errors` and
+`fields`: `order` loads `matrix` and `orders` (Z_n and `dagger` are not on
+its matrix path); `verify` loads `matrix`, `zn` and the oracle (`finite`,
+`theorems`); `mp`, `onemp` and `mpone` load `matrix` and `inverses`.  No
+child loads `forms`.  `inverses` and `zn` do not import each other.
 """
 
 import json
@@ -15,7 +18,7 @@ from importlib import import_module
 import pytest
 
 import starinv
-from starinv import ExactMatrix
+from starinv import GF, QQ, ExactMatrix
 from starinv.cli import serialize_matrix_document
 
 EXPORTED = [
@@ -41,7 +44,7 @@ EXPORTED = [
 ]  # fmt: skip
 
 SUBMODULES = (
-    "errors", "fields", "finite", "inverses", "matrix", "orders", "theorems", "zn"
+    "errors", "fields", "finite", "forms", "inverses", "matrix", "orders", "theorems", "zn"
 )
 
 
@@ -91,6 +94,24 @@ class TestNamespace:
         )
         assert out == "3 (mod 12)\n"
 
+    @pytest.mark.parametrize("module, absent", [("inverses", "zn"), ("zn", "inverses")])
+    def test_inverses_and_zn_load_apart(self, module, absent):
+        out = run_python(
+            f"import sys, starinv.{module}\n"
+            f"print('starinv.{absent}' in sys.modules)\n"
+        )
+        assert out == "False\n"
+
+    def test_dagger_of_an_unsupported_type_raises(self):
+        out = run_python(
+            "import starinv\n"
+            "try:\n"
+            "    starinv.dagger(object())\n"
+            "except TypeError as exc:\n"
+            "    print(exc)\n"
+        )
+        assert out == "no dagger backend registered for object\n"
+
 
 # "added" is what the CLI loads beyond a bare child: the interpreter, its
 # site hooks (on some hosts they import inspect) and this harness.  The
@@ -116,31 +137,46 @@ print(json.dumps({"code": code, "added": sorted(set(sys.modules) - bare)}))
 def docs(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("docs")
     paths = {}
-    for name, rows in (("a", [[1, 1], [0, 0]]), ("b", [[1, 0], [0, 1]])):
+    for name, rows, field in (
+        ("a", [[1, 1], [0, 0]], QQ),
+        ("b", [[1, 0], [0, 1]], QQ),
+        ("e", [[1, 0], [0, 0]], QQ),
+        ("e5", [[1, 0], [0, 0]], GF(5)),
+        ("b5", [[1, 0], [0, 1]], GF(5)),
+    ):
         path = tmp / f"{name}.mat"
-        path.write_text(serialize_matrix_document(ExactMatrix.from_rows(rows)))
+        path.write_text(serialize_matrix_document(ExactMatrix.from_rows(rows, field)))
         paths[name] = str(path)
     return paths
+
+
+# each command's child loads every submodule but these
+NOT_ORDER = {"inverses", "zn", "forms", "finite", "theorems"}  # the matrix path of an order
+NOT_INVERSES = {"orders", "zn", "forms", "finite", "theorems"}  # mp, onemp and mpone
+NOT_VERIFY = {"inverses", "orders", "forms"}
 
 
 @pytest.mark.parametrize(
     "argv, absent",
     [
-        (("order", "minus", "{a}", "{b}"), {"finite", "theorems"}),
-        (("order", "plus", "{a}", "{a}"), {"finite", "theorems"}),
-        (("mp", "{a}"), {"finite", "theorems", "orders", "zn"}),
-        (("onemp", "{a}", "{a}"), {"finite", "theorems", "orders", "zn"}),
-        (("mpone", "{a}", "{a}"), {"finite", "theorems", "orders", "zn"}),
-        (("verify", "--ring", "z6", "--theorems", "one_mp_closure"), {"orders"}),
+        (("order", "minus", "{a}", "{b}"), NOT_ORDER),
+        (("order", "plus", "{a}", "{a}"), NOT_ORDER),
+        (("mp", "{a}"), NOT_INVERSES),
+        (("onemp", "{a}", "{a}"), NOT_INVERSES),
+        (("mpone", "{a}", "{a}"), NOT_INVERSES),
+        (("verify", "--ring", "z6", "--theorems", "one_mp_closure"), NOT_VERIFY),
+        (("order", "1mp", "{e}", "{b}"), NOT_ORDER),
+        (("order", "1mp", "{e5}", "{b5}"), NOT_ORDER),
+        (("order", "plus", "{e5}", "{b5}"), NOT_ORDER),
     ],
 )
 def test_cli_child_loads_only_its_commands_modules(docs, argv, absent):
+    # the CLI itself runs as __main__, so every other submodule is one the command runs
     result = json.loads(run_python(CHILD, *(arg.format(**docs) for arg in argv)))
     assert result["code"] == 0
     added = set(result["added"])
     loaded = {name.split(".")[1] for name in added if name.startswith("starinv.")}
-    assert not loaded & absent, sorted(loaded & absent)
-    assert {"inverses", "matrix"} <= loaded
+    assert loaded == set(SUBMODULES) - absent
     # records are NamedTuples, so no child pays for dataclasses (and the inspect it loads);
     # only the input digests of the matrix commands need hashlib
     unwanted = {"dataclasses", "inspect"} | ({"hashlib"} if argv[0] == "verify" else set())
